@@ -7,12 +7,12 @@ DMA; solution identity and diversity work on cleared-station sets.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sps
 
 from .driver import SampleSet
 from .instance import ChannelAssignment
@@ -81,6 +81,50 @@ def dma_stats(sample_set: SampleSet) -> DmaClearingStats:
     )
 
 
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz);
+    converges quickly for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
+
+
+def t_two_sided_p(t: float, df: int) -> float:
+    """Two-sided Student-t p-value P(|T| >= |t|) with ``df`` degrees of freedom.
+
+    This is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2). The tail is computed directly, never as one minus
+    the central mass, so tiny p-values keep their relative precision, and
+    1 - x is formed as t^2 / (df + t^2) so that p near 1 does too.
+    """
+    if t == 0.0:
+        return 1.0
+    t2 = t * t
+    x, y = df / (df + t2), t2 / (df + t2)
+    a, b = df / 2.0, 0.5
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
+
+
 @dataclass(frozen=True)
 class DmaCorrelation:
     dma_a: int
@@ -125,8 +169,7 @@ def dma_correlations(
             if denom <= 0.0:
                 p = 0.0
             else:
-                t = abs(r) * np.sqrt((n - 2) / denom)
-                p = float(2.0 * sps.t.sf(t, df=n - 2))
+                p = t_two_sided_p(abs(r) * math.sqrt((n - 2) / denom), n - 2)
             if p > p_threshold:
                 continue
             if r_threshold is not None and abs(r) < r_threshold:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import analytics, montecarlo
-from .cliques import CliqueCatalog, attribution_fraction, enumerate_cliques_greedy
+from .cliques import CliqueCatalog, enumerate_cliques_greedy
 from .driver import (
     DEFAULT_BUFFER,
     DEFAULT_SLACK,
@@ -268,52 +269,41 @@ def _cmd_solve(cfg: RunConfig) -> None:
     _print(payload)
 
 
-def _cmd_min_clear(cfg: RunConfig) -> None:
-    _run_min_search(cfg, "min-clear", min_nationwide_clearings)
+def _isolated_params(cfg: RunConfig) -> dict[str, Any]:
+    return {
+        "dma_id": int(cfg.require("dma")),
+        "b_star": cfg.get("b_star"),
+        "slack": float(cfg.get("slack", DEFAULT_SLACK)),
+    }
 
 
-def _cmd_min_dmas(cfg: RunConfig) -> None:
-    _run_min_search(cfg, "min-dmas", min_dmas_with_clearing)
+#: Minimum searches by subcommand: the driver function, a reader for its
+#: subcommand-specific parameters, and the config keys echoed into the payload.
+_MIN_SEARCHES = {
+    "min-clear": (min_nationwide_clearings, lambda cfg: {}, ()),
+    "min-dmas": (min_dmas_with_clearing, lambda cfg: {}, ()),
+    "min-dma-isolated": (min_dma_clearings_isolated, _isolated_params, ("dma",)),
+}
 
 
-def _run_min_search(cfg: RunConfig, command: str, fn) -> None:
+def _cmd_min_search(cfg: RunConfig, command: str) -> None:
+    search, read_params, echoed = _MIN_SEARCHES[command]
     instance = _load_instance(cfg)
-    result = fn(
+    result = search(
         instance,
         int(cfg.require("target")),
-        bool(cfg.get("use_domain", True)),
+        use_domain=bool(cfg.get("use_domain", True)),
+        **read_params(cfg),
         seed=int(cfg.get("seed", 0)),
         time_budget=float(cfg.get("timeout_secs", DEFAULT_TIME_BUDGET)),
         engine=_engine_from(cfg),
     )
     digest = cfg.digest(command)
-    payload = {**result.to_json_dict(), "config_digest": digest}
-    out = cfg.get("out")
-    if out:
-        _write_json(
-            Path(out),
-            {**result.to_json_dict(), "witness": result.witness.to_json_dict()},
-            digest,
-        )
-        payload["result_file"] = str(out)
-    _print(payload)
-
-
-def _cmd_min_dma_isolated(cfg: RunConfig) -> None:
-    instance = _load_instance(cfg)
-    result = min_dma_clearings_isolated(
-        instance,
-        int(cfg.require("target")),
-        int(cfg.require("dma")),
-        use_domain=bool(cfg.get("use_domain", True)),
-        b_star=cfg.get("b_star"),
-        slack=float(cfg.get("slack", DEFAULT_SLACK)),
-        seed=int(cfg.get("seed", 0)),
-        time_budget=float(cfg.get("timeout_secs", DEFAULT_TIME_BUDGET)),
-        engine=_engine_from(cfg),
-    )
-    digest = cfg.digest("min-dma-isolated")
-    payload = {**result.to_json_dict(), "dma": cfg.get("dma"), "config_digest": digest}
+    payload = {
+        **result.to_json_dict(),
+        **{key: cfg.get(key) for key in echoed},
+        "config_digest": digest,
+    }
     out = cfg.get("out")
     if out:
         _write_json(
@@ -393,48 +383,41 @@ _SUMMARY_COLUMNS = (
 
 def _cmd_simulate(cfg: RunConfig) -> None:
     instance = _load_instance(cfg)
-    sweep_alphas = cfg.get("alphas")
-    if sweep_alphas and cfg.get("alpha") is None:
+    alphas_text = cfg.get("alphas")
+    alphas = [float(a) for a in str(alphas_text).split(",") if a] if alphas_text else []
+    if alphas and cfg.get("alpha") is None:
         # The sweep overrides the rate per grid point; any point serves as
         # the base model, so use the first.
-        first = str(sweep_alphas).split(",")[0]
-        cfg.args.alpha = float(first)
+        cfg.args.alpha = alphas[0]
     model = _model_from(cfg)
     out_dir = Path(cfg.require("out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    backend = cfg.get("backend", BACKEND_SAT)
     catalog = None
     catalog_path = cfg.get("catalog")
     if catalog_path:
         catalog = CliqueCatalog.load_jsonl(catalog_path, instance)
+    backend = cfg.get("backend", BACKEND_SAT)
     seed = int(cfg.get("seed", 0))
     budget = float(cfg.get("timeout_secs", DEFAULT_TIME_BUDGET))
     trials = int(cfg.get("trials", montecarlo.DEFAULT_TRIALS))
-    alphas_text = cfg.get("alphas")
     digest = cfg.digest("simulate")
+    target = int(cfg.require("target"))
+    use_domain = bool(cfg.get("use_domain", True))
+    run = dict(
+        trials=trials, seed=seed, backend=backend, catalog=catalog, time_budget=budget,
+        engine=_engine_from(cfg), workers=int(cfg.get("workers") or os.cpu_count() or 1),
+    )
 
     estimates = []
-    if alphas_text:
-        alphas = [float(a) for a in str(alphas_text).split(",") if a]
-        sweep = shared_randomness_sweep(
-            model, alphas, instance, int(cfg.require("target")),
-            bool(cfg.get("use_domain", True)),
-            trials=trials, seed=seed, backend=backend, catalog=catalog,
-            time_budget=budget, engine=_engine_from(cfg),
-        )
+    if alphas:
+        sweep = shared_randomness_sweep(model, alphas, instance, target, use_domain, **run)
         for point in sweep.points:
             estimates.append(point.estimate)
             point.estimate.save_trials_jsonl(
                 out_dir / f"trials-alpha-{point.alpha:g}.jsonl", instance, digest
             )
     else:
-        estimate = estimate_success(
-            model, instance, int(cfg.require("target")),
-            bool(cfg.get("use_domain", True)),
-            trials=trials, seed=seed, backend=backend, catalog=catalog,
-            time_budget=budget, engine=_engine_from(cfg),
-            workers=int(cfg.get("workers") or os.cpu_count() or 1),
-        )
+        estimate = estimate_success(model, instance, target, use_domain, **run)
         estimates.append(estimate)
         estimate.save_trials_jsonl(out_dir / "trials.jsonl", instance, digest)
 
@@ -543,21 +526,22 @@ def _cmd_stats(cfg: RunConfig) -> None:
     trials_path = cfg.get("trials_file")
     if trials_path:
         meta, trials = montecarlo.load_trial_set(trials_path)
-        infeasible = sum(1 for t in trials if t.infeasible)
-        timeouts = sum(1 for t in trials if t.verdict == montecarlo.VERDICT_TIMEOUT)
-        p = 1.0 - infeasible / len(trials) if trials else None
-        mz = montecarlo.mean_z(trials)
-        # Without the clique scan the attributable share is unknown, not zero.
-        attr_fraction = None
-        if meta.get("backend") != montecarlo.BACKEND_SAT:
-            attr_fraction = attribution_fraction(trials).fraction
+        est = montecarlo.SuccessEstimate(
+            model=ModelSpec.from_dict(meta["model"]),
+            target_mhz=meta["target_mhz"],
+            use_domain=meta["use_domain"],
+            backend=meta["backend"],
+            trials=trials,
+        )
+        p = est.p if trials else None
         _write_csv(
             out_dir / "trials_summary.csv",
             ("trials", "infeasible", "timeouts", "p", "mean_z", "attribution_fraction"),
-            [(len(trials), infeasible, timeouts, p, mz, attr_fraction)],
+            [(est.trial_count, est.infeasible_count, est.timeout_count, p,
+              est.mean_z_value, est.attribution.fraction)],
             digest,
         )
-        summary["trials"] = len(trials)
+        summary["trials"] = est.trial_count
         summary["p"] = p
 
     if not samples_path and not trials_path:
@@ -627,18 +611,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-clear", parents=[common, problem],
                        help="minimum nationwide clearings for the target")
-    p.set_defaults(fn=_cmd_min_clear)
+    p.set_defaults(fn=functools.partial(_cmd_min_search, command="min-clear"))
 
     p = sub.add_parser("min-dmas", parents=[common, problem],
                        help="minimum number of DMAs with any clearing")
-    p.set_defaults(fn=_cmd_min_dmas)
+    p.set_defaults(fn=functools.partial(_cmd_min_search, command="min-dmas"))
 
     p = sub.add_parser("min-dma-isolated", parents=[common, problem],
                        help="minimum clearings in one DMA, nationwide near-minimal")
     p.add_argument("--dma", type=int)
     p.add_argument("--slack", type=float)
     p.add_argument("--b-star", type=int, dest="b_star")
-    p.set_defaults(fn=_cmd_min_dma_isolated)
+    p.set_defaults(fn=functools.partial(_cmd_min_search, command="min-dma-isolated"))
 
     p = sub.add_parser("sample", parents=[common, problem], help="sample near-minimal solutions")
     p.add_argument("--count", type=int)

@@ -30,7 +30,6 @@ from .instance_io import instance_digest
 from .participation import (
     ALPHA_MODEL_KINDS,
     ModelSpec,
-    ParticipationVector,
     draw_variates,
     sample_from_variates,
 )
@@ -193,10 +192,6 @@ def load_trial_set(path: str | os.PathLike) -> tuple[dict, list[TrialReport]]:
     return lines[0], out
 
 
-def load_trials_jsonl(path: str | os.PathLike) -> list[TrialReport]:
-    return load_trial_set(path)[1]
-
-
 def mean_z(trials: Sequence[TrialReport]) -> Optional[float]:
     """Average degree of infeasibility over infeasible trials with blocking
     information; undefined (None) when no trial qualifies."""
@@ -206,37 +201,24 @@ def mean_z(trials: Sequence[TrialReport]) -> Optional[float]:
     return sum(zs) / len(zs)
 
 
-def _evaluate_draw(
-    draw: ParticipationVector,
-    *,
-    index: int,
-    seed: int,
-    instance: Instance,
-    target_mhz: int,
-    use_domain: bool,
-    backend: str,
-    catalog: Optional[CliqueCatalog],
-    channel_count: int,
-    time_budget: float,
-    engine,
-    caps: Mapping,
-) -> TrialReport:
+def _run_trial(args) -> TrialReport:
+    (
+        index, seed, model, instance, target_mhz, use_domain,
+        backend, catalog, channel_count, time_budget, engine, caps,
+    ) = args
+    draw = sample_from_variates(model, instance, draw_variates(instance, seed))
     start = time.monotonic()
-    z = None
-    blocking_cliques = None
     if backend in (BACKEND_CLIQUE_THEN_SAT, BACKEND_CLIQUE_ONLY):
         assert catalog is not None
         report = blocking_check(catalog, draw, channel_count)
         if report.blocked:
-            z = report.z
-            blocking_cliques = report.clique_count
             return TrialReport(
                 index=index,
                 seed=seed,
                 draw_digest=draw.digest(),
                 verdict=VERDICT_INFEASIBLE,
-                z=z,
-                blocking_cliques=blocking_cliques,
+                z=report.z,
+                blocking_cliques=report.clique_count,
                 wall_time=time.monotonic() - start,
             )
         if backend == BACKEND_CLIQUE_ONLY:
@@ -268,31 +250,7 @@ def _evaluate_draw(
         seed=seed,
         draw_digest=draw.digest(),
         verdict=verdict,
-        z=z,
-        blocking_cliques=blocking_cliques,
         wall_time=time.monotonic() - start,
-    )
-
-
-def _run_trial(args) -> TrialReport:
-    (
-        index, seed, model, instance, target_mhz, use_domain,
-        backend, catalog, channel_count, time_budget, engine, caps,
-    ) = args
-    draw = sample_from_variates(model, instance, draw_variates(instance, seed))
-    return _evaluate_draw(
-        draw,
-        index=index,
-        seed=seed,
-        instance=instance,
-        target_mhz=target_mhz,
-        use_domain=use_domain,
-        backend=backend,
-        catalog=catalog,
-        channel_count=channel_count,
-        time_budget=time_budget,
-        engine=engine,
-        caps=caps,
     )
 
 
@@ -387,11 +345,15 @@ def shared_randomness_sweep(
     catalog: Optional[CliqueCatalog] = None,
     time_budget: float = DEFAULT_TIME_BUDGET,
     engine=None,
+    workers: int = 1,
 ) -> SweepResult:
     """Evaluate a rate grid with non-participation choices carried upward.
 
-    Only the fixed-marginal-rate models support this; the revenue model has no
-    single rate to sweep.
+    Each point is :func:`estimate_success` at that rate with the same master
+    seed: trial i draws its variates from the same per-index seed whatever
+    the rate, so the point at rate a equals the single-rate estimate at a.
+    Only the fixed-marginal-rate models support this; the revenue model has
+    no single rate to sweep.
     """
     if model.kind not in ALPHA_MODEL_KINDS:
         raise ValueError(f"{model.kind.value} does not define a rate sweep")
@@ -401,41 +363,13 @@ def shared_randomness_sweep(
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
     catalog = _need_catalog(backend, catalog, instance, seed)
-    channel_count = derive_available_channels(target_mhz, instance.universe).count
-    caps = {"max_cleared_nationwide": None, "dma_caps": {}, "max_dmas_with_clearing": None}
-
-    per_alpha: dict[float, list[TrialReport]] = {a: [] for a in alphas}
-    for t in range(trials):
-        trial_seed = derive_seed(seed, "sweep-trial", t)
-        variates = draw_variates(instance, trial_seed)
-        for alpha in alphas:
-            point_model = model.with_alpha(alpha)
-            draw = sample_from_variates(point_model, instance, variates)
-            report = _evaluate_draw(
-                draw,
-                index=t,
-                seed=trial_seed,
-                instance=instance,
-                target_mhz=target_mhz,
-                use_domain=use_domain,
-                backend=backend,
-                catalog=catalog,
-                channel_count=channel_count,
-                time_budget=time_budget,
-                engine=engine,
-                caps=caps,
-            )
-            per_alpha[alpha].append(report)
-
     points = [
         SweepPoint(
             alpha=alpha,
-            estimate=SuccessEstimate(
-                model=model.with_alpha(alpha),
-                target_mhz=target_mhz,
-                use_domain=use_domain,
-                backend=backend,
-                trials=per_alpha[alpha],
+            estimate=estimate_success(
+                model.with_alpha(alpha), instance, target_mhz, use_domain,
+                trials=trials, seed=seed, backend=backend, catalog=catalog,
+                time_budget=time_budget, engine=engine, workers=workers,
             ),
         )
         for alpha in alphas

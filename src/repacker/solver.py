@@ -369,11 +369,6 @@ class ExternalSolver:
 
     command: str
 
-    @classmethod
-    def from_env(cls) -> Optional["ExternalSolver"]:
-        cmd = os.environ.get(EXTERNAL_SOLVER_ENV)
-        return cls(cmd) if cmd else None
-
     def solve(self, formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:
         start = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="repacker-cnf-") as tmp:

@@ -122,6 +122,57 @@ class TestDmaCorrelations:
             analytics.dma_correlations(ss)
 
 
+class TestTwoSidedTPValue:
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.0, 2.0, 5.0, 40.0])
+    def test_closed_forms_for_one_and_two_degrees_of_freedom(self, t):
+        # Abramowitz & Stegun 26.7: df=1 is the Cauchy tail, df=2 is algebraic.
+        assert math.isclose(
+            analytics.t_two_sided_p(t, 1), 1.0 - (2.0 / math.pi) * math.atan(t), rel_tol=1e-12
+        )
+        assert math.isclose(
+            analytics.t_two_sided_p(t, 2), 1.0 - t / math.sqrt(2.0 + t * t), rel_tol=1e-12
+        )
+
+    def test_zero_statistic_gives_one(self):
+        assert analytics.t_two_sided_p(0.0, 7) == 1.0
+
+    def test_agrees_with_scipy_over_wide_range(self):
+        stats = pytest.importorskip("scipy.stats")
+        ts = [1e-3, 1e-2, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0,
+              1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8]
+        compared = 0
+        for df in range(1, 1001):
+            refs = 2.0 * stats.t.sf(ts, df)
+            for t, ref in zip(ts, refs):
+                if ref > 0.0:
+                    got = analytics.t_two_sided_p(t, df)
+                    assert math.isclose(got, float(ref), rel_tol=1e-9), (df, t, got, ref)
+                    compared += 1
+        assert compared > 10_000
+
+    def test_import_loads_no_scipy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repacker
+
+        src = str(Path(repacker.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        code = (
+            "import sys, repacker\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert proc.stdout.strip() == "[]"
+
+
 def assignment_from_sets(cleared: set[str], universe: list[str]) -> ChannelAssignment:
     return ChannelAssignment(channels={s: (None if s in cleared else 1) for s in universe})
 

@@ -13,7 +13,7 @@ from repacker.montecarlo import (
     BACKEND_SAT,
     TrialReport,
     estimate_success,
-    load_trials_jsonl,
+    load_trial_set,
     mean_z,
     shared_randomness_sweep,
 )
@@ -150,7 +150,7 @@ class TestEstimateSuccess:
         )
         path = tmp_path / "trials.jsonl"
         est.save_trials_jsonl(path, inst, config_digest="deadbeef")
-        loaded = load_trials_jsonl(path)
+        loaded = load_trial_set(path)[1]
         assert [t.to_json_dict() for t in loaded] == [t.to_json_dict() for t in est.trials]
 
 
@@ -197,6 +197,27 @@ class TestSharedRandomnessSweep:
             if len(set(zs)) >= 2:
                 saw_progression = True
         assert saw_progression
+
+    def test_point_equals_single_rate_run_and_ignores_workers(self):
+        inst = congested_instance()
+        model = ModelSpec.random_broadcasters(0.5)
+        alphas = [0.3, 0.55, 0.8]
+        serial = shared_randomness_sweep(
+            model, alphas, inst, TARGET, trials=16, seed=19,
+            backend=BACKEND_CLIQUE_THEN_SAT, workers=1,
+        )
+        pooled = shared_randomness_sweep(
+            model, alphas, inst, TARGET, trials=16, seed=19,
+            backend=BACKEND_CLIQUE_THEN_SAT, workers=2,
+        )
+        for point, pooled_point in zip(serial.points, pooled.points):
+            single = estimate_success(
+                model.with_alpha(point.alpha), inst, TARGET, trials=16, seed=19,
+                backend=BACKEND_CLIQUE_THEN_SAT,
+            )
+            expected = [t.to_json_dict() for t in single.trials]
+            assert [t.to_json_dict() for t in point.estimate.trials] == expected
+            assert [t.to_json_dict() for t in pooled_point.estimate.trials] == expected
 
     def test_success_non_increasing_along_sweep(self):
         inst = congested_instance()
