@@ -81,7 +81,6 @@ from .montecarlo import (
     BACKEND_CLIQUE_THEN_SAT,
     BACKEND_SAT,
     SuccessEstimate,
-    SweepResult,
     TrialReport,
     estimate_success,
     mean_z,

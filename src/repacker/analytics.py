@@ -195,14 +195,11 @@ def solution_distance(a: ChannelAssignment, b: ChannelAssignment) -> float:
 
     Two solutions clearing nothing are at distance 0 by convention.
     """
-    sa, sb = a.cleared_set(), b.cleared_set()
-    union = sa | sb
-    if not union:
-        return 0.0
-    return len(sa ^ sb) / len(union)
+    return _restricted_distance(a.cleared_set(), b.cleared_set()) or 0.0
 
 
 def _restricted_distance(sa: frozenset[str], sb: frozenset[str]) -> Optional[float]:
+    """Jaccard distance of two cleared sets; None when both are empty."""
     union = sa | sb
     if not union:
         return None
@@ -240,8 +237,7 @@ def diversity_report(sample_set: SampleSet) -> DiversityReport:
     pairs = 0
     for i in range(len(cleared)):
         for j in range(i + 1, len(cleared)):
-            union = cleared[i] | cleared[j]
-            total += (len(cleared[i] ^ cleared[j]) / len(union)) if union else 0.0
+            total += _restricted_distance(cleared[i], cleared[j]) or 0.0
             pairs += 1
     overall = total / pairs
 

@@ -4,10 +4,11 @@ One subcommand per pipeline stage: generate instances, encode, solve, run the
 minimum searches, sample solutions, run Monte Carlo simulations, build clique
 catalogs, and compute the statistics tables from persisted artifacts.
 
-Runs are reproducible from a config file plus master seed. Flags override
-config fields; every output embeds the digest of the effective configuration
-(CSV files as a leading ``#`` comment, JSON objects as a field, JSON-lines
-files in their meta record). Failures exit nonzero after printing a one-line
+Runs are reproducible from a config file plus master seed. Config fields are
+parser defaults, so flags override them. Every output embeds the digest of
+the parsed options, defaults included, minus those that leave results
+unchanged (CSV files as a leading ``#`` comment, JSON objects as a field,
+JSON-lines files in their meta record). Failures exit nonzero after printing a one-line
 JSON error object to stderr.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import logging
 import os
@@ -40,12 +40,10 @@ from .encoder import encode, export_dimacs
 from .instance import RepackProblem, validate_assignment
 from .instance_io import instance_digest, load_instance, save_instance
 from .montecarlo import BACKEND_SAT, BACKENDS, estimate_success, shared_randomness_sweep
-from .participation import ModelKind, ModelSpec
-from .solver import EXTERNAL_SOLVER_ENV, ExternalSolver
+from .participation import DEFAULT_TOP_PROB, ModelKind, ModelSpec
+from .solver import ExternalSolver
 from .synthetic import generate_synthetic
 from .util import canonical_json, sha256_hex
-
-log = logging.getLogger(__name__)
 
 
 class CliError(ValueError):
@@ -55,56 +53,60 @@ class CliError(ValueError):
 # -- configuration plumbing --------------------------------------------------
 
 
-class RunConfig:
-    """Effective parameters: CLI flags override config-file fields."""
+#: Namespace keys that do not shape the experiment: the handler, output
+#: locations and execution details that provably leave results unchanged.
+_NON_SEMANTIC = frozenset({"fn", "out", "config", "verbose", "workers"})
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.file_values: dict[str, Any] = {}
-        path = getattr(args, "config", None)
-        if path:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise CliError(f"{path}: config must be a JSON object")
-            self.file_values = data
-        self.resolved: dict[str, Any] = {}
+#: Parameters without a usable default, by subcommand. They may come from a
+#: flag or a config field; the check runs before any work starts.
+_REQUIRED = {
+    "gen": ("n", "out"),
+    "encode": ("instance", "target", "out"),
+    "solve": ("instance", "target"),
+    "min-clear": ("instance", "target"),
+    "min-dmas": ("instance", "target"),
+    "min-dma-isolated": ("instance", "target", "dma"),
+    "sample": ("instance", "target", "count", "out"),
+    "simulate": ("instance", "target", "model", "out"),
+    "cliques": ("instance", "out"),
+    "stats": ("instance", "out"),
+}
 
-    def get(self, name: str, default: Any = None) -> Any:
-        value = getattr(self.args, name, None)
-        if value is None:
-            value = self.file_values.get(name, default)
-        self.resolved[name] = value
-        return value
 
-    def require(self, name: str) -> Any:
-        value = self.get(name)
-        if value is None:
+def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the ``--config`` file's fields the subcommand's defaults, so flags win.
+
+    Fields that name no option of the subcommand are ignored. Values pass
+    through the option's type, so a field and the equal flag parse alike.
+    """
+    with open(args.config, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise CliError(f"{args.config}: config must be a JSON object")
+    known = vars(args).keys() - {"command", "config", "fn"}
+    types = {a.dest: a.type for a in sub._actions if a.type is not None}
+    sub.set_defaults(**{
+        k: types[k](v) if k in types and v is not None else v
+        for k, v in data.items() if k in known
+    })
+
+
+def _check_required(args: argparse.Namespace) -> None:
+    for name in _REQUIRED[args.command]:
+        # A config-file ``model_spec`` object stands in for ``--model``.
+        if getattr(args, name) is None and not (name == "model" and args.model_spec):
             raise CliError(f"missing required parameter: --{name.replace('_', '-')}")
-        return value
-
-    #: Resolved keys that do not shape the experiment: output locations and
-    #: execution details that provably leave results unchanged.
-    NON_SEMANTIC = frozenset({"out", "config", "verbose", "workers"})
-
-    def digest(self, command: str) -> str:
-        payload = {
-            "command": command,
-            **{k: v for k, v in self.resolved.items() if k not in self.NON_SEMANTIC},
-        }
-        return sha256_hex(canonical_json(payload))
 
 
-def _engine_from(cfg: RunConfig):
-    cmd = cfg.get("solver_cmd") or os.environ.get(EXTERNAL_SOLVER_ENV)
-    if cfg.get("engine", "embedded") == "external":
-        if not cmd:
-            raise CliError(
-                f"external engine requested but no command given "
-                f"(--solver-cmd or ${EXTERNAL_SOLVER_ENV})"
-            )
-        return ExternalSolver(cmd)
-    return None
+def _digest(args: argparse.Namespace) -> str:
+    """Digest of every option the subcommand takes, defaults included."""
+    return sha256_hex(canonical_json(
+        {k: v for k, v in vars(args).items() if k not in _NON_SEMANTIC}
+    ))
+
+
+def _engine_from(args: argparse.Namespace):
+    return ExternalSolver(args.solver_cmd) if args.solver_cmd else None
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence], digest: str) -> None:
@@ -130,21 +132,13 @@ def _print(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _load_instance(cfg: RunConfig):
-    return load_instance(cfg.require("instance"))
-
-
-def _model_from(cfg: RunConfig) -> ModelSpec:
-    model_obj = cfg.get("model_spec")
-    if isinstance(model_obj, dict):
-        return ModelSpec.from_dict(model_obj)
-    kind = cfg.require("model")
-    data: dict[str, Any] = {"kind": kind}
-    for key in ("alpha", "beta", "gamma", "top_prob"):
-        value = cfg.get(key)
-        if value is not None:
-            data[key] = value
-    return ModelSpec.from_dict(data)
+def _model_from(args: argparse.Namespace, alpha: Optional[float]) -> ModelSpec:
+    if isinstance(args.model_spec, dict):
+        return ModelSpec.from_dict(args.model_spec)
+    return ModelSpec.from_dict({
+        "kind": args.model, "alpha": alpha, "beta": args.beta, "gamma": args.gamma,
+        "top_prob": args.top_prob,
+    })
 
 
 def _read_station_list(path: str) -> frozenset[str]:
@@ -152,14 +146,14 @@ def _read_station_list(path: str) -> frozenset[str]:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
-def _problem_from(cfg: RunConfig, instance) -> RepackProblem:
+def _problem_from(args: argparse.Namespace, instance) -> RepackProblem:
     must_repack: frozenset[str] = frozenset()
-    if cfg.get("repack_all"):
+    if args.repack_all:
         must_repack = frozenset(instance.station_ids)
-    elif cfg.get("must_repack"):
-        must_repack = _read_station_list(cfg.get("must_repack"))
+    elif args.must_repack:
+        must_repack = _read_station_list(args.must_repack)
     dma_caps: dict[int, int] = {}
-    for item in cfg.get("dma_cap") or []:
+    for item in args.dma_cap:
         dma_text, _, cap_text = str(item).partition("=")
         try:
             dma_caps[int(dma_text)] = int(cap_text)
@@ -167,37 +161,36 @@ def _problem_from(cfg: RunConfig, instance) -> RepackProblem:
             raise CliError(f"bad --dma-cap {item!r}, expected DMA=CAP") from None
     return RepackProblem(
         instance=instance,
-        clearing_target_mhz=int(cfg.require("target")),
-        use_domain_constraints=bool(cfg.get("use_domain", True)),
+        clearing_target_mhz=args.target,
+        use_domain_constraints=args.use_domain,
         must_repack=must_repack,
-        max_cleared_nationwide=cfg.get("cap_nationwide"),
+        max_cleared_nationwide=args.cap_nationwide,
         dma_caps=dma_caps,
-        max_dmas_with_clearing=cfg.get("max_dmas"),
+        max_dmas_with_clearing=args.max_dmas,
     )
 
 
 # -- subcommands --------------------------------------------------------------
+# Each handler receives the parsed options and their config digest.
 
 
-def _cmd_gen(cfg: RunConfig) -> None:
-    out_dir = Path(cfg.require("out"))
-    forbidden = [int(c) for c in str(cfg.get("forbidden", "") or "").split(",") if c]
+def _cmd_gen(args: argparse.Namespace, digest: str) -> None:
+    out_dir = Path(args.out)
     instance = generate_synthetic(
-        n=int(cfg.require("n")),
-        channel_count=int(cfg.get("channels", 8)),
-        co_density=float(cfg.get("co_density", 0.1)),
-        adj_density=float(cfg.get("adj_density", 0.0)),
-        domain_density=float(cfg.get("domain_density", 0.0)),
-        n_dmas=cfg.get("dmas"),
-        affiliate_fraction=float(cfg.get("affiliate_fraction", 0.4)),
-        planted_clique=int(cfg.get("clique_size", 0)),
-        planted_clique_dma=cfg.get("clique_dma"),
-        forbidden_channels=forbidden,
-        first_channel=int(cfg.get("first_channel", 14)),
-        seed=int(cfg.get("seed", 0)),
+        n=args.n,
+        channel_count=args.channels,
+        co_density=args.co_density,
+        adj_density=args.adj_density,
+        domain_density=args.domain_density,
+        n_dmas=args.dmas,
+        affiliate_fraction=args.affiliate_fraction,
+        planted_clique=args.clique_size,
+        planted_clique_dma=args.clique_dma,
+        forbidden_channels=[int(c) for c in str(args.forbidden).split(",") if c],
+        first_channel=args.first_channel,
+        seed=args.seed,
     )
     save_instance(instance, out_dir)
-    digest = cfg.digest("gen")
     # The instance CSVs stay comment-free for canonical round-trips, so the
     # provenance digest rides in a sidecar instead.
     _write_json(
@@ -217,16 +210,14 @@ def _cmd_gen(cfg: RunConfig) -> None:
     )
 
 
-def _cmd_encode(cfg: RunConfig) -> None:
-    instance = _load_instance(cfg)
-    problem = _problem_from(cfg, instance)
+def _cmd_encode(args: argparse.Namespace, digest: str) -> None:
+    problem = _problem_from(args, load_instance(args.instance))
     formula = encode(problem)
-    prefix = Path(cfg.require("out"))
+    prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     cnf_path = prefix.with_suffix(".cnf")
     with open(cnf_path, "w", encoding="utf-8") as fh:
         export_dimacs(formula, fh)
-    digest = cfg.digest("encode")
     vars_path = prefix.with_suffix(".vars.json")
     assert formula.var_map is not None
     _write_json(vars_path, formula.var_map.to_json_dict(), digest)
@@ -241,16 +232,11 @@ def _cmd_encode(cfg: RunConfig) -> None:
     )
 
 
-def _cmd_solve(cfg: RunConfig) -> None:
-    instance = _load_instance(cfg)
-    problem = _problem_from(cfg, instance)
+def _cmd_solve(args: argparse.Namespace, digest: str) -> None:
+    problem = _problem_from(args, load_instance(args.instance))
     result = check_feasibility(
-        problem,
-        seed=int(cfg.get("seed", 0)),
-        time_budget=float(cfg.get("timeout_secs", DEFAULT_TIME_BUDGET)),
-        engine=_engine_from(cfg),
+        problem, seed=args.seed, time_budget=args.timeout_secs, engine=_engine_from(args),
     )
-    digest = cfg.digest("solve")
     payload: dict[str, Any] = {
         "verdict": result.verdict.value,
         "infeasible_by_timeout": result.infeasible_by_timeout,
@@ -258,80 +244,70 @@ def _cmd_solve(cfg: RunConfig) -> None:
         "stats": result.stats.to_json_dict(),
         "config_digest": digest,
     }
-    out = cfg.get("out")
     if result.assignment is not None:
         violations = validate_assignment(problem, result.assignment)
         payload["violations"] = len(violations)
         payload["cleared"] = len(result.assignment.cleared_set())
-        if out:
-            _write_json(Path(out), {"assignment": result.assignment.to_json_dict()}, digest)
-            payload["assignment_file"] = str(out)
+        if args.out:
+            _write_json(Path(args.out), {"assignment": result.assignment.to_json_dict()}, digest)
+            payload["assignment_file"] = str(args.out)
     _print(payload)
 
 
-def _isolated_params(cfg: RunConfig) -> dict[str, Any]:
-    return {
-        "dma_id": int(cfg.require("dma")),
-        "b_star": cfg.get("b_star"),
-        "slack": float(cfg.get("slack", DEFAULT_SLACK)),
-    }
+def _isolated_params(args: argparse.Namespace) -> dict[str, Any]:
+    return {"dma_id": args.dma, "b_star": args.b_star, "slack": args.slack}
 
 
 #: Minimum searches by subcommand: the driver function, a reader for its
-#: subcommand-specific parameters, and the config keys echoed into the payload.
+#: subcommand-specific parameters, and the options echoed into the payload.
 _MIN_SEARCHES = {
-    "min-clear": (min_nationwide_clearings, lambda cfg: {}, ()),
-    "min-dmas": (min_dmas_with_clearing, lambda cfg: {}, ()),
+    "min-clear": (min_nationwide_clearings, lambda args: {}, ()),
+    "min-dmas": (min_dmas_with_clearing, lambda args: {}, ()),
     "min-dma-isolated": (min_dma_clearings_isolated, _isolated_params, ("dma",)),
 }
 
 
-def _cmd_min_search(cfg: RunConfig, command: str) -> None:
-    search, read_params, echoed = _MIN_SEARCHES[command]
-    instance = _load_instance(cfg)
+def _cmd_min_search(args: argparse.Namespace, digest: str) -> None:
+    search, read_params, echoed = _MIN_SEARCHES[args.command]
     result = search(
-        instance,
-        int(cfg.require("target")),
-        use_domain=bool(cfg.get("use_domain", True)),
-        **read_params(cfg),
-        seed=int(cfg.get("seed", 0)),
-        time_budget=float(cfg.get("timeout_secs", DEFAULT_TIME_BUDGET)),
-        engine=_engine_from(cfg),
+        load_instance(args.instance),
+        args.target,
+        use_domain=args.use_domain,
+        **read_params(args),
+        seed=args.seed,
+        time_budget=args.timeout_secs,
+        engine=_engine_from(args),
     )
-    digest = cfg.digest(command)
     payload = {
         **result.to_json_dict(),
-        **{key: cfg.get(key) for key in echoed},
+        **{key: getattr(args, key) for key in echoed},
         "config_digest": digest,
     }
-    out = cfg.get("out")
-    if out:
+    if args.out:
         _write_json(
-            Path(out),
+            Path(args.out),
             {**result.to_json_dict(), "witness": result.witness.to_json_dict()},
             digest,
         )
-        payload["result_file"] = str(out)
+        payload["result_file"] = str(args.out)
     _print(payload)
 
 
-def _cmd_sample(cfg: RunConfig) -> None:
-    instance = _load_instance(cfg)
+def _cmd_sample(args: argparse.Namespace, digest: str) -> None:
     sample_set = sample_solutions(
-        instance,
-        int(cfg.require("target")),
-        bool(cfg.get("use_domain", True)),
-        count=int(cfg.require("count")),
-        buffer=int(cfg.get("buffer", DEFAULT_BUFFER)),
-        b_star=cfg.get("b_star"),
-        seed=int(cfg.get("seed", 0)),
-        time_budget=float(cfg.get("timeout_secs", DEFAULT_TIME_BUDGET)),
-        retry_factor=int(cfg.get("retry_factor", 3)),
-        workers=int(cfg.get("workers") or os.cpu_count() or 1),
-        engine=_engine_from(cfg),
+        load_instance(args.instance),
+        args.target,
+        args.use_domain,
+        count=args.count,
+        buffer=args.buffer,
+        b_star=args.b_star,
+        seed=args.seed,
+        time_budget=args.timeout_secs,
+        retry_factor=args.retry_factor,
+        workers=args.workers,
+        engine=_engine_from(args),
     )
-    digest = cfg.digest("sample")
-    out = Path(cfg.require("out"))
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     sample_set.save_jsonl(out, config_digest=digest)
     payload = {
@@ -350,20 +326,18 @@ def _cmd_sample(cfg: RunConfig) -> None:
         )
 
 
-def _cmd_cliques(cfg: RunConfig) -> None:
-    instance = _load_instance(cfg)
-    seed = int(cfg.get("seed", 0))
+def _cmd_cliques(args: argparse.Namespace, digest: str) -> None:
+    instance = load_instance(args.instance)
     catalog = enumerate_cliques_greedy(
         instance,
-        min_size=int(cfg.get("min_size", 2)),
-        attempts_per_vertex=int(cfg.get("attempts", 4)),
-        max_cliques=cfg.get("max_cliques"),
-        seed=seed,
+        min_size=args.min_size,
+        attempts_per_vertex=args.attempts,
+        max_cliques=args.max_cliques,
+        seed=args.seed,
     )
-    digest = cfg.digest("cliques")
-    out = Path(cfg.require("out"))
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    catalog.save_jsonl(out, instance, seed=seed, config_digest=digest)
+    catalog.save_jsonl(out, instance, seed=args.seed, config_digest=digest)
     _print(
         {
             "out": str(out),
@@ -374,55 +348,35 @@ def _cmd_cliques(cfg: RunConfig) -> None:
     )
 
 
-_SUMMARY_COLUMNS = (
-    "model", "alpha", "beta", "gamma", "target_mhz", "use_domain", "backend",
-    "trials", "p", "stderr", "timeouts", "p_excluding_timeouts", "mean_z",
-    "attribution_fraction",
-)
-
-
-def _cmd_simulate(cfg: RunConfig) -> None:
-    instance = _load_instance(cfg)
-    alphas_text = cfg.get("alphas")
-    alphas = [float(a) for a in str(alphas_text).split(",") if a] if alphas_text else []
-    if alphas and cfg.get("alpha") is None:
-        # The sweep overrides the rate per grid point; any point serves as
-        # the base model, so use the first.
-        cfg.args.alpha = alphas[0]
-    model = _model_from(cfg)
-    out_dir = Path(cfg.require("out"))
+def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
+    instance = load_instance(args.instance)
+    alphas = [float(a) for a in str(args.alphas).split(",") if a] if args.alphas else []
+    # The sweep overrides the rate per grid point; any point serves as the
+    # base model, so use the first.
+    alpha = alphas[0] if alphas and args.alpha is None else args.alpha
+    model = _model_from(args, alpha)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    catalog = None
-    catalog_path = cfg.get("catalog")
-    if catalog_path:
-        catalog = CliqueCatalog.load_jsonl(catalog_path, instance)
-    backend = cfg.get("backend", BACKEND_SAT)
-    seed = int(cfg.get("seed", 0))
-    budget = float(cfg.get("timeout_secs", DEFAULT_TIME_BUDGET))
-    trials = int(cfg.get("trials", montecarlo.DEFAULT_TRIALS))
-    digest = cfg.digest("simulate")
-    target = int(cfg.require("target"))
-    use_domain = bool(cfg.get("use_domain", True))
+    catalog = CliqueCatalog.load_jsonl(args.catalog, instance) if args.catalog else None
     run = dict(
-        trials=trials, seed=seed, backend=backend, catalog=catalog, time_budget=budget,
-        engine=_engine_from(cfg), workers=int(cfg.get("workers") or os.cpu_count() or 1),
+        trials=args.trials, seed=args.seed, backend=args.backend, catalog=catalog,
+        time_budget=args.timeout_secs, engine=_engine_from(args), workers=args.workers,
     )
 
-    estimates = []
     if alphas:
-        sweep = shared_randomness_sweep(model, alphas, instance, target, use_domain, **run)
-        for point in sweep.points:
-            estimates.append(point.estimate)
-            point.estimate.save_trials_jsonl(
-                out_dir / f"trials-alpha-{point.alpha:g}.jsonl", instance, digest
+        estimates = shared_randomness_sweep(
+            model, alphas, instance, args.target, args.use_domain, **run
+        )
+        for est in estimates:
+            est.save_trials_jsonl(
+                out_dir / f"trials-alpha-{est.model.alpha:g}.jsonl", instance, digest
             )
     else:
-        estimate = estimate_success(model, instance, target, use_domain, **run)
-        estimates.append(estimate)
-        estimate.save_trials_jsonl(out_dir / "trials.jsonl", instance, digest)
+        estimates = [estimate_success(model, instance, args.target, args.use_domain, **run)]
+        estimates[0].save_trials_jsonl(out_dir / "trials.jsonl", instance, digest)
 
-    rows = [[est.summary_row()[col] for col in _SUMMARY_COLUMNS] for est in estimates]
-    _write_csv(out_dir / "summary.csv", _SUMMARY_COLUMNS, rows, digest)
+    rows = [est.summary_row() for est in estimates]
+    _write_csv(out_dir / "summary.csv", list(rows[0]), [list(r.values()) for r in rows], digest)
     _print(
         {
             "out": str(out_dir),
@@ -436,16 +390,16 @@ def _cmd_simulate(cfg: RunConfig) -> None:
     )
 
 
-def _cmd_stats(cfg: RunConfig) -> None:
-    instance = _load_instance(cfg)
-    out_dir = Path(cfg.require("out"))
+def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
+    if not args.samples and not args.trials_file:
+        raise CliError("stats needs --samples and/or --trials-file")
+    instance = load_instance(args.instance)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = cfg.digest("stats")
     summary: dict[str, Any] = {}
 
-    samples_path = cfg.get("samples")
-    if samples_path:
-        sample_set = SampleSet.load_jsonl(samples_path, instance)
+    if args.samples:
+        sample_set = SampleSet.load_jsonl(args.samples, instance)
         stats = analytics.dma_stats(sample_set)
         _write_csv(
             out_dir / "dma_stats.csv",
@@ -460,7 +414,7 @@ def _cmd_stats(cfg: RunConfig) -> None:
         summary["nationwide_mean_cleared"] = stats.nationwide_mean
         summary["sum_of_dma_means"] = stats.sum_of_means()
 
-        mm = analytics.missing_mass(sample_set, identity=cfg.get("identity", "assignment"))
+        mm = analytics.missing_mass(sample_set, identity=args.identity)
         _write_csv(
             out_dir / "missing_mass.csv",
             ("buffer", "draws", "unique_solutions", "singletons", "missing_mass"),
@@ -492,9 +446,9 @@ def _cmd_stats(cfg: RunConfig) -> None:
         if len(sample_set.samples) >= 3:
             corr = analytics.dma_correlations(
                 sample_set,
-                min_mean=float(cfg.get("min_mean", 2.0)),
-                p_threshold=float(cfg.get("p_threshold", 0.01)),
-                r_threshold=cfg.get("r_threshold"),
+                min_mean=args.min_mean,
+                p_threshold=args.p_threshold,
+                r_threshold=args.r_threshold,
             )
             _write_csv(
                 out_dir / "correlations.csv",
@@ -507,9 +461,8 @@ def _cmd_stats(cfg: RunConfig) -> None:
                 digest,
             )
 
-        samples_b_path = cfg.get("samples_b")
-        if samples_b_path:
-            set_b = SampleSet.load_jsonl(samples_b_path, instance)
+        if args.samples_b:
+            set_b = SampleSet.load_jsonl(args.samples_b, instance)
             stats_b = analytics.dma_stats(set_b)
             deltas = analytics.config_delta(stats, stats_b)
             _write_csv(
@@ -523,9 +476,8 @@ def _cmd_stats(cfg: RunConfig) -> None:
                 digest,
             )
 
-    trials_path = cfg.get("trials_file")
-    if trials_path:
-        meta, trials = montecarlo.load_trial_set(trials_path)
+    if args.trials_file:
+        meta, trials = montecarlo.load_trial_set(args.trials_file)
         est = montecarlo.SuccessEstimate(
             model=ModelSpec.from_dict(meta["model"]),
             target_mhz=meta["target_mhz"],
@@ -544,8 +496,6 @@ def _cmd_stats(cfg: RunConfig) -> None:
         summary["trials"] = est.trial_count
         summary["p"] = p
 
-    if not samples_path and not trials_path:
-        raise CliError("stats needs --samples and/or --trials-file")
     _write_json(out_dir / "summary.json", summary, digest)
     _print({"out": str(out_dir), **summary, "config_digest": digest})
 
@@ -553,28 +503,51 @@ def _cmd_stats(cfg: RunConfig) -> None:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its fields")
-    common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--workers", type=int,
-                    help="parallel workers (default: all cores)")
-    common.add_argument(
-        "--timeout-secs", type=float, dest="timeout_secs",
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name.
+
+    Every option a subcommand takes is one its handler reads; shared options
+    come from one parent parser per concern.
+    """
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", help="JSON config file; flags override its fields")
+    base.add_argument("--out", help="output file or directory")
+    base.add_argument("-v", "--verbose", action="store_true")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument(
+        "--timeout-secs", type=float, dest="timeout_secs", default=DEFAULT_TIME_BUDGET,
         help=f"per-solve wall budget (default {DEFAULT_TIME_BUDGET:g})",
     )
-    common.add_argument("--out", help="output file or directory")
-    common.add_argument("--engine", choices=("embedded", "external"))
-    common.add_argument("--solver-cmd", dest="solver_cmd",
-                        help=f"external solver command (or ${EXTERNAL_SOLVER_ENV})")
-    common.add_argument("-v", "--verbose", action="store_true")
+    solving.add_argument("--solver-cmd", dest="solver_cmd",
+                         help="external DIMACS solver command (default: embedded solver)")
+
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                        help="parallel workers (default: all cores)")
+
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--instance", help="instance CSV directory")
 
     problem = argparse.ArgumentParser(add_help=False)
-    problem.add_argument("--instance", help="instance CSV directory")
     problem.add_argument("--target", type=int, help="clearing target in MHz")
     dom = problem.add_mutually_exclusive_group()
     dom.add_argument("--use-domain", dest="use_domain", action="store_const", const=True)
     dom.add_argument("--no-domain", dest="use_domain", action="store_const", const=False)
+    problem.set_defaults(use_domain=True)
+
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--cap-nationwide", type=int, dest="cap_nationwide")
+    caps.add_argument("--dma-cap", action="append", dest="dma_cap", metavar="DMA=CAP",
+                      default=[])
+    caps.add_argument("--max-dmas", type=int, dest="max_dmas")
+    caps.add_argument("--must-repack", dest="must_repack", help="file of station ids, one per line")
+    caps.add_argument("--repack-all", dest="repack_all", action="store_true")
+
+    searching = [base, seeded, solving, source, problem]
 
     parser = argparse.ArgumentParser(
         prog="repacker",
@@ -582,99 +555,98 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a synthetic instance")
+    p = sub.add_parser("gen", parents=[base, seeded], help="generate a synthetic instance")
     p.add_argument("--n", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--co-density", type=float, dest="co_density")
-    p.add_argument("--adj-density", type=float, dest="adj_density")
-    p.add_argument("--domain-density", type=float, dest="domain_density")
+    p.add_argument("--channels", type=int, default=8)
+    p.add_argument("--co-density", type=float, dest="co_density", default=0.1)
+    p.add_argument("--adj-density", type=float, dest="adj_density", default=0.0)
+    p.add_argument("--domain-density", type=float, dest="domain_density", default=0.0)
     p.add_argument("--dmas", type=int)
-    p.add_argument("--affiliate-fraction", type=float, dest="affiliate_fraction")
-    p.add_argument("--clique-size", type=int, dest="clique_size")
+    p.add_argument("--affiliate-fraction", type=float, dest="affiliate_fraction", default=0.4)
+    p.add_argument("--clique-size", type=int, dest="clique_size", default=0)
     p.add_argument("--clique-dma", type=int, dest="clique_dma")
-    p.add_argument("--forbidden", help="comma-separated channel numbers")
-    p.add_argument("--first-channel", type=int, dest="first_channel")
+    p.add_argument("--forbidden", default="", help="comma-separated channel numbers")
+    p.add_argument("--first-channel", type=int, dest="first_channel", default=14)
     p.set_defaults(fn=_cmd_gen)
 
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--cap-nationwide", type=int, dest="cap_nationwide")
-    caps.add_argument("--dma-cap", action="append", dest="dma_cap", metavar="DMA=CAP")
-    caps.add_argument("--max-dmas", type=int, dest="max_dmas")
-    caps.add_argument("--must-repack", dest="must_repack", help="file of station ids, one per line")
-    caps.add_argument("--repack-all", dest="repack_all", action="store_true", default=None)
-
-    p = sub.add_parser("encode", parents=[common, problem, caps], help="write DIMACS CNF + var map")
+    p = sub.add_parser("encode", parents=[base, source, problem, caps],
+                       help="write DIMACS CNF + var map")
     p.set_defaults(fn=_cmd_encode)
 
-    p = sub.add_parser("solve", parents=[common, problem, caps], help="single feasibility check")
+    p = sub.add_parser("solve", parents=[*searching, caps], help="single feasibility check")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("min-clear", parents=[common, problem],
+    p = sub.add_parser("min-clear", parents=searching,
                        help="minimum nationwide clearings for the target")
-    p.set_defaults(fn=functools.partial(_cmd_min_search, command="min-clear"))
+    p.set_defaults(fn=_cmd_min_search)
 
-    p = sub.add_parser("min-dmas", parents=[common, problem],
+    p = sub.add_parser("min-dmas", parents=searching,
                        help="minimum number of DMAs with any clearing")
-    p.set_defaults(fn=functools.partial(_cmd_min_search, command="min-dmas"))
+    p.set_defaults(fn=_cmd_min_search)
 
-    p = sub.add_parser("min-dma-isolated", parents=[common, problem],
+    p = sub.add_parser("min-dma-isolated", parents=searching,
                        help="minimum clearings in one DMA, nationwide near-minimal")
     p.add_argument("--dma", type=int)
-    p.add_argument("--slack", type=float)
+    p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     p.add_argument("--b-star", type=int, dest="b_star")
-    p.set_defaults(fn=functools.partial(_cmd_min_search, command="min-dma-isolated"))
+    p.set_defaults(fn=_cmd_min_search)
 
-    p = sub.add_parser("sample", parents=[common, problem], help="sample near-minimal solutions")
+    p = sub.add_parser("sample", parents=[*searching, pooled],
+                       help="sample near-minimal solutions")
     p.add_argument("--count", type=int)
-    p.add_argument("--buffer", type=int)
+    p.add_argument("--buffer", type=int, default=DEFAULT_BUFFER)
     p.add_argument("--b-star", type=int, dest="b_star")
-    p.add_argument("--retry-factor", type=int, dest="retry_factor")
+    p.add_argument("--retry-factor", type=int, dest="retry_factor", default=3)
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("simulate", parents=[common, problem],
+    p = sub.add_parser("simulate", parents=[*searching, pooled],
                        help="Monte Carlo success-probability estimation")
     p.add_argument("--model", choices=[k.value for k in ModelKind])
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--top-prob", type=float, dest="top_prob")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--backend", choices=BACKENDS)
+    p.add_argument("--top-prob", type=float, dest="top_prob", default=DEFAULT_TOP_PROB)
+    p.add_argument("--trials", type=int, default=montecarlo.DEFAULT_TRIALS)
+    p.add_argument("--backend", choices=BACKENDS, default=BACKEND_SAT)
     p.add_argument("--catalog", help="clique catalog JSONL to reuse")
     p.add_argument("--alphas", help="comma-separated grid for a shared-randomness sweep")
-    p.set_defaults(fn=_cmd_simulate)
+    # A config-file-only field: a full ModelSpec object that replaces --model.
+    p.set_defaults(fn=_cmd_simulate, model_spec=None)
 
-    p = sub.add_parser("cliques", parents=[common, problem], help="build a clique catalog")
-    p.add_argument("--min-size", type=int, dest="min_size")
-    p.add_argument("--attempts", type=int)
+    p = sub.add_parser("cliques", parents=[base, seeded, source], help="build a clique catalog")
+    p.add_argument("--min-size", type=int, dest="min_size", default=2)
+    p.add_argument("--attempts", type=int, default=4)
     p.add_argument("--max-cliques", type=int, dest="max_cliques")
     p.set_defaults(fn=_cmd_cliques)
 
-    p = sub.add_parser("stats", parents=[common, problem],
+    p = sub.add_parser("stats", parents=[base, source],
                        help="analytics tables from stored samples/trials")
     p.add_argument("--samples", help="sample-set JSONL")
     p.add_argument("--samples-b", dest="samples_b", help="second sample set for deltas")
     p.add_argument("--trials-file", dest="trials_file", help="trial-set JSONL")
-    p.add_argument("--min-mean", type=float, dest="min_mean")
-    p.add_argument("--p-threshold", type=float, dest="p_threshold")
+    p.add_argument("--min-mean", type=float, dest="min_mean", default=2.0)
+    p.add_argument("--p-threshold", type=float, dest="p_threshold", default=0.01)
     p.add_argument("--r-threshold", type=float, dest="r_threshold")
-    p.add_argument("--identity", choices=("assignment", "cleared-set"))
+    p.add_argument("--identity", choices=("assignment", "cleared-set"), default="assignment")
     p.set_defaults(fn=_cmd_stats)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
-        cfg = RunConfig(args)
-        args.fn(cfg)
+        if args.config:
+            _apply_config(commands[args.command], args)
+            args = parser.parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.WARNING,
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        _check_required(args)
+        args.fn(args, _digest(args))
         return 0
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         json.dump(
@@ -682,7 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stderr,
         )
         sys.stderr.write("\n")
-        if getattr(args, "verbose", False):
+        if args.verbose:
             raise
         return 2
 

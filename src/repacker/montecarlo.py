@@ -310,28 +310,6 @@ def estimate_success(
     )
 
 
-@dataclass
-class SweepPoint:
-    alpha: float
-    estimate: SuccessEstimate
-
-
-@dataclass
-class SweepResult:
-    """Per-rate estimates whose trials share the underlying randomness.
-
-    Within one trial index, the same uniform variates are thresholded at each
-    rate, so the non-participant sets are nested along the sweep (applied at
-    the hidden-variable level for the affiliate models).
-    """
-
-    model_kind: str
-    points: list[SweepPoint]
-
-    def alphas(self) -> list[float]:
-        return [pt.alpha for pt in self.points]
-
-
 def shared_randomness_sweep(
     model: ModelSpec,
     alphas: Sequence[float],
@@ -346,14 +324,16 @@ def shared_randomness_sweep(
     time_budget: float = DEFAULT_TIME_BUDGET,
     engine=None,
     workers: int = 1,
-) -> SweepResult:
+) -> list[SuccessEstimate]:
     """Evaluate a rate grid with non-participation choices carried upward.
 
-    Each point is :func:`estimate_success` at that rate with the same master
-    seed: trial i draws its variates from the same per-index seed whatever
-    the rate, so the point at rate a equals the single-rate estimate at a.
-    Only the fixed-marginal-rate models support this; the revenue model has
-    no single rate to sweep.
+    Returns one estimate per rate, in grid order. Each is
+    :func:`estimate_success` at that rate with the same master seed: trial i
+    draws its variates from the same per-index seed whatever the rate, so the
+    non-participant sets are nested along the sweep (at the hidden-variable
+    level for the affiliate models) and the point at rate a equals the
+    single-rate estimate at a. Only the fixed-marginal-rate models support
+    this; the revenue model has no single rate to sweep.
     """
     if model.kind not in ALPHA_MODEL_KINDS:
         raise ValueError(f"{model.kind.value} does not define a rate sweep")
@@ -363,15 +343,11 @@ def shared_randomness_sweep(
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
     catalog = _need_catalog(backend, catalog, instance, seed)
-    points = [
-        SweepPoint(
-            alpha=alpha,
-            estimate=estimate_success(
-                model.with_alpha(alpha), instance, target_mhz, use_domain,
-                trials=trials, seed=seed, backend=backend, catalog=catalog,
-                time_budget=time_budget, engine=engine, workers=workers,
-            ),
+    return [
+        estimate_success(
+            model.with_alpha(alpha), instance, target_mhz, use_domain,
+            trials=trials, seed=seed, backend=backend, catalog=catalog,
+            time_budget=time_budget, engine=engine, workers=workers,
         )
         for alpha in alphas
     ]
-    return SweepResult(model_kind=model.kind.value, points=points)

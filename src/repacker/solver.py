@@ -267,21 +267,16 @@ class _Engine:
         del self.trail_lim[target:]
         self.qhead = len(self.trail)
 
-    def _decide(self) -> bool:
-        while self.heap:
+    def _decide(self) -> None:
+        # Every free variable has a heap entry (_backjump re-pushes what it
+        # unassigns), and this runs only while some variable is free.
+        while True:
             _, _, v = heapq.heappop(self.heap)
             if self.assigns[v] == 0:
                 self.stats.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(v if self.phase[v] else -v, None)
-                return True
-        for v in range(1, self.nvars + 1):  # safety net; heap should cover all
-            if self.assigns[v] == 0:
-                self.stats.decisions += 1
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(v if self.phase[v] else -v, None)
-                return True
-        return False
+                return
 
     def run(self, time_budget: float) -> SolveOutcome:
         start = time.monotonic()
@@ -326,9 +321,7 @@ class _Engine:
                 return SolveOutcome(Verdict.SAT, model=model, stats=self.stats)
             if time.monotonic() > self.deadline:
                 raise _Timeout
-            if not self._decide():
-                model = tuple([False] + [self.assigns[v] == 1 for v in range(1, self.nvars + 1)])
-                return SolveOutcome(Verdict.SAT, model=model, stats=self.stats)
+            self._decide()
 
 
 def solve(formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:
@@ -353,10 +346,6 @@ class EmbeddedSolver:
 
     def solve(self, formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:
         return solve(formula, seed=seed, time_budget=time_budget)
-
-
-#: Environment variable naming the external solver command template.
-EXTERNAL_SOLVER_ENV = "REPACKER_EXTERNAL_SOLVER"
 
 
 @dataclass

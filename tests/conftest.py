@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import repacker
 from repacker.driver import Sample, SampleSet
 from repacker.instance import (
     Affiliation,
@@ -19,6 +22,12 @@ from repacker.instance import (
     Station,
 )
 from repacker.synthetic import generate_synthetic
+
+# Tests that start ``python -m repacker.cli`` in a subprocess need the package
+# on that interpreter's path as well, also in a checkout that is not installed.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(repacker.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+)
 
 
 def build_instance(

@@ -13,6 +13,7 @@ from repacker.instance import validate_assignment, RepackProblem, ChannelAssignm
 from repacker.instance_io import load_instance
 
 from conftest import build_instance, make_sample_set
+from test_solver import external_cmd  # noqa: F401  (fixture)
 
 
 def run_cli(capsys, *argv: str) -> dict:
@@ -350,3 +351,98 @@ class TestConfigAndErrors:
             "--out", str(tmp_path / "x"),
         )
         assert "samples" in err["error"]["message"]
+
+
+class TestConfigDigest:
+    """The digest covers every option the subcommand takes, defaults included,
+    and nothing that leaves results unchanged."""
+
+    @staticmethod
+    def digest(capsys, *argv: str) -> str:
+        return run_cli(capsys, *argv)["config_digest"]
+
+    @pytest.fixture
+    def samples(self, instance_dir, tmp_path, capsys) -> Path:
+        path = tmp_path / "samples.jsonl"
+        run_cli(
+            capsys, "sample", "--instance", str(instance_dir), "--target", "12",
+            "--count", "4", "--buffer", "2", "--seed", "4", "--workers", "1",
+            "--out", str(path),
+        )
+        return path
+
+    def simulate(self, capsys, instance_dir, out, *extra: str) -> str:
+        return self.digest(
+            capsys, "simulate", "--instance", str(instance_dir),
+            "--model", "random-broadcasters", "--alpha", "0.5", "--trials", "3",
+            "--backend", "clique-only", "--out", str(out), *extra,
+        )
+
+    def test_simulate_target_enters_digest(self, instance_dir, tmp_path, capsys):
+        d6 = self.simulate(capsys, instance_dir, tmp_path / "s6", "--target", "6", "--workers", "1")
+        d12 = self.simulate(capsys, instance_dir, tmp_path / "s12", "--target", "12", "--workers", "1")
+        assert d6 != d12
+
+    def test_stats_thresholds_enter_digest(self, instance_dir, samples, tmp_path, capsys):
+        base = ("stats", "--instance", str(instance_dir), "--samples", str(samples))
+        default = self.digest(capsys, *base, "--out", str(tmp_path / "a"))
+        loose = self.digest(
+            capsys, *base, "--min-mean", "0.1", "--p-threshold", "1.0",
+            "--out", str(tmp_path / "b"),
+        )
+        assert default != loose
+
+    def test_stats_inputs_enter_digest(self, instance_dir, samples, tmp_path, capsys):
+        self.simulate(capsys, instance_dir, tmp_path / "sim", "--target", "12", "--workers", "1")
+        from_samples = self.digest(
+            capsys, "stats", "--instance", str(instance_dir), "--samples", str(samples),
+            "--out", str(tmp_path / "a"),
+        )
+        from_trials = self.digest(
+            capsys, "stats", "--instance", str(instance_dir),
+            "--trials-file", str(tmp_path / "sim" / "trials.jsonl"), "--out", str(tmp_path / "b"),
+        )
+        assert from_samples != from_trials
+
+    def test_explicit_defaults_digest_like_omitted(self, instance_dir, capsys):
+        base = ("solve", "--instance", str(instance_dir), "--target", "12")
+        omitted = self.digest(capsys, *base)
+        explicit = self.digest(
+            capsys, *base, "--seed", "0", "--timeout-secs", "60", "--use-domain"
+        )
+        assert omitted == explicit
+
+    def test_config_field_digests_like_flag(self, instance_dir, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"target": 12, "seed": 3, "timeout_secs": 30}))
+        from_flags = self.digest(
+            capsys, "solve", "--instance", str(instance_dir), "--target", "12",
+            "--seed", "3", "--timeout-secs", "30",
+        )
+        from_config = self.digest(
+            capsys, "solve", "--instance", str(instance_dir), "--config", str(config)
+        )
+        assert from_flags == from_config
+
+    def test_workers_and_out_leave_digest_unchanged(self, instance_dir, tmp_path, capsys):
+        one = self.simulate(capsys, instance_dir, tmp_path / "a", "--target", "12", "--workers", "1")
+        two = self.simulate(capsys, instance_dir, tmp_path / "b", "--target", "12", "--workers", "2")
+        assert one == two
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--instance", "x", "--samples", "s", "--out", "o", "--seed", "1"),
+        ("gen", "--n", "4", "--out", "o", "--workers", "2"),
+    ])
+    def test_options_a_subcommand_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(list(argv))
+
+    def test_solver_cmd_selects_external_solver(self, instance_dir, external_cmd, capsys):
+        base = ("solve", "--instance", str(instance_dir), "--target", "12", "--repack-all")
+        embedded = run_cli(capsys, *base)
+        external = run_cli(capsys, *base, "--solver-cmd", external_cmd)
+        assert embedded["stats"]["propagations"] > 0
+        # The adapter reports no search counts: the embedded engine never ran.
+        assert external["stats"] == {"decisions": 0, "conflicts": 0, "propagations": 0}
+        assert external["verdict"] == embedded["verdict"] == "sat"
+        assert external["violations"] == 0

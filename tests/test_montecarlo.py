@@ -187,8 +187,8 @@ class TestSharedRandomnessSweep:
         )
         # Per trial: once blocked, z never shrinks as the rate climbs.
         by_trial: dict[int, list] = {}
-        for point in sweep.points:
-            for t in point.estimate.trials:
+        for point in sweep:
+            for t in point.trials:
                 by_trial.setdefault(t.index, []).append(t)
         saw_progression = False
         for reports in by_trial.values():
@@ -210,14 +210,14 @@ class TestSharedRandomnessSweep:
             model, alphas, inst, TARGET, trials=16, seed=19,
             backend=BACKEND_CLIQUE_THEN_SAT, workers=2,
         )
-        for point, pooled_point in zip(serial.points, pooled.points):
+        for point, pooled_point in zip(serial, pooled):
             single = estimate_success(
-                model.with_alpha(point.alpha), inst, TARGET, trials=16, seed=19,
+                model.with_alpha(point.model.alpha), inst, TARGET, trials=16, seed=19,
                 backend=BACKEND_CLIQUE_THEN_SAT,
             )
             expected = [t.to_json_dict() for t in single.trials]
-            assert [t.to_json_dict() for t in point.estimate.trials] == expected
-            assert [t.to_json_dict() for t in pooled_point.estimate.trials] == expected
+            assert [t.to_json_dict() for t in point.trials] == expected
+            assert [t.to_json_dict() for t in pooled_point.trials] == expected
 
     def test_success_non_increasing_along_sweep(self):
         inst = congested_instance()
@@ -225,7 +225,7 @@ class TestSharedRandomnessSweep:
             ModelSpec.random_broadcasters(0.5), [0.2, 0.5, 0.8],
             inst, TARGET, trials=40, seed=21, backend=BACKEND_CLIQUE_THEN_SAT,
         )
-        ps = [pt.estimate.p for pt in sweep.points]
+        ps = [pt.p for pt in sweep]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
 
     def test_rejects_non_increasing_grid(self):
@@ -256,4 +256,4 @@ class TestSharedRandomnessSweep:
             ModelSpec.correlated_affiliates(0.5), [0.2, 0.5, 0.8],
             inst, 6, trials=15, seed=31, backend=BACKEND_CLIQUE_ONLY,
         )
-        assert [pt.alpha for pt in sweep.points] == [0.2, 0.5, 0.8]
+        assert [pt.model.alpha for pt in sweep] == [0.2, 0.5, 0.8]
