@@ -379,8 +379,8 @@ class SampleSet:
         )
 
 
-def _solve_sample(args) -> Optional[Sample]:
-    problem, seed, time_budget, engine = args
+def _solve_sample(context, seed: int) -> Optional[Sample]:
+    problem, time_budget, engine = context
     res = check_feasibility(problem, seed=seed, time_budget=time_budget, engine=engine)
     if not res.feasible:
         return None
@@ -430,12 +430,11 @@ def sample_solutions(
     attempt = 0
     while len(samples) < count and attempt < max_attempts:
         batch = min(count - len(samples), max_attempts - attempt)
-        tasks = [
-            (problem, derive_seed(seed, "sample", attempt + i), time_budget, engine)
-            for i in range(batch)
-        ]
+        tasks = [derive_seed(seed, "sample", attempt + i) for i in range(batch)]
         attempt += batch
-        for result in parallel.run_tasks(_solve_sample, tasks, workers=workers):
+        for result in parallel.run_tasks(
+            _solve_sample, tasks, workers=workers, context=(problem, time_budget, engine)
+        ):
             if result is not None:
                 samples.append(result)
     if not samples:

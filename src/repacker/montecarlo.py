@@ -201,11 +201,12 @@ def mean_z(trials: Sequence[TrialReport]) -> Optional[float]:
     return sum(zs) / len(zs)
 
 
-def _run_trial(args) -> TrialReport:
+def _run_trial(context, task: tuple[int, int]) -> TrialReport:
     (
-        index, seed, model, instance, target_mhz, use_domain,
+        model, instance, target_mhz, use_domain,
         backend, catalog, channel_count, time_budget, engine, caps,
-    ) = args
+    ) = context
+    index, seed = task
     draw = sample_from_variates(model, instance, draw_variates(instance, seed))
     start = time.monotonic()
     if backend in (BACKEND_CLIQUE_THEN_SAT, BACKEND_CLIQUE_ONLY):
@@ -296,14 +297,13 @@ def estimate_success(
         "dma_caps": dma_caps or {},
         "max_dmas_with_clearing": max_dmas_with_clearing,
     }
-    tasks = [
-        (
-            i, derive_seed(seed, "trial", i), model, instance, target_mhz, use_domain,
-            backend, catalog, channel_count, time_budget, engine, caps,
-        )
-        for i in range(trials)
-    ]
-    reports = parallel.run_tasks(_run_trial, tasks, workers=workers)
+    # Shipped to each worker once; a task is just (index, seed).
+    context = (
+        model, instance, target_mhz, use_domain,
+        backend, catalog, channel_count, time_budget, engine, caps,
+    )
+    tasks = [(i, derive_seed(seed, "trial", i)) for i in range(trials)]
+    reports = parallel.run_tasks(_run_trial, tasks, workers=workers, context=context)
     return SuccessEstimate(
         model=model, target_mhz=target_mhz, use_domain=use_domain,
         backend=backend, trials=list(reports),

@@ -10,6 +10,7 @@ while any fixed (formula, seed) pair replays identically.
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 import random
 import shlex
@@ -119,19 +120,35 @@ class _Engine:
         self.deadline = float("inf")
         self.ok = True
 
+        # Each clause becomes its distinct literals sorted by variable, watched
+        # on the first two. Watch indices are computed inline as in _watch_idx.
+        watches = self.watches
         for clause in clauses:
-            lits = sorted(set(clause), key=abs)
-            if any(-lit in lits for lit in lits):
-                continue  # tautology
-            if not lits:
+            if len(clause) == 2:  # nearly every clause the encoder emits
+                a, b = clause
+                if a != b:
+                    if a == -b:
+                        continue  # tautology
+                    if abs(b) < abs(a):
+                        a, b = b, a
+                    lits = [a, b]
+                    watches[2 * a if a > 0 else 1 - 2 * a].append(lits)
+                    watches[2 * b if b > 0 else 1 - 2 * b].append(lits)
+                    continue
+                lits = [a]
+            else:
+                lits = sorted(set(clause), key=abs)
+                variables = list(map(abs, lits))
+                if any(map(operator.eq, variables, variables[1:])):
+                    continue  # tautology: x and -x sort next to each other
+                if len(lits) > 1:
+                    a, b = lits[0], lits[1]
+                    watches[2 * a if a > 0 else 1 - 2 * a].append(lits)
+                    watches[2 * b if b > 0 else 1 - 2 * b].append(lits)
+                    continue
+            if not lits or not self._enqueue(lits[0], None):
                 self.ok = False
                 return
-            if len(lits) == 1:
-                if not self._enqueue(lits[0], None):
-                    self.ok = False
-                    return
-            else:
-                self._attach(list(lits))
 
     # -- basic operations ---------------------------------------------------
 

@@ -14,6 +14,7 @@ from repacker.solver import (
     EmbeddedSolver,
     ExternalSolver,
     Verdict,
+    _Engine,
     check_model,
     solve,
 )
@@ -135,6 +136,101 @@ class TestTimeout:
     def test_pigeonhole_small_solved_exactly(self):
         assert solve(pigeonhole(5, 5), seed=0).is_sat
         assert solve(pigeonhole(6, 5), seed=0, time_budget=30).is_unsat
+
+
+def reference_engine(var_count, clauses, seed):
+    """The engine as built clause by clause through ``_attach``/``_enqueue``.
+
+    This is the construction loop the inlined one in ``_Engine.__init__``
+    replaced; the search depends on every piece of state it leaves behind.
+    """
+    engine = _Engine(var_count, (), seed)
+    for clause in clauses:
+        lits = sorted(set(clause), key=abs)
+        if any(-lit in lits for lit in lits):
+            continue  # tautology
+        if not lits:
+            engine.ok = False
+            return engine
+        if len(lits) == 1:
+            if not engine._enqueue(lits[0], None):
+                engine.ok = False
+                return engine
+        else:
+            engine._attach(list(lits))
+    return engine
+
+
+def engine_state(engine):
+    """Every field the search reads, with clauses named by first appearance,
+    so two watch lists sharing one clause object compare as sharing it."""
+    names: dict[int, int] = {}
+    watches = [
+        [(names.setdefault(id(c), len(names)), tuple(c)) for c in ws] for ws in engine.watches
+    ]
+    return {
+        "ok": engine.ok,
+        "assigns": engine.assigns,
+        "level": engine.level,
+        "reason": engine.reason,
+        "trail": engine.trail,
+        "qhead": engine.qhead,
+        "phase": engine.phase,
+        "heap": engine.heap,
+        "rng": engine.rng.getstate(),
+        "watches": watches,
+    }
+
+
+def messy_clauses(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Clauses with the shapes the constructor must normalize: tautologies,
+    repeated literals (``(a, a)`` among them), units, contradictory units,
+    long clauses and, now and then, an empty clause."""
+    def lit() -> int:
+        v = rng.randint(1, n)
+        return v if rng.random() < 0.5 else -v
+
+    clauses = []
+    for _ in range(rng.randint(0, 4 * n)):
+        kind = rng.random()
+        if kind < 0.45:
+            clauses.append((lit(), lit()))
+        elif kind < 0.55:
+            a = lit()
+            clauses.append(rng.choice([(a, a), (a, -a), (-a, a)]))
+        elif kind < 0.65:
+            clauses.append((lit(),))
+        elif kind < 0.70:
+            a = lit()
+            clauses += [(a,), (-a,)]
+        elif kind < 0.995:
+            k = rng.randint(3, 3 + 2 * n)
+            clause = [lit() for _ in range(k)]
+            if rng.random() < 0.2:
+                clause.append(-rng.choice(clause))
+            clauses.append(tuple(clause))
+        else:
+            clauses.append(())
+    return clauses
+
+
+class TestEngineConstruction:
+    def test_state_matches_reference_loop(self):
+        rng = random.Random(2024)
+        shapes = {"built": 0, "unsat": 0, "tautology": 0, "duplicate": 0, "unit": 0, "long": 0}
+        for _ in range(2500):
+            n = rng.randint(1, 12)
+            clauses = messy_clauses(rng, n)
+            seed = rng.randrange(1 << 30)
+            expected = reference_engine(n, clauses, seed)
+            assert engine_state(_Engine(n, clauses, seed)) == engine_state(expected)
+            shapes["built"] += expected.ok
+            shapes["unsat"] += not expected.ok
+            shapes["tautology"] += any(-x in c for c in clauses for x in c)
+            shapes["duplicate"] += any(len(set(c)) < len(c) for c in clauses)
+            shapes["unit"] += any(len(c) == 1 for c in clauses)
+            shapes["long"] += any(len(c) > 2 for c in clauses)
+        assert min(shapes.values()) > 100, shapes  # every shape was exercised
 
 
 SCRIPT = textwrap.dedent(
