@@ -43,6 +43,7 @@ from .solver import (
     ExternalSolver,
     SolveOutcome,
     SolveStats,
+    SolverError,
     Verdict,
     solve,
 )

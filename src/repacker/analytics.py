@@ -2,17 +2,18 @@
 
 Everything here is a pure function of a :class:`~repacker.driver.SampleSet`
 (or two, for cross-configuration deltas). Clearing counts are aggregated per
-DMA; solution identity and diversity work on cleared-station sets.
+DMA; solution identity and diversity work on cleared-station sets. The
+per-DMA means, spreads and correlations come from exact integer sums of those
+counts, so only the final division and square root round.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .driver import SampleSet
 from .instance import ChannelAssignment
@@ -44,16 +45,21 @@ class DmaClearingStats:
         return float(sum(r.mean for r in self.per_dma.values()))
 
 
-def _counts_matrix(sample_set: SampleSet) -> tuple[list[int], np.ndarray]:
-    """Cleared-station counts, one row per sample and one column per DMA."""
+def _dma_counts(sample_set: SampleSet) -> tuple[list[int], list[list[int]]]:
+    """Each DMA's cleared-station count per sample, one list per DMA in id order."""
     inst = sample_set.problem.instance
     dma_ids = sorted(inst.dmas)
     col = {dma: i for i, dma in enumerate(dma_ids)}
-    matrix = np.zeros((len(sample_set.samples), len(dma_ids)), dtype=np.int64)
+    counts = [[0] * len(sample_set.samples) for _ in dma_ids]
     for row, sample in enumerate(sample_set.samples):
         for sid in sample.assignment.cleared_set():
-            matrix[row, col[inst.by_id[sid].dma_id]] += 1
-    return dma_ids, matrix
+            counts[col[inst.by_id[sid].dma_id]][row] += 1
+    return dma_ids, counts
+
+
+def _spread(xs: list[int]) -> int:
+    """n * sum(x^2) - sum(x)^2: n^2 times the population variance, exactly."""
+    return len(xs) * sum(x * x for x in xs) - sum(xs) ** 2
 
 
 def dma_stats(sample_set: SampleSet) -> DmaClearingStats:
@@ -61,23 +67,23 @@ def dma_stats(sample_set: SampleSet) -> DmaClearingStats:
     if not sample_set.samples:
         raise ValueError("sample set is empty")
     inst = sample_set.problem.instance
-    dma_ids, matrix = _counts_matrix(sample_set)
+    n = len(sample_set.samples)
+    dma_ids, counts = _dma_counts(sample_set)
     per_dma: dict[int, DmaStats] = {}
-    for i, dma in enumerate(dma_ids):
-        column = matrix[:, i]
+    for dma, xs in zip(dma_ids, counts):
         per_dma[dma] = DmaStats(
             dma_id=dma,
             name=inst.dmas[dma],
             size=len(inst.dma_members.get(dma, ())),
-            mean=float(column.mean()),
-            std=float(column.std()),
-            observed_min=int(column.min()),
-            sample_count=len(sample_set.samples),
+            mean=sum(xs) / n,
+            std=math.sqrt(_spread(xs)) / n,
+            observed_min=min(xs),
+            sample_count=n,
         )
     return DmaClearingStats(
         per_dma=per_dma,
-        sample_count=len(sample_set.samples),
-        nationwide_mean=float(matrix.sum(axis=1).mean()),
+        sample_count=n,
+        nationwide_mean=sum(map(sum, counts)) / n,
     )
 
 
@@ -153,18 +159,19 @@ def dma_correlations(
     if len(sample_set.samples) < 3:
         raise ValueError("need at least 3 samples for correlations")
     inst = sample_set.problem.instance
-    dma_ids, matrix = _counts_matrix(sample_set)
-    n = matrix.shape[0]
-    means = matrix.mean(axis=0)
-    stds = matrix.std(axis=0)
+    n = len(sample_set.samples)
+    dma_ids, counts = _dma_counts(sample_set)
+    sums = list(map(sum, counts))
+    spreads = list(map(_spread, counts))
     eligible = [
-        i for i in range(len(dma_ids)) if means[i] >= min_mean and stds[i] > 0.0
+        i for i in range(len(dma_ids)) if sums[i] / n >= min_mean and spreads[i] > 0
     ]
     out: list[DmaCorrelation] = []
     for a_pos in range(len(eligible)):
         for b_pos in range(a_pos + 1, len(eligible)):
             i, j = eligible[a_pos], eligible[b_pos]
-            r = float(np.corrcoef(matrix[:, i], matrix[:, j])[0, 1])
+            cov = n * sum(map(operator.mul, counts[i], counts[j])) - sums[i] * sums[j]
+            r = cov / math.sqrt(spreads[i] * spreads[j])
             denom = 1.0 - r * r
             if denom <= 0.0:
                 p = 0.0
@@ -178,10 +185,10 @@ def dma_correlations(
                 DmaCorrelation(
                     dma_a=dma_ids[i],
                     name_a=inst.dmas[dma_ids[i]],
-                    mean_a=float(means[i]),
+                    mean_a=sums[i] / n,
                     dma_b=dma_ids[j],
                     name_b=inst.dmas[dma_ids[j]],
-                    mean_b=float(means[j]),
+                    mean_b=sums[j] / n,
                     r=r,
                     p_value=p,
                 )

@@ -394,12 +394,19 @@ def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
     if not args.samples and not args.trials_file:
         raise CliError("stats needs --samples and/or --trials-file")
     instance = load_instance(args.instance)
+    # Every input is loaded and checked against the instance before any output is written.
+    if args.samples:
+        sample_set = SampleSet.load_jsonl(args.samples, instance)
+        set_b = SampleSet.load_jsonl(args.samples_b, instance) if args.samples_b else None
+    if args.trials_file:
+        meta, trials = montecarlo.load_trial_set(args.trials_file)
+        if meta.get("instance_digest") != instance_digest(instance):
+            raise CliError(f"{args.trials_file}: trial set was run on a different instance")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, Any] = {}
 
     if args.samples:
-        sample_set = SampleSet.load_jsonl(args.samples, instance)
         stats = analytics.dma_stats(sample_set)
         _write_csv(
             out_dir / "dma_stats.csv",
@@ -461,8 +468,7 @@ def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
                 digest,
             )
 
-        if args.samples_b:
-            set_b = SampleSet.load_jsonl(args.samples_b, instance)
+        if set_b is not None:
             stats_b = analytics.dma_stats(set_b)
             deltas = analytics.config_delta(stats, stats_b)
             _write_csv(
@@ -477,7 +483,6 @@ def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
             )
 
     if args.trials_file:
-        meta, trials = montecarlo.load_trial_set(args.trials_file)
         est = montecarlo.SuccessEstimate(
             model=ModelSpec.from_dict(meta["model"]),
             target_mhz=meta["target_mhz"],

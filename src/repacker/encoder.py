@@ -286,7 +286,7 @@ class ExternalResult:
     literals: tuple[int, ...] = ()
 
 
-_STATUS_RE = re.compile(r"^s\s+(SATISFIABLE|UNSATISFIABLE)\s*$")
+_STATUS_RE = re.compile(r"^s\s+(SATISFIABLE|UNSATISFIABLE|UNKNOWN)\s*$")
 
 
 def parse_dimacs_result(text: str) -> ExternalResult:
@@ -301,6 +301,8 @@ def parse_dimacs_result(text: str) -> ExternalResult:
         if m:
             if status is not None:
                 raise ValueError("multiple status lines in solver output")
+            if m.group(1) == "UNKNOWN":
+                raise ValueError("solver reported s UNKNOWN")
             status = m.group(1) == "SATISFIABLE"
             continue
         if line.startswith("v"):

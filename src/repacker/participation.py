@@ -88,11 +88,6 @@ class ModelSpec:
             raise ValueError(f"{self.kind.value} has no alpha parameter")
         return ModelSpec(kind=self.kind, alpha=alpha, top_prob=self.top_prob)
 
-    def label(self) -> str:
-        if self.kind in ALPHA_MODEL_KINDS:
-            return f"{self.kind.value}(alpha={self.alpha:g})"
-        return f"{self.kind.value}(beta={self.beta:g},gamma={self.gamma:g})"
-
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind.value}
         if self.kind in ALPHA_MODEL_KINDS:

@@ -24,6 +24,10 @@ from typing import Optional, Sequence
 from .encoder import CnfFormula, export_dimacs, model_from_literals, parse_dimacs_result
 
 
+class SolverError(RuntimeError):
+    """An external solver failed to deliver a verdict; never read as one."""
+
+
 class Verdict(Enum):
     SAT = "sat"
     UNSAT = "unsat"
@@ -151,9 +155,6 @@ class _Engine:
                 return
 
     # -- basic operations ---------------------------------------------------
-
-    def _value(self, lit: int) -> int:
-        return self.assigns[lit] if lit > 0 else -self.assigns[-lit]
 
     def _watch_idx(self, lit: int) -> int:
         return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
@@ -371,6 +372,9 @@ class ExternalSolver:
 
     The command may use ``{cnf}`` and ``{seed}`` placeholders; without a
     ``{cnf}`` placeholder the formula path is appended as the last argument.
+    An exit code outside {0, 10, 20}, output without a SAT/UNSAT status,
+    ``s UNKNOWN``, or a model that fails the clauses raises
+    :class:`SolverError`.
     """
 
     command: str
@@ -394,11 +398,18 @@ class ExternalSolver:
             except subprocess.TimeoutExpired:
                 stats = SolveStats(wall_time=time.monotonic() - start)
                 return SolveOutcome(Verdict.TIMEOUT, stats=stats)
-        result = parse_dimacs_result(proc.stdout)
+        if proc.returncode not in (0, 10, 20):
+            raise SolverError(
+                f"{argv[0]} exited with code {proc.returncode}: {proc.stderr.strip()[-500:]}"
+            )
+        try:
+            result = parse_dimacs_result(proc.stdout)
+            model = model_from_literals(result.literals, formula.var_count)
+        except ValueError as exc:
+            raise SolverError(f"{argv[0]}: {exc}") from None
         stats = SolveStats(wall_time=time.monotonic() - start)
         if not result.satisfiable:
             return SolveOutcome(Verdict.UNSAT, stats=stats)
-        model = model_from_literals(result.literals, formula.var_count)
         if not check_model(formula.clauses, model):
-            raise ValueError("external solver returned a non-satisfying model")
+            raise SolverError(f"{argv[0]} returned a non-satisfying model")
         return SolveOutcome(Verdict.SAT, model=model, stats=stats)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,16 @@ from conftest import assignment_with_cleared, build_instance, make_sample_set
 
 def ids(n: int) -> list[str]:
     return [chr(ord("a") + i) for i in range(n)]
+
+
+def anti_varying_sample_set():
+    """Two DMAs of four stations whose cleared counts always sum to 6."""
+    inst = build_instance(8, dma_of={s: (1 if s in ids(4) else 2) for s in ids(8)}, n_dmas=2)
+    group1, group2 = ids(4), ids(8)[4:]
+    return make_sample_set(inst, [
+        assignment_with_cleared(inst, set(group1[:k]) | set(group2[: 6 - k]))
+        for k in (2, 3, 4, 2, 3, 4)
+    ])
 
 
 class TestDmaStats:
@@ -61,15 +75,7 @@ class TestDmaStats:
 class TestDmaCorrelations:
     def test_anti_varying_pair_is_minus_one(self):
         # Two DMAs whose cleared counts sum to a constant: r = -1 exactly.
-        inst = build_instance(
-            8, dma_of={s: (1 if s in ids(4) else 2) for s in ids(8)}, n_dmas=2
-        )
-        group1, group2 = ids(4), ids(8)[4:]
-        assignments = []
-        for k in (2, 3, 4, 2, 3, 4):
-            cleared = set(group1[:k]) | set(group2[: 6 - k])
-            assignments.append(assignment_with_cleared(inst, cleared))
-        pairs = analytics.dma_correlations(make_sample_set(inst, assignments), min_mean=1.0)
+        pairs = analytics.dma_correlations(anti_varying_sample_set(), min_mean=1.0)
         assert len(pairs) == 1
         assert abs(pairs[0].r - (-1.0)) < 1e-9
         assert pairs[0].p_value <= 0.01
@@ -150,27 +156,94 @@ class TestTwoSidedTPValue:
                     compared += 1
         assert compared > 10_000
 
-    def test_import_loads_no_scipy(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repacker
-
-        src = str(Path(repacker.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
+    @pytest.mark.parametrize("module", ["scipy", "numpy"])
+    def test_import_loads_no_module(self, module):
         code = (
             "import sys, repacker\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=120,
+        assert run_fresh_interpreter(code) == "[]"
+
+
+def run_fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter with this test directory importable;
+    return its stripped standard output."""
+    code = f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n" + code
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    return proc.stdout.strip()
+
+
+class TestStandardLibraryOnly:
+    def test_stats_run_with_numpy_blocked(self):
+        # A finder ahead of all others makes any import of numpy fail, so a
+        # lazy import inside the statistics would surface here.
+        code = textwrap.dedent("""
+            class BlockNumpy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "numpy":
+                        raise ModuleNotFoundError(f"{name} is blocked")
+                    return None
+
+            sys.meta_path.insert(0, BlockNumpy())
+            from repacker import analytics
+            from test_analytics import anti_varying_sample_set
+
+            ss = anti_varying_sample_set()
+            stats = analytics.dma_stats(ss)
+            pairs = analytics.dma_correlations(ss, min_mean=1.0)
+            print(stats.per_dma[1].mean, stats.per_dma[1].std, [p.r for p in pairs])
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+        """)
+        assert run_fresh_interpreter(code).splitlines() == [
+            f"3.0 {math.sqrt(24) / 6} [-1.0]", "[]"
+        ]
+
+    def test_agrees_with_numpy_on_random_columns(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(31)
+        size, n_dmas = 6, 4
+        stations = ids(size * n_dmas)
+        inst = build_instance(
+            len(stations), dma_of={s: 1 + k // size for k, s in enumerate(stations)},
+            n_dmas=n_dmas,
         )
-        assert proc.stdout.strip() == "[]"
+        compared = 0
+        for _ in range(300):
+            n = rng.randint(3, 40)
+            columns = [[rng.randint(0, rng.choice((1, size))) for _ in range(n)]
+                       for _ in range(n_dmas)]
+            ss = make_sample_set(inst, [
+                assignment_with_cleared(inst, {
+                    stations[d * size + k] for d in range(n_dmas) for k in range(columns[d][row])
+                })
+                for row in range(n)
+            ])
+            stats = analytics.dma_stats(ss)
+            for dma, col in enumerate(columns, start=1):
+                row = stats.per_dma[dma]
+                assert row.mean == float(np.mean(col))
+                assert math.isclose(row.std, float(np.std(col)), rel_tol=1e-12, abs_tol=1e-12)
+            pairs = analytics.dma_correlations(ss, min_mean=0.0, p_threshold=1.0)
+            varying = [d for d, col in enumerate(columns, start=1) if np.std(col) > 0]
+            assert {(c.dma_a, c.dma_b) for c in pairs} == {
+                (a, b) for a in varying for b in varying if a < b
+            }
+            for c in pairs:
+                ref = np.corrcoef(columns[c.dma_a - 1], columns[c.dma_b - 1])[0, 1]
+                assert abs(c.r - float(ref)) <= 1e-12
+                assert c.mean_a == float(np.mean(columns[c.dma_a - 1]))
+                compared += 1
+        assert compared > 500
+
+    def test_zero_integer_covariance_gives_exact_zero(self):
+        # Counts (1, 0, 1, 0) and (1, 1, 0, 0): n*sum(xy) - sum(x)*sum(y) = 4 - 4.
+        inst = build_instance(2, dma_of={"a": 1, "b": 2}, n_dmas=2)
+        cleared = [{"a", "b"}, {"b"}, {"a"}, set()]
+        ss = make_sample_set(inst, [assignment_with_cleared(inst, c) for c in cleared])
+        pairs = analytics.dma_correlations(ss, min_mean=0.0, p_threshold=1.0)
+        assert [(c.dma_a, c.dma_b, c.r, c.p_value) for c in pairs] == [(1, 2, 0.0, 1.0)]
 
 
 def assignment_from_sets(cleared: set[str], universe: list[str]) -> ChannelAssignment:

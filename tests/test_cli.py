@@ -352,6 +352,44 @@ class TestConfigAndErrors:
         )
         assert "samples" in err["error"]["message"]
 
+    def test_stats_rejects_trials_from_another_instance(self, instance_dir, tmp_path, capsys):
+        run_cli(
+            capsys, "simulate", "--instance", str(instance_dir), "--target", "12",
+            "--model", "random-broadcasters", "--alpha", "0.5", "--trials", "3",
+            "--backend", "clique-only", "--workers", "1", "--out", str(tmp_path / "sim"),
+        )
+        other = tmp_path / "other"
+        run_cli(
+            capsys, "gen", "--n", "8", "--channels", "5", "--co-density", "0.3",
+            "--seed", "12", "--out", str(other),
+        )
+        err = run_cli_error(
+            capsys, "stats", "--instance", str(other),
+            "--trials-file", str(tmp_path / "sim" / "trials.jsonl"),
+            "--out", str(tmp_path / "stats"),
+        )
+        assert err["error"]["type"] == "CliError"
+        assert "different instance" in err["error"]["message"]
+        assert not (tmp_path / "stats").exists()
+
+    def test_stats_rejects_samples_b_from_another_instance(self, instance_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        run_cli(
+            capsys, "gen", "--n", "8", "--channels", "5", "--co-density", "0.3",
+            "--seed", "12", "--out", str(other),
+        )
+        for inst, path in ((other, "own.jsonl"), (instance_dir, "foreign.jsonl")):
+            run_cli(
+                capsys, "sample", "--instance", str(inst), "--target", "12", "--count", "3",
+                "--seed", "4", "--workers", "1", "--out", str(tmp_path / path),
+            )
+        err = run_cli_error(
+            capsys, "stats", "--instance", str(other), "--samples", str(tmp_path / "own.jsonl"),
+            "--samples-b", str(tmp_path / "foreign.jsonl"), "--out", str(tmp_path / "stats"),
+        )
+        assert "different instance" in err["error"]["message"]
+        assert not (tmp_path / "stats").exists()
+
 
 class TestConfigDigest:
     """The digest covers every option the subcommand takes, defaults included,

@@ -251,6 +251,8 @@ class TestDimacs:
             parse_dimacs_result("hello\n")
         with pytest.raises(ValueError, match="model"):
             parse_dimacs_result("s SATISFIABLE\n")
+        with pytest.raises(ValueError, match="UNKNOWN"):
+            parse_dimacs_result("s UNKNOWN\n")
 
     def test_var_map_round_trip(self):
         inst = build_instance(2, channels=(1, 2))

@@ -13,6 +13,7 @@ from repacker.encoder import CnfFormula
 from repacker.solver import (
     EmbeddedSolver,
     ExternalSolver,
+    SolverError,
     Verdict,
     _Engine,
     check_model,
@@ -290,3 +291,47 @@ class TestExternalAdapter:
         ext = ExternalSolver(external_cmd + " {cnf}")
         outcome = ext.solve(CnfFormula(var_count=1, clauses=((1,),)))
         assert outcome.is_sat and outcome.model[1]
+
+
+def fake_solver(tmp_path, stdout: str, exit_code: int) -> ExternalSolver:
+    """A solver command that ignores its formula, prints ``stdout`` and exits."""
+    script = tmp_path / "fake_solver.py"
+    script.write_text(f"import sys\nsys.stdout.write({stdout!r})\nsys.exit({exit_code})\n")
+    return ExternalSolver(f"{sys.executable} {script}")
+
+
+class TestExternalFailures:
+    """A failed external run raises SolverError; it never becomes a verdict."""
+
+    UNIT = CnfFormula(var_count=1, clauses=((1,),))
+
+    @pytest.mark.parametrize(
+        "stdout, exit_code, message",
+        [
+            ("s UNSATISFIABLE\n", 1, "exited with code 1"),
+            ("s SATISFIABLE\nv 1 0\n", 139, "exited with code 139"),
+            ("c out of memory\n", 0, "no status line"),
+            ("s UNKNOWN\n", 0, "UNKNOWN"),
+            ("s UNKNOWN\n", 10, "UNKNOWN"),
+        ],
+    )
+    def test_failure_raises_solver_error(self, tmp_path, stdout, exit_code, message):
+        with pytest.raises(SolverError, match=message):
+            fake_solver(tmp_path, stdout, exit_code).solve(self.UNIT)
+
+    def test_non_satisfying_model_raises_solver_error(self, tmp_path):
+        with pytest.raises(SolverError, match="non-satisfying"):
+            fake_solver(tmp_path, "s SATISFIABLE\nv -1 0\n", 10).solve(self.UNIT)
+
+    @pytest.mark.parametrize(
+        "stdout, exit_code, verdict",
+        [
+            ("s SATISFIABLE\nv 1 0\n", 10, Verdict.SAT),
+            ("s UNSATISFIABLE\n", 20, Verdict.UNSAT),
+            ("s SATISFIABLE\nv 1 0\n", 0, Verdict.SAT),
+        ],
+    )
+    def test_conventional_exit_codes_parse(self, tmp_path, stdout, exit_code, verdict):
+        outcome = fake_solver(tmp_path, stdout, exit_code).solve(self.UNIT)
+        assert outcome.verdict is verdict
+        assert outcome.model is None or outcome.model[1]
