@@ -355,9 +355,9 @@ def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
     # base model, so use the first.
     alpha = alphas[0] if alphas and args.alpha is None else args.alpha
     model = _model_from(args, alpha)
+    catalog = CliqueCatalog.load_jsonl(args.catalog, instance) if args.catalog else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    catalog = CliqueCatalog.load_jsonl(args.catalog, instance) if args.catalog else None
     run = dict(
         trials=args.trials, seed=args.seed, backend=args.backend, catalog=catalog,
         time_budget=args.timeout_secs, engine=_engine_from(args), workers=args.workers,
@@ -395,13 +395,14 @@ def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
         raise CliError("stats needs --samples and/or --trials-file")
     instance = load_instance(args.instance)
     # Every input is loaded and checked against the instance before any output is written.
-    if args.samples:
-        sample_set = SampleSet.load_jsonl(args.samples, instance)
-        set_b = SampleSet.load_jsonl(args.samples_b, instance) if args.samples_b else None
-    if args.trials_file:
-        meta, trials = montecarlo.load_trial_set(args.trials_file)
-        if meta.get("instance_digest") != instance_digest(instance):
-            raise CliError(f"{args.trials_file}: trial set was run on a different instance")
+    try:
+        if args.samples:
+            sample_set = SampleSet.load_jsonl(args.samples, instance)
+            set_b = SampleSet.load_jsonl(args.samples_b, instance) if args.samples_b else None
+        if args.trials_file:
+            meta, trials = montecarlo.load_trial_set(args.trials_file, instance)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, Any] = {}

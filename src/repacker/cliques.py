@@ -1,7 +1,7 @@
 """Co-channel cliques and the blocking-clique infeasibility fast path.
 
 Any set of pairwise co-channel-conflicting stations that all refuse to
-participate needs one channel each, so with ``c`` channels available, a
+participate needs one channel each, so with ``c`` assignable channels, a
 conflict clique of ``c + 1`` or more non-participants certifies infeasibility
 outright — no solver call needed. The catalog of cliques is built once per
 instance by randomized greedy growth; it makes no completeness claim, so the
@@ -10,15 +10,13 @@ absence of a blocking clique never proves feasibility.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .instance import Instance
-from .instance_io import instance_digest
-from .participation import ParticipationVector
+from .instance_io import load_artifact, save_artifact
 from .util import derive_seed
 
 
@@ -58,33 +56,16 @@ class CliqueCatalog:
         seed: Optional[int] = None,
         config_digest: Optional[str] = None,
     ) -> None:
-        meta = {
-            "type": "meta",
-            "kind": "clique-catalog",
-            "instance_digest": instance_digest(instance),
-            "min_size": self.min_size_retained,
-        }
+        meta = {"min_size": self.min_size_retained}
         if seed is not None:
             meta["seed"] = seed
-        if config_digest:
-            meta["config_digest"] = config_digest
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            for clique in self.cliques:
-                fh.write(json.dumps({"type": "clique", "members": sorted(clique)}) + "\n")
+        records = ({"type": "clique", "members": sorted(clique)} for clique in self.cliques)
+        save_artifact(path, "clique-catalog", instance, meta, records, config_digest)
 
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "CliqueCatalog":
-        with open(path, encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or lines[0].get("kind") != "clique-catalog":
-            raise ValueError(f"{path}: not a clique-catalog file")
-        meta = lines[0]
-        if meta["instance_digest"] != instance_digest(instance):
-            raise ValueError(f"{path}: catalog belongs to a different instance")
-        cliques = tuple(
-            frozenset(rec["members"]) for rec in lines[1:] if rec.get("type") == "clique"
-        )
+        meta, records = load_artifact(path, "clique-catalog", instance, "clique")
+        cliques = tuple(frozenset(rec["members"]) for rec in records)
         _verify_cliques(cliques, instance.co_adjacency)
         return cls(cliques=cliques, min_size_retained=int(meta.get("min_size", 2)))
 
@@ -152,20 +133,14 @@ class BlockingReport:
 
 
 def blocking_check(
-    catalog: CliqueCatalog,
-    participation: ParticipationVector | frozenset[str],
-    channel_count: int,
+    catalog: CliqueCatalog, non_participants: frozenset[str], channel_count: int
 ) -> BlockingReport:
     """Scan the catalog for cliques whose non-participants overflow the band.
 
     A catalog clique restricted to non-participants is still a clique; when
-    the restriction has more members than there are channels, those stations
-    cannot all be repacked.
+    the restriction has more members than ``channel_count``, the number of
+    assignable channels, those stations cannot all be repacked.
     """
-    if isinstance(participation, ParticipationVector):
-        non_participants = participation.non_participants()
-    else:
-        non_participants = frozenset(participation)
     threshold = channel_count + 1
     blocking: list[frozenset[str]] = []
     union: set[str] = set()

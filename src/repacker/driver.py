@@ -7,7 +7,6 @@ timed-out probe is flagged as an upper bound rather than certified.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 from .encoder import decode, encode
 from .instance import ChannelAssignment, Instance, RepackProblem, validate_assignment
-from .instance_io import instance_digest
+from .instance_io import load_artifact, save_artifact
 from .solver import EmbeddedSolver, SolveStats, Verdict
 from .util import derive_seed
 from . import parallel
@@ -313,9 +312,6 @@ class SampleSet:
 
     def save_jsonl(self, path: str | os.PathLike, config_digest: Optional[str] = None) -> None:
         meta = {
-            "type": "meta",
-            "kind": "sample-set",
-            "instance_digest": instance_digest(self.problem.instance),
             "target_mhz": self.problem.clearing_target_mhz,
             "use_domain": self.problem.use_domain_constraints,
             "cap": self.cap,
@@ -323,53 +319,31 @@ class SampleSet:
             "buffer": self.buffer,
             "requested": self.requested,
         }
-        if config_digest:
-            meta["config_digest"] = config_digest
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            for s in self.samples:
-                record = {
-                    "type": "sample",
-                    "seed": s.seed,
-                    "assignment": s.assignment.to_json_dict(),
-                }
-                if s.stats is not None:
-                    record["stats"] = s.stats.to_json_dict()
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        records = []
+        for s in self.samples:
+            record = {"type": "sample", "seed": s.seed, "assignment": s.assignment.to_json_dict()}
+            if s.stats is not None:
+                record["stats"] = s.stats.to_json_dict()
+            records.append(record)
+        save_artifact(path, "sample-set", self.problem.instance, meta, records, config_digest)
 
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "SampleSet":
-        with open(path, encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or lines[0].get("type") != "meta" or lines[0].get("kind") != "sample-set":
-            raise ValueError(f"{path}: not a sample-set file")
-        meta = lines[0]
-        digest = instance_digest(instance)
-        if meta["instance_digest"] != digest:
-            raise ValueError(
-                f"{path}: sample set was drawn from a different instance "
-                f"({meta['instance_digest'][:12]}... vs {digest[:12]}...)"
-            )
+        meta, records = load_artifact(path, "sample-set", instance, "sample")
         problem = RepackProblem(
             instance=instance,
             clearing_target_mhz=int(meta["target_mhz"]),
             use_domain_constraints=bool(meta["use_domain"]),
             max_cleared_nationwide=meta["cap"],
         )
-        samples = []
-        for rec in lines[1:]:
-            if rec.get("type") != "sample":
-                continue
-            stats = None
-            if "stats" in rec:
-                stats = SolveStats(**rec["stats"])
-            samples.append(
-                Sample(
-                    seed=int(rec["seed"]),
-                    assignment=ChannelAssignment.from_json_dict(rec["assignment"]),
-                    stats=stats,
-                )
+        samples = [
+            Sample(
+                seed=int(rec["seed"]),
+                assignment=ChannelAssignment.from_json_dict(rec["assignment"]),
+                stats=SolveStats(**rec["stats"]) if "stats" in rec else None,
             )
+            for rec in records
+        ]
         return cls(
             problem=problem,
             samples=samples,

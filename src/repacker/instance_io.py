@@ -12,7 +12,10 @@ universe travels in an optional ``universe.json`` next to the CSVs and
 defaults to the UHF band 14..51 with channel 37 reserved.
 
 A canonical JSON form of the whole instance supports round-trip tests and
-digest-based provenance checks.
+digest-based provenance checks. Derived artifacts (sample sets, trial sets,
+clique catalogs) are JSON-lines files whose first line is a meta record
+naming the artifact's kind and the digest of its instance;
+:func:`save_artifact` writes them and :func:`load_artifact` checks both.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import csv
 import json
 import os
 from pathlib import Path
+from typing import Iterable, Optional
+
 from .instance import (
     US_UNIVERSE,
     Affiliation,
@@ -251,3 +256,44 @@ def instance_from_json(text: str) -> Instance:
 def instance_digest(instance: Instance) -> str:
     """Content hash used to tie derived artifacts back to their instance."""
     return sha256_hex(instance_to_json(instance))
+
+
+def save_artifact(
+    path: str | os.PathLike,
+    kind: str,
+    instance: Instance,
+    meta: dict,
+    records: Iterable[dict],
+    config_digest: Optional[str] = None,
+) -> None:
+    """Write a JSON-lines artifact: a meta record tying ``meta`` to ``kind``
+    and ``instance``, then one line per record."""
+    head = {**meta, "type": "meta", "kind": kind, "instance_digest": instance_digest(instance)}
+    if config_digest:
+        head["config_digest"] = config_digest
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in (head, *records):
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def load_artifact(
+    path: str | os.PathLike, kind: str, instance: Instance, record_type: str
+) -> tuple[dict, list[dict]]:
+    """Read a JSON-lines artifact written by :func:`save_artifact`.
+
+    Returns the meta record and the records of ``record_type``. Raises
+    ``ValueError`` when the file is not a ``kind`` artifact or was derived
+    from a different instance.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh if line.strip()]
+    meta = lines[0] if lines and isinstance(lines[0], dict) else {}
+    if meta.get("type") != "meta" or meta.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} file")
+    digest = instance_digest(instance)
+    if meta.get("instance_digest") != digest:
+        raise ValueError(
+            f"{path}: {kind} belongs to a different instance "
+            f"({str(meta.get('instance_digest'))[:12]}... vs {digest[:12]}...)"
+        )
+    return meta, [rec for rec in lines[1:] if rec.get("type") == record_type]

@@ -16,17 +16,16 @@ tallied separately so the estimate can be read both ways.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cliques import AttributionResult, CliqueCatalog, attribution_fraction, blocking_check, enumerate_cliques_greedy
 from .driver import DEFAULT_TIME_BUDGET, check_feasibility
 from .instance import Instance, RepackProblem, derive_available_channels
-from .instance_io import instance_digest
+from .instance_io import load_artifact, save_artifact
 from .participation import (
     ALPHA_MODEL_KINDS,
     ModelSpec,
@@ -153,43 +152,32 @@ class SuccessEstimate:
         self, path: str | os.PathLike, instance: Instance, config_digest: Optional[str] = None
     ) -> None:
         meta = {
-            "type": "meta",
-            "kind": "trial-set",
-            "instance_digest": instance_digest(instance),
             "model": self.model.to_dict(),
             "target_mhz": self.target_mhz,
             "use_domain": self.use_domain,
             "backend": self.backend,
         }
-        if config_digest:
-            meta["config_digest"] = config_digest
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            for t in self.trials:
-                fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
+        records = (t.to_json_dict() for t in self.trials)
+        save_artifact(path, "trial-set", instance, meta, records, config_digest)
 
 
-def load_trial_set(path: str | os.PathLike) -> tuple[dict, list[TrialReport]]:
-    """Load a trial-set file: (meta record, trial reports)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "trial-set":
-        raise ValueError(f"{path}: not a trial-set file")
-    out = []
-    for rec in lines[1:]:
-        if rec.get("type") != "trial":
-            continue
-        out.append(
-            TrialReport(
-                index=int(rec["index"]),
-                seed=int(rec["seed"]),
-                draw_digest=rec["draw_digest"],
-                verdict=rec["verdict"],
-                z=rec.get("z"),
-                blocking_cliques=rec.get("blocking_cliques"),
-            )
+def load_trial_set(
+    path: str | os.PathLike, instance: Instance
+) -> tuple[dict, list[TrialReport]]:
+    """Load a trial-set file run on ``instance``: (meta record, trial reports)."""
+    meta, records = load_artifact(path, "trial-set", instance, "trial")
+    trials = [
+        TrialReport(
+            index=int(rec["index"]),
+            seed=int(rec["seed"]),
+            draw_digest=rec["draw_digest"],
+            verdict=rec["verdict"],
+            z=rec.get("z"),
+            blocking_cliques=rec.get("blocking_cliques"),
         )
-    return lines[0], out
+        for rec in records
+    ]
+    return meta, trials
 
 
 def mean_z(trials: Sequence[TrialReport]) -> Optional[float]:
@@ -204,14 +192,15 @@ def mean_z(trials: Sequence[TrialReport]) -> Optional[float]:
 def _run_trial(context, task: tuple[int, int]) -> TrialReport:
     (
         model, instance, target_mhz, use_domain,
-        backend, catalog, channel_count, time_budget, engine, caps,
+        backend, catalog, channel_count, time_budget, engine,
     ) = context
     index, seed = task
     draw = sample_from_variates(model, instance, draw_variates(instance, seed))
     start = time.monotonic()
+    non_participants = draw.non_participants()
     if backend in (BACKEND_CLIQUE_THEN_SAT, BACKEND_CLIQUE_ONLY):
         assert catalog is not None
-        report = blocking_check(catalog, draw, channel_count)
+        report = blocking_check(catalog, non_participants, channel_count)
         if report.blocked:
             return TrialReport(
                 index=index,
@@ -234,8 +223,7 @@ def _run_trial(context, task: tuple[int, int]) -> TrialReport:
         instance=instance,
         clearing_target_mhz=target_mhz,
         use_domain_constraints=use_domain,
-        must_repack=draw.non_participants(),
-        **caps,
+        must_repack=non_participants,
     )
     res = check_feasibility(
         problem, seed=derive_seed(seed, "solve"), time_budget=time_budget, engine=engine
@@ -278,9 +266,6 @@ def estimate_success(
     time_budget: float = DEFAULT_TIME_BUDGET,
     engine=None,
     workers: int = 1,
-    max_cleared_nationwide: Optional[int] = None,
-    dma_caps: Optional[Mapping[int, int]] = None,
-    max_dmas_with_clearing: Optional[int] = None,
 ) -> SuccessEstimate:
     """Estimate the success probability over ``trials`` independent draws.
 
@@ -291,16 +276,12 @@ def estimate_success(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     catalog = _need_catalog(backend, catalog, instance, seed)
-    channel_count = derive_available_channels(target_mhz, instance.universe).count
-    caps = {
-        "max_cleared_nationwide": max_cleared_nationwide,
-        "dma_caps": dma_caps or {},
-        "max_dmas_with_clearing": max_dmas_with_clearing,
-    }
+    # Reserved channels inside the retained band cannot hold a station.
+    channel_count = len(derive_available_channels(target_mhz, instance.universe).assignable)
     # Shipped to each worker once; a task is just (index, seed).
     context = (
         model, instance, target_mhz, use_domain,
-        backend, catalog, channel_count, time_budget, engine, caps,
+        backend, catalog, channel_count, time_budget, engine,
     )
     tasks = [(i, derive_seed(seed, "trial", i)) for i in range(trials)]
     reports = parallel.run_tasks(_run_trial, tasks, workers=workers, context=context)

@@ -390,6 +390,22 @@ class TestConfigAndErrors:
         assert "different instance" in err["error"]["message"]
         assert not (tmp_path / "stats").exists()
 
+    def test_simulate_rejects_catalog_from_another_instance(self, instance_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        run_cli(
+            capsys, "gen", "--n", "8", "--channels", "5", "--co-density", "0.3",
+            "--seed", "12", "--out", str(other),
+        )
+        run_cli(capsys, "cliques", "--instance", str(other), "--out", str(tmp_path / "c.jsonl"))
+        err = run_cli_error(
+            capsys, "simulate", "--instance", str(instance_dir), "--target", "12",
+            "--model", "random-broadcasters", "--alpha", "0.5", "--trials", "2",
+            "--backend", "clique-then-sat", "--catalog", str(tmp_path / "c.jsonl"),
+            "--workers", "1", "--out", str(tmp_path / "sim"),
+        )
+        assert "different instance" in err["error"]["message"]
+        assert not (tmp_path / "sim").exists()
+
 
 class TestConfigDigest:
     """The digest covers every option the subcommand takes, defaults included,

@@ -12,7 +12,6 @@ from repacker.cliques import (
     enumerate_cliques_greedy,
 )
 from repacker.montecarlo import TrialReport
-from repacker.participation import ParticipationVector
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance
@@ -78,10 +77,6 @@ class TestEnumeration:
         path.write_text(text)
         with pytest.raises(CliqueError):
             CliqueCatalog.load_jsonl(path, inst)
-
-
-def participation_all(ids) -> ParticipationVector:
-    return ParticipationVector(bits={sid: 1 for sid in ids})
 
 
 class TestBlockingCheck:

@@ -25,8 +25,13 @@ from repacker.instance_io import (
     instance_from_json,
     instance_to_json,
     load_instance,
+    save_artifact,
     save_instance,
 )
+from repacker.cliques import CliqueCatalog, enumerate_cliques_greedy
+from repacker.driver import SampleSet, sample_solutions
+from repacker.montecarlo import BACKEND_CLIQUE_THEN_SAT, estimate_success, load_trial_set
+from repacker.participation import ModelSpec
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance, random_problem
@@ -174,7 +179,55 @@ class TestValidateAssignment:
                 assert validate_assignment(prob, res.assignment) == []
 
 
+def write_sample_set(inst, path):
+    ss = sample_solutions(inst, 12, count=2, buffer=2, seed=5)
+    ss.save_jsonl(path)
+
+    def load(p, i):
+        return [(s.seed, s.assignment) for s in SampleSet.load_jsonl(p, i).samples]
+
+    return [(s.seed, s.assignment) for s in ss.samples], load
+
+
+def write_trial_set(inst, path):
+    est = estimate_success(
+        ModelSpec.random_broadcasters(0.5), inst, 12, trials=6, seed=3,
+        backend=BACKEND_CLIQUE_THEN_SAT,
+    )
+    est.save_trials_jsonl(path, inst)
+
+    def load(p, i):
+        return [t.to_json_dict() for t in load_trial_set(p, i)[1]]
+
+    return [t.to_json_dict() for t in est.trials], load
+
+
+def write_clique_catalog(inst, path):
+    catalog = enumerate_cliques_greedy(inst, seed=9)
+    catalog.save_jsonl(path, inst, seed=9)
+    return catalog.cliques, lambda p, i: CliqueCatalog.load_jsonl(p, i).cliques
+
+
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "write", [write_sample_set, write_trial_set, write_clique_catalog],
+        ids=["sample-set", "trial-set", "clique-catalog"],
+    )
+    def test_artifact_checks_instance_and_kind(self, write, tmp_path):
+        inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+        other = generate_synthetic(8, channel_count=5, co_density=0.35, seed=32)
+        path = tmp_path / "artifact.jsonl"
+        written, load = write(inst, path)
+        assert written and load(path, inst) == written
+        with pytest.raises(ValueError, match="different instance"):
+            load(path, other)
+        save_artifact(path, "other-kind", inst, {}, [])
+        with pytest.raises(ValueError, match="not a .* file"):
+            load(path, inst)
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match="not a .* file"):
+            load(path, inst)
+
     def test_csv_round_trip_is_canonical(self, tmp_path):
         inst = generate_synthetic(
             9, channel_count=6, co_density=0.3, adj_density=0.2, domain_density=0.1, seed=11

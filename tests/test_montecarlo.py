@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -110,13 +111,21 @@ class TestEstimateSuccess:
         )
         assert math.isclose(est.stderr, math.sqrt(est.p * (1 - est.p) / 50))
 
-    def test_caps_passed_through(self):
-        inst = build_instance(3, channels=(1, 2, 3))
-        est = estimate_success(
-            ModelSpec.random_broadcasters(0.0), inst, 6, trials=4, seed=1,
-            max_cleared_nationwide=0,
+    def test_reserved_channel_lowers_blocking_threshold(self):
+        # Channels 14..18 with 15 reserved: a 6 MHz target drops 18 and leaves
+        # four channels, of which 14, 16 and 17 are assignable, so a 4-clique
+        # of non-participants is blocked.
+        inst = build_instance(
+            4, channels=(14, 15, 16, 17, 18), forbidden=frozenset({15}),
+            co_pairs=tuple(itertools.combinations("abcd", 2)),
         )
-        assert est.p == 1.0
+        model = ModelSpec.random_broadcasters(1.0)
+        sat = estimate_success(model, inst, 6, trials=4, seed=1, backend=BACKEND_SAT)
+        fast = estimate_success(
+            model, inst, 6, trials=4, seed=1, backend=BACKEND_CLIQUE_THEN_SAT
+        )
+        assert [(t.blocked, t.z) for t in fast.trials] == [(True, 4)] * 4
+        assert [t.verdict for t in fast.trials] == [t.verdict for t in sat.trials]
 
     def test_sat_backend_attribution_is_undefined(self):
         inst = congested_instance()
@@ -150,7 +159,7 @@ class TestEstimateSuccess:
         )
         path = tmp_path / "trials.jsonl"
         est.save_trials_jsonl(path, inst, config_digest="deadbeef")
-        loaded = load_trial_set(path)[1]
+        loaded = load_trial_set(path, inst)[1]
         assert [t.to_json_dict() for t in loaded] == [t.to_json_dict() for t in est.trials]
 
 
