@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .instance import ChannelAssignment, ConstraintKind, RepackProblem
+from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
+from .util import gc_paused
 
 
 class EncodingError(ValueError):
@@ -90,16 +91,31 @@ class CnfFormula:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        for clause in self.clauses:
-            if not clause:
-                raise EncodingError("empty clause")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.var_count:
-                    raise EncodingError(f"literal {lit} outside 1..{self.var_count}")
+        _check_clauses(self.clauses, self.var_count)
+
+    @classmethod
+    def _prechecked(
+        cls, var_count: int, clauses: tuple[tuple[int, ...], ...], var_map: VarMap
+    ) -> "CnfFormula":
+        """Wrap clause tuples whose literals the caller has already range-checked."""
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "var_count", var_count)
+        object.__setattr__(formula, "clauses", clauses)
+        object.__setattr__(formula, "var_map", var_map)
+        return formula
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
+
+
+def _check_clauses(clauses: Iterable[Sequence[int]], var_count: int) -> None:
+    for clause in clauses:
+        if not clause:
+            raise EncodingError("empty clause")
+        for lit in clause:
+            if lit == 0 or abs(lit) > var_count:
+                raise EncodingError(f"literal {lit} outside 1..{var_count}")
 
 
 def at_most_true(
@@ -141,17 +157,46 @@ def at_most_true(
     return clauses, aux
 
 
-def encode(problem: RepackProblem) -> CnfFormula:
-    """Encode a repacking problem as CNF.
+@dataclass(frozen=True, eq=False)
+class _Base:
+    """The part of an encoding that depends on neither ``must_repack`` nor the caps.
 
-    Per station: exactly one of {cleared, channel...} holds, with the cleared
-    slot ruled out for must-repack stations. Interference clauses range over
-    actual channels only; two cleared stations never conflict. Domain rows are
-    dropped when the problem ignores domain constraints, but reserved-channel
-    prohibitions always apply.
+    ``clauses`` encode every station as free to clear. ``repacked`` maps each
+    station to the position of its at-least-one clause and the clauses that
+    take its place when the station must be repacked.
     """
-    inst = problem.instance
-    plan = problem.channel_plan
+
+    instance: Instance
+    plan: ChannelPlan
+    use_domain: bool
+    var_map: VarMap
+    clauses: tuple[tuple[int, ...], ...]
+    repacked: dict[str, tuple[int, tuple[tuple[int, ...], ...]]]
+
+
+# The base of the last encoding in this process. Monte Carlo draws and
+# min-search probes re-encode one instance and plan many times over; each
+# process (a pool worker too) builds its own on its first call.
+_last_base: Optional[_Base] = None
+
+
+def _base_for(problem: RepackProblem) -> _Base:
+    global _last_base
+    base = _last_base
+    if not (
+        base is not None
+        and base.instance is problem.instance
+        and base.plan == problem.channel_plan
+        and base.use_domain == problem.use_domain_constraints
+    ):
+        _last_base = None  # free the old clauses before building the new ones
+        with gc_paused():
+            base = _build_base(problem.instance, problem.channel_plan, problem.use_domain_constraints)
+        _last_base = base
+    return base
+
+
+def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     channels = plan.channels
     channel_set = set(channels)
     pool = VarPool()
@@ -163,26 +208,23 @@ def encode(problem: RepackProblem) -> CnfFormula:
             vm.assign[(sid, ch)] = pool.fresh()
 
     clauses: list[tuple[int, ...]] = []
+    repacked: dict[str, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
-    # Exactly-one slot per station.
+    # Exactly-one slot per station. A must-repack station loses the cleared
+    # slot from its at-least-one clause; with no channels left it cannot be
+    # placed at all.
     for sid in inst.station_ids:
-        slots = [vm.assign[(sid, ch)] for ch in channels]
-        if sid in problem.must_repack:
-            if slots:
-                clauses.append(tuple(slots))
-            else:
-                # No channels left: the station cannot be placed at all.
-                clauses.append((vm.cleared[sid],))
-                clauses.append((-vm.cleared[sid],))
-        else:
-            clauses.append((vm.cleared[sid], *slots))
-        all_slots = [vm.cleared[sid], *slots]
+        cleared = vm.cleared[sid]
+        slots = tuple(vm.assign[(sid, ch)] for ch in channels)
+        repacked[sid] = (len(clauses), (slots,) if slots else ((cleared,), (-cleared,)))
+        all_slots = (cleared, *slots)
+        clauses.append(all_slots)
         for p in range(len(all_slots)):
             for q in range(p + 1, len(all_slots)):
                 clauses.append((-all_slots[p], -all_slots[q]))
 
     # Pairwise interference over actual channels.
-    for ic in inst.sorted_interference():
+    for ic in inst.sorted_interference:
         if ic.kind is ConstraintKind.CO:
             for ch in channels:
                 clauses.append((-vm.assign[(ic.a, ch)], -vm.assign[(ic.b, ch)]))
@@ -201,10 +243,39 @@ def encode(problem: RepackProblem) -> CnfFormula:
         for ch in channels:
             if ch in plan.flagged:
                 clauses.append((-vm.assign[(sid, ch)],))
-    if problem.use_domain_constraints:
-        for dc in inst.sorted_domain():
+    if use_domain:
+        for dc in inst.sorted_domain:
             if dc.channel in channel_set and dc.channel not in plan.flagged:
                 clauses.append((-vm.assign[(dc.station, dc.channel)],))
+
+    vm.var_count = pool.count
+    # The must-repack replacements reuse literals of the at-least-one clauses.
+    _check_clauses(clauses, pool.count)
+    return _Base(inst, plan, use_domain, vm, tuple(clauses), repacked)
+
+
+def encode(problem: RepackProblem) -> CnfFormula:
+    """Encode a repacking problem as CNF.
+
+    Per station: exactly one of {cleared, channel...} holds, with the cleared
+    slot ruled out for must-repack stations. Interference clauses range over
+    actual channels only; two cleared stations never conflict. Domain rows are
+    dropped when the problem ignores domain constraints, but reserved-channel
+    prohibitions always apply.
+
+    Everything but the must-repack clauses and the caps is built once for the
+    last (instance, channel plan, domain flag) encoded in this process, and
+    copied on each later call with the same three.
+    """
+    inst = problem.instance
+    base = _base_for(problem)
+    clauses = list(base.clauses)
+    # From the back, so a two-clause replacement leaves earlier positions put.
+    for pos, repl in sorted((base.repacked[sid] for sid in problem.must_repack), reverse=True):
+        clauses[pos:pos + 1] = repl
+    added = len(clauses)
+    pool = VarPool(start=base.var_map.var_count + 1)
+    vm = VarMap(assign=dict(base.var_map.assign), cleared=dict(base.var_map.cleared))
 
     # Cardinality caps.
     cleared_vars = [vm.cleared[sid] for sid in inst.station_ids]
@@ -235,7 +306,8 @@ def encode(problem: RepackProblem) -> CnfFormula:
         clauses.extend(extra)
 
     vm.var_count = pool.count
-    return CnfFormula(var_count=pool.count, clauses=tuple(clauses), var_map=vm)
+    _check_clauses(clauses[added:], pool.count)
+    return CnfFormula._prechecked(pool.count, tuple(clauses), vm)
 
 
 def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:

@@ -196,11 +196,13 @@ class Instance:
                 adj[ic.b].add(ic.a)
         return {k: frozenset(v) for k, v in adj.items()}
 
-    def sorted_interference(self) -> list[InterferenceConstraint]:
-        return sorted(self.interference, key=InterferenceConstraint.sort_key)
+    @cached_property
+    def sorted_interference(self) -> tuple[InterferenceConstraint, ...]:
+        return tuple(sorted(self.interference, key=InterferenceConstraint.sort_key))
 
-    def sorted_domain(self) -> list[DomainConstraint]:
-        return sorted(self.domain, key=DomainConstraint.sort_key)
+    @cached_property
+    def sorted_domain(self) -> tuple[DomainConstraint, ...]:
+        return tuple(sorted(self.domain, key=DomainConstraint.sort_key))
 
 
 @dataclass(frozen=True)
@@ -385,7 +387,7 @@ def validate_assignment(problem: RepackProblem, assignment: ChannelAssignment) -
                 Violation("domain-excluded", f"station {sid} uses domain-excluded channel {ch}", (sid,))
             )
 
-    for ic in inst.sorted_interference():
+    for ic in inst.sorted_interference:
         ca = assignment.channels[ic.a]
         cb = assignment.channels[ic.b]
         if ca is None or cb is None:

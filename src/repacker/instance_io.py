@@ -174,12 +174,12 @@ def save_instance(instance: Instance, directory: str | os.PathLike) -> None:
     with open(base / INTERFERENCE_FILE, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["kind", "station_a", "station_b"])
-        for ic in instance.sorted_interference():
+        for ic in instance.sorted_interference:
             w.writerow([ic.kind.value, ic.a, ic.b])
     with open(base / DOMAIN_FILE, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["station", "channel"])
-        for dc in instance.sorted_domain():
+        for dc in instance.sorted_domain:
             w.writerow([dc.station, dc.channel])
     with open(base / DMAS_FILE, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -215,10 +215,10 @@ def instance_to_json(instance: Instance) -> str:
             "forbidden": sorted(instance.universe.forbidden),
         },
         "interference": [
-            {"kind": ic.kind.value, "a": ic.a, "b": ic.b} for ic in instance.sorted_interference()
+            {"kind": ic.kind.value, "a": ic.a, "b": ic.b} for ic in instance.sorted_interference
         ],
         "domain": [
-            {"station": dc.station, "channel": dc.channel} for dc in instance.sorted_domain()
+            {"station": dc.station, "channel": dc.channel} for dc in instance.sorted_domain
         ],
         "dmas": {str(k): instance.dmas[k] for k in sorted(instance.dmas)},
     }

@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .encoder import CnfFormula, export_dimacs, model_from_literals, parse_dimacs_result
+from .util import gc_paused
 
 
 class SolverError(RuntimeError):
@@ -348,14 +349,19 @@ def solve(formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> Solv
     SAT outcomes carry a full model, re-checked against every clause before
     being returned. UNSAT means the conflict analysis derived the empty
     clause; TIMEOUT is a verdict, not an error.
+
+    The cyclic garbage collector is paused while the engine exists: its
+    clause lists hold no reference cycles, and on large formulas the
+    collections their allocation triggers cost as much as the build itself.
     """
     if time_budget <= 0:
         raise ValueError("time_budget must be positive")
-    outcome = _Engine(formula.var_count, formula.clauses, seed).run(time_budget)
-    if outcome.is_sat:
-        assert outcome.model is not None
-        if not check_model(formula.clauses, outcome.model):
-            raise RuntimeError("internal error: SAT model fails the clause check")
+    with gc_paused():
+        outcome = _Engine(formula.var_count, formula.clauses, seed).run(time_budget)
+        if outcome.is_sat:
+            assert outcome.model is not None
+            if not check_model(formula.clauses, outcome.model):
+                raise RuntimeError("internal error: SAT model fails the clause check")
     return outcome
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 from pathlib import Path
@@ -160,3 +161,12 @@ def random_problem(
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture(autouse=True)
+def cyclic_gc_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()  # so the tests after this one run as usual
+        pytest.fail("test left the cyclic garbage collector disabled")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -19,7 +20,7 @@ from repacker.encoder import (
     model_from_literals,
     parse_dimacs_result,
 )
-from repacker.instance import RepackProblem, validate_assignment
+from repacker.instance import ConstraintKind, RepackProblem, validate_assignment
 from repacker.solver import solve
 from repacker.synthetic import generate_synthetic
 
@@ -193,6 +194,180 @@ class TestEncode:
             )
         assert solve(encode(prob(1)), seed=0).is_unsat
         assert solve(encode(prob(2)), seed=0).is_sat
+
+
+def reference_encode(problem: RepackProblem) -> CnfFormula:
+    """The encoder as one pass that builds every clause on every call.
+
+    ``encode`` reuses the part that depends on neither ``must_repack`` nor
+    the caps; its output must equal this clause for clause.
+    """
+    inst = problem.instance
+    plan = problem.channel_plan
+    channels = plan.channels
+    channel_set = set(channels)
+    pool = VarPool()
+    vm = VarMap()
+
+    for sid in inst.station_ids:
+        vm.cleared[sid] = pool.fresh()
+        for ch in channels:
+            vm.assign[(sid, ch)] = pool.fresh()
+
+    clauses: list[tuple[int, ...]] = []
+
+    # Exactly-one slot per station.
+    for sid in inst.station_ids:
+        slots = [vm.assign[(sid, ch)] for ch in channels]
+        if sid in problem.must_repack:
+            if slots:
+                clauses.append(tuple(slots))
+            else:
+                # No channels left: the station cannot be placed at all.
+                clauses.append((vm.cleared[sid],))
+                clauses.append((-vm.cleared[sid],))
+        else:
+            clauses.append((vm.cleared[sid], *slots))
+        all_slots = [vm.cleared[sid], *slots]
+        for p in range(len(all_slots)):
+            for q in range(p + 1, len(all_slots)):
+                clauses.append((-all_slots[p], -all_slots[q]))
+
+    # Pairwise interference over actual channels.
+    for ic in inst.sorted_interference:
+        if ic.kind is ConstraintKind.CO:
+            for ch in channels:
+                clauses.append((-vm.assign[(ic.a, ch)], -vm.assign[(ic.b, ch)]))
+        elif ic.kind is ConstraintKind.ADJ_UP:
+            for ch in channels:
+                if ch + 1 in channel_set:
+                    clauses.append((-vm.assign[(ic.a, ch + 1)], -vm.assign[(ic.b, ch)]))
+        else:
+            for ch in channels:
+                if ch - 1 in channel_set:
+                    clauses.append((-vm.assign[(ic.a, ch - 1)], -vm.assign[(ic.b, ch)]))
+
+    # Channel prohibitions: reserved channels for everyone, then per-station rows.
+    for sid in inst.station_ids:
+        for ch in channels:
+            if ch in plan.flagged:
+                clauses.append((-vm.assign[(sid, ch)],))
+    if problem.use_domain_constraints:
+        for dc in inst.sorted_domain:
+            if dc.channel in channel_set and dc.channel not in plan.flagged:
+                clauses.append((-vm.assign[(dc.station, dc.channel)],))
+
+    # Cardinality caps.
+    cleared_vars = [vm.cleared[sid] for sid in inst.station_ids]
+    if problem.max_cleared_nationwide is not None:
+        extra, _ = at_most_true(cleared_vars, problem.max_cleared_nationwide, pool)
+        clauses.extend(extra)
+    for dma in sorted(problem.dma_caps):
+        members = inst.dma_members.get(dma, ())
+        if not members:
+            continue
+        extra, _ = at_most_true([vm.cleared[sid] for sid in members], problem.dma_caps[dma], pool)
+        clauses.extend(extra)
+
+    if problem.max_dmas_with_clearing is not None:
+        for dma in sorted(inst.dmas):
+            vm.dma_any_clearing[dma] = pool.fresh()
+        for dma in sorted(inst.dmas):
+            y = vm.dma_any_clearing[dma]
+            members = inst.dma_members.get(dma, ())
+            for sid in members:
+                clauses.append((-vm.cleared[sid], y))
+            clauses.append(tuple(vm.cleared[sid] for sid in members) + (-y,))
+        extra, _ = at_most_true(
+            [vm.dma_any_clearing[dma] for dma in sorted(inst.dmas)],
+            problem.max_dmas_with_clearing,
+            pool,
+        )
+        clauses.extend(extra)
+
+    vm.var_count = pool.count
+    return CnfFormula(var_count=pool.count, clauses=tuple(clauses), var_map=vm)
+
+
+def formula_key(formula: CnfFormula) -> tuple:
+    vm = formula.var_map
+    return (formula.var_count, formula.clauses, vm.var_count, tuple(vm.names().items()))
+
+
+def assert_matches_reference(problem: RepackProblem) -> None:
+    got, expected = encode(problem), reference_encode(problem)
+    assert type(got.clauses) is tuple and all(type(c) is tuple for c in got.clauses)
+    assert formula_key(got) == formula_key(expected)
+
+
+class TestEncodeMatchesReference:
+    def test_random_problems(self):
+        rng = random.Random(808)
+        shapes = {"must-repack": 0, "nationwide": 0, "dma": 0, "dma-count": 0,
+                  "domain-on": 0, "domain-off": 0, "reserved-in-band": 0}
+        for _ in range(300):
+            prob = random_problem(rng, max_n=10, max_c=5)
+            # Encode the instance and plan at random must-repack subsets too,
+            # so the reused part serves several draws.
+            subsets = [prob.must_repack] + [
+                frozenset(sid for sid in prob.instance.station_ids if rng.random() < p)
+                for p in (0.0, 0.5, 1.0)
+            ]
+            for must_repack in subsets:
+                assert_matches_reference(dataclasses.replace(prob, must_repack=must_repack))
+            shapes["must-repack"] += bool(prob.must_repack)
+            shapes["nationwide"] += prob.max_cleared_nationwide is not None
+            shapes["dma"] += bool(prob.dma_caps)
+            shapes["dma-count"] += prob.max_dmas_with_clearing is not None
+            shapes["domain-on"] += prob.use_domain_constraints and bool(prob.instance.domain)
+            shapes["domain-off"] += not prob.use_domain_constraints
+            shapes["reserved-in-band"] += bool(prob.channel_plan.flagged)
+        assert min(shapes.values()) >= 20, shapes  # every shape was exercised
+
+    def test_no_channels_left(self):
+        inst = build_instance(4, channels=(1, 2), co_pairs=(("a", "b"),), domain=(("c", 1),))
+        for must_repack in (frozenset(), frozenset({"b"}), frozenset({"a", "d"}), frozenset("abcd")):
+            prob = RepackProblem(
+                instance=inst, clearing_target_mhz=12, must_repack=must_repack,
+                max_cleared_nationwide=3, dma_caps={1: 1}, max_dmas_with_clearing=1,
+            )
+            assert prob.channel_plan.count == 0
+            assert_matches_reference(prob)
+
+    def test_alternating_instances_targets_and_domain_flag(self):
+        rng = random.Random(99)
+        instances = [
+            generate_synthetic(9, channel_count=6, co_density=0.3, adj_density=0.2,
+                               domain_density=0.3, forbidden_channels=(15,), seed=seed)
+            for seed in (1, 2)
+        ]
+        combos = [
+            (inst, target, use_domain)
+            for inst in instances for target in (6, 12) for use_domain in (True, False)
+        ]
+        # Every key component changes the formula, so a cache that ignored one
+        # of them would hand back the wrong clauses.
+        distinct = {formula_key(reference_encode(RepackProblem(
+            instance=i, clearing_target_mhz=t, use_domain_constraints=d))) for i, t, d in combos}
+        assert len(distinct) == len(combos)
+        for _ in range(60):
+            inst, target, use_domain = rng.choice(combos)
+            must_repack = frozenset(sid for sid in inst.station_ids if rng.random() < 0.4)
+            assert_matches_reference(RepackProblem(
+                instance=inst, clearing_target_mhz=target, use_domain_constraints=use_domain,
+                must_repack=must_repack, max_cleared_nationwide=rng.choice([None, 4]),
+            ))
+
+    def test_mutating_a_returned_var_map_changes_nothing_later(self):
+        inst = generate_synthetic(6, co_density=0.3, domain_density=0.2, seed=4)
+        prob = RepackProblem(instance=inst, clearing_target_mhz=6, max_dmas_with_clearing=1)
+        vm = encode(prob).var_map
+        vm.assign.clear()
+        vm.cleared["intruder"] = 1
+        vm.dma_any_clearing[99] = 2
+        vm.var_count = 0
+        assert_matches_reference(prob)
+        assert_matches_reference(dataclasses.replace(prob, must_repack=frozenset(inst.station_ids)))
 
 
 class TestDecode:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import stat
 import sys
@@ -9,6 +10,7 @@ import textwrap
 
 import pytest
 
+from repacker import solver
 from repacker.encoder import CnfFormula
 from repacker.solver import (
     EmbeddedSolver,
@@ -232,6 +234,64 @@ class TestEngineConstruction:
             shapes["unit"] += any(len(c) == 1 for c in clauses)
             shapes["long"] += any(len(c) > 2 for c in clauses)
         assert min(shapes.values()) > 100, shapes  # every shape was exercised
+
+
+GC_CASES = {
+    "sat": (CnfFormula(var_count=2, clauses=((1, 2), (-1,))), 10.0, Verdict.SAT),
+    "unsat": (pigeonhole(4, 3), 10.0, Verdict.UNSAT),
+    "timeout": (pigeonhole(12, 11), 0.05, Verdict.TIMEOUT),
+    "unsat-at-construction": (CnfFormula(var_count=1, clauses=((1,), (-1,))), 10.0, Verdict.UNSAT),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """Start the test with the cyclic GC on or off; always leave it on."""
+    if not request.param:
+        gc.disable()
+    try:
+        yield request.param
+    finally:
+        gc.enable()
+
+
+class TestGcPause:
+    @pytest.mark.parametrize("case", sorted(GC_CASES))
+    def test_solve_restores_the_callers_gc_state(self, gc_state, case):
+        formula, budget, verdict = GC_CASES[case]
+        if case == "unsat-at-construction":
+            assert not _Engine(formula.var_count, formula.clauses, 0).ok
+        assert solve(formula, seed=0, time_budget=budget).verdict is verdict
+        assert gc.isenabled() == gc_state
+
+    def test_solve_restores_gc_state_when_it_raises(self, gc_state, monkeypatch):
+        monkeypatch.setattr(solver, "check_model", lambda clauses, model: False)
+        with pytest.raises(RuntimeError, match="fails the clause check"):
+            solve(GC_CASES["sat"][0])
+        assert gc.isenabled() == gc_state
+
+    def test_gc_paused_through_build_search_and_model_check(self, monkeypatch):
+        seen = []
+        init, search, check = _Engine.__init__, _Engine._search, solver.check_model
+
+        def traced_init(engine, *args):
+            seen.append(("build", gc.isenabled()))
+            init(engine, *args)
+
+        def traced_search(engine):
+            seen.append(("search", gc.isenabled()))
+            return search(engine)
+
+        def traced_check(clauses, model):
+            seen.append(("check", gc.isenabled()))
+            return check(clauses, model)
+
+        monkeypatch.setattr(_Engine, "__init__", traced_init)
+        monkeypatch.setattr(_Engine, "_search", traced_search)
+        monkeypatch.setattr(solver, "check_model", traced_check)
+        assert solve(GC_CASES["sat"][0]).is_sat
+        assert seen == [("build", False), ("search", False), ("check", False)]
+        assert gc.isenabled()
 
 
 SCRIPT = textwrap.dedent(
