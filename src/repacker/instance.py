@@ -17,6 +17,12 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 
+def _fields_state(self) -> dict:
+    """Pickle state holding only the dataclass fields: ``cached_property``
+    values are derived, so the receiver recomputes them instead of loading them."""
+    return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
+
 class InstanceError(ValueError):
     """Structurally invalid instance data (bad references, duplicates, ...)."""
 
@@ -137,6 +143,8 @@ class Instance:
     domain: frozenset[DomainConstraint] = frozenset()
     dmas: Mapping[int, str] = field(default_factory=dict)
 
+    __getstate__ = _fields_state
+
     def __post_init__(self) -> None:
         stations = tuple(sorted(self.stations, key=lambda s: s.id))
         object.__setattr__(self, "stations", stations)
@@ -219,6 +227,8 @@ class ChannelPlan:
     flagged: frozenset[int]
     removed: tuple[int, ...]
 
+    __getstate__ = _fields_state
+
     @property
     def count(self) -> int:
         return len(self.channels)
@@ -277,6 +287,8 @@ class RepackProblem:
     max_cleared_nationwide: Optional[int] = None
     dma_caps: Mapping[int, int] = field(default_factory=dict)
     max_dmas_with_clearing: Optional[int] = None
+
+    __getstate__ = _fields_state
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "must_repack", frozenset(self.must_repack))

@@ -5,11 +5,19 @@ propagation, first-UIP learning, Luby restarts, and phase saving. Polarity
 initialization and decision tie-breaking are randomized from a caller-supplied
 seed, so repeated solves of one satisfiable formula sample different models
 while any fixed (formula, seed) pair replays identically.
+
+Values and watch lists are indexed by the literal itself. An input binary
+clause ``(a, b)``, nearly every clause the encoder emits, is not a clause
+object but two implication entries: the int ``b`` among the watches of ``a``
+and ``a`` among those of ``b``. Longer clauses and every learnt clause are
+lists watched on their first two literals, in the same watch lists, so
+propagation visits entries in the order the clauses were added. The layout
+changes no search: it makes the same decisions, propagations, conflicts and
+learnt clauses as an engine that keeps one clause list per binary clause.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 import os
 import random
@@ -19,6 +27,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .encoder import CnfFormula, export_dimacs, model_from_literals, parse_dimacs_result
@@ -37,10 +46,16 @@ class Verdict(Enum):
 
 @dataclass
 class SolveStats:
+    """Search counters. ``restarts`` counts the Luby schedule's restarts and
+    ``learnts`` the learnt clauses kept (learnt units become level-0
+    assignments); neither is written by :meth:`to_json_dict`."""
+
     decisions: int = 0
     conflicts: int = 0
     propagations: int = 0
     wall_time: float = 0.0
+    restarts: int = 0
+    learnts: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,10 +118,20 @@ _VAR_DECAY = 0.95
 
 
 class _Engine:
+    """One CDCL search over a fixed clause set.
+
+    ``val[lit]`` is True, False or None (free); ``-lit`` indexes from the end
+    of the ``2n + 1`` list, as it does in ``watches``, whose list for ``lit``
+    is visited when ``lit`` becomes false. A reason or conflict holds the
+    implied (or first false) literal first; a binary implication's is
+    ``[implied, false_lit]``. ``level`` and ``reason`` are read only while
+    their variable is assigned.
+    """
+
     def __init__(self, var_count: int, clauses: Sequence[Sequence[int]], seed: int) -> None:
         self.nvars = var_count
         self.rng = random.Random(seed)
-        self.assigns = [0] * (var_count + 1)  # 0 free, 1 true, -1 false
+        self.val: list[Optional[bool]] = [None] * (2 * var_count + 1)
         self.level = [0] * (var_count + 1)
         self.reason: list[Optional[list[int]]] = [None] * (var_count + 1)
         self.phase = [False] + [self.rng.random() < 0.5 for _ in range(var_count)]
@@ -115,8 +140,8 @@ class _Engine:
         self.heap: list[tuple[float, float, int]] = [
             (0.0, self.rng.random(), v) for v in range(1, var_count + 1)
         ]
-        heapq.heapify(self.heap)
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * (var_count + 1))]
+        heapify(self.heap)
+        self.watches: list[list] = [[] for _ in range(2 * var_count + 1)]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -125,177 +150,188 @@ class _Engine:
         self.deadline = float("inf")
         self.ok = True
 
-        # Each clause becomes its distinct literals sorted by variable, watched
-        # on the first two. Watch indices are computed inline as in _watch_idx.
+        # Binary clauses (nearly every clause the encoder emits) become two
+        # implication entries; longer ones their distinct literals sorted by
+        # variable, watched on the first two. Units are assigned at level 0.
+        val = self.val
         watches = self.watches
         for clause in clauses:
-            if len(clause) == 2:  # nearly every clause the encoder emits
+            if len(clause) == 2:
                 a, b = clause
-                if a != b:
-                    if a == -b:
-                        continue  # tautology
-                    if abs(b) < abs(a):
-                        a, b = b, a
-                    lits = [a, b]
-                    watches[2 * a if a > 0 else 1 - 2 * a].append(lits)
-                    watches[2 * b if b > 0 else 1 - 2 * b].append(lits)
-                    continue
-                lits = [a]
             else:
                 lits = sorted(set(clause), key=abs)
                 variables = list(map(abs, lits))
                 if any(map(operator.eq, variables, variables[1:])):
                     continue  # tautology: x and -x sort next to each other
-                if len(lits) > 1:
-                    a, b = lits[0], lits[1]
-                    watches[2 * a if a > 0 else 1 - 2 * a].append(lits)
-                    watches[2 * b if b > 0 else 1 - 2 * b].append(lits)
+                if len(lits) > 2:
+                    watches[lits[0]].append(lits)
+                    watches[lits[1]].append(lits)
                     continue
-            if not lits or not self._enqueue(lits[0], None):
+                if not lits:
+                    self.ok = False
+                    return
+                a, b = lits[0], lits[-1]
+            if a != b:
+                if a != -b:  # else a tautology
+                    watches[a].append(b)
+                    watches[b].append(a)
+            elif val[a] is None:
+                val[a] = True
+                val[-a] = False
+                self.trail.append(a)
+            elif val[a] is False:
                 self.ok = False
                 return
 
-    # -- basic operations ---------------------------------------------------
-
-    def _watch_idx(self, lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-    def _attach(self, clause: list[int]) -> None:
-        self.watches[self._watch_idx(clause[0])].append(clause)
-        self.watches[self._watch_idx(clause[1])].append(clause)
-
-    def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
-        v = abs(lit)
-        val = self.assigns[v]
-        if val != 0:
-            return (val == 1) == (lit > 0)
-        self.assigns[v] = 1 if lit > 0 else -1
-        self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason
-        self.trail.append(lit)
-        return True
-
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-        heapq.heappush(self.heap, (-self.activity[v], self.rng.random(), v))
-
-    # -- search -------------------------------------------------------------
-
     def _propagate(self) -> Optional[list[int]]:
-        assigns = self.assigns
+        """Propagate the trail from ``qhead``; return a conflict clause or None."""
+        val = self.val
         watches = self.watches
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            if self.stats.propagations & 8191 == 0 and time.monotonic() > self.deadline:
-                raise _Timeout
-            false_lit = -p
-            ws = watches[self._watch_idx(false_lit)]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], c[0]
-                first = c[0]
-                v0 = assigns[first] if first > 0 else -assigns[-first]
-                if v0 == 1:
-                    ws[j] = c
-                    j += 1
-                    continue
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        push = trail.append
+        lvl = len(self.trail_lim)
+        deadline = self.deadline
+        qhead = self.qhead
+        props = self.stats.propagations
+        try:
+            while qhead < len(trail):
+                false_lit = -trail[qhead]
+                qhead += 1
+                props += 1
+                if props & 8191 == 0 and time.monotonic() > deadline:
+                    raise _Timeout
+                ws = watches[false_lit]
                 moved = False
-                for k in range(2, len(c)):
-                    lk = c[k]
-                    if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
-                        c[1], c[k] = lk, false_lit
-                        watches[self._watch_idx(lk)].append(c)
-                        moved = True
+                confl = None
+                for c in ws:
+                    if type(c) is not list:  # the other literal of a binary clause
+                        first = c
+                        v0 = val[first]
+                        if v0:
+                            continue
+                        c = [first, false_lit]
+                    else:
+                        if c[0] == false_lit:
+                            c[0] = c[1]
+                            c[1] = false_lit
+                        first = c[0]
+                        v0 = val[first]
+                        if v0:
+                            continue
+                        for k in range(2, len(c)):
+                            lk = c[k]
+                            if val[lk] is not False:
+                                c[1] = lk
+                                c[k] = false_lit
+                                watches[lk].append(c)
+                                moved = True
+                                break
+                        else:
+                            lk = 0  # no free or true literal: c is unit or conflicting
+                        if lk:
+                            continue
+                    if v0 is False:
+                        confl = c
                         break
+                    val[first] = True
+                    val[-first] = False
+                    v = first if first > 0 else -first
+                    level[v] = lvl
+                    reason[v] = c
+                    push(first)
                 if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if v0 == -1:
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    return c
-                self._enqueue(first, c)
-            del ws[j:]
-        return None
+                    # Drop the clauses whose watch moved off false_lit: every
+                    # clause list still watching it holds it first or second.
+                    ws[:] = [
+                        c for c in ws
+                        if type(c) is not list or c[1] == false_lit or c[0] == false_lit
+                    ]
+                if confl is not None:
+                    return confl
+            return None
+        finally:
+            self.qhead = qhead
+            self.stats.propagations = props
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
-        learnt: list[int] = [0]
+        """First-UIP learning: the learnt clause, asserting literal first, and
+        the level to backjump to. Bumps every variable it marks."""
         seen = self.seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        activity = self.activity
+        heap = self.heap
+        rand = self.rng.random
+        var_inc = self.var_inc
+        cur_level = len(self.trail_lim)
+        learnt: list[int] = [0]
         to_clear: list[int] = []
         path = 0
-        index = len(self.trail) - 1
-        p = 0
-        cur_level = len(self.trail_lim)
-        first = True
+        index = len(trail) - 1
+        v = 0
         while True:
-            for q in confl if first else confl[1:]:
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = True
-                    to_clear.append(v)
-                    self._bump(v)
-                    if self.level[v] == cur_level:
+            # A reason's first literal is the one it implied; that variable
+            # is still marked seen, so only the other literals are read.
+            for q in confl:
+                u = q if q > 0 else -q
+                if not seen[u] and level[u] > 0:
+                    seen[u] = True
+                    to_clear.append(u)
+                    act = activity[u] + var_inc
+                    activity[u] = act
+                    if act > 1e100:
+                        for w in range(1, self.nvars + 1):
+                            activity[w] *= 1e-100
+                        var_inc *= 1e-100
+                        self.var_inc = var_inc
+                        act = activity[u]
+                    heappush(heap, (-act, rand(), u))
+                    if level[u] == cur_level:
                         path += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[index])]:
+            seen[v] = False
+            while not seen[abs(trail[index])]:
                 index -= 1
-            p = self.trail[index]
-            confl = self.reason[abs(p)]  # type: ignore[assignment]
-            seen[abs(p)] = False
+            p = trail[index]
             index -= 1
+            v = abs(p)
             path -= 1
-            first = False
             if path == 0:
                 break
+            confl = reason[v]  # type: ignore[assignment]
         learnt[0] = -p
-        for v in to_clear:
-            seen[v] = False
+        for u in to_clear:
+            seen[u] = False
         if len(learnt) == 1:
             return learnt, 0
         max_i = 1
         for i in range(2, len(learnt)):
-            if self.level[abs(learnt[i])] > self.level[abs(learnt[max_i])]:
+            if level[abs(learnt[i])] > level[abs(learnt[max_i])]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _backjump(self, target: int) -> None:
+        trail = self.trail
+        val = self.val
+        phase = self.phase
+        activity = self.activity
+        heap = self.heap
+        rand = self.rng.random
         limit = self.trail_lim[target]
-        while len(self.trail) > limit:
-            lit = self.trail.pop()
-            v = abs(lit)
-            self.phase[v] = lit > 0
-            self.assigns[v] = 0
-            self.reason[v] = None
-            heapq.heappush(self.heap, (-self.activity[v], self.rng.random(), v))
+        undone = trail[limit:]
+        del trail[limit:]
+        for lit in reversed(undone):
+            v = lit if lit > 0 else -lit
+            phase[v] = lit > 0
+            val[lit] = val[-lit] = None
+            heappush(heap, (-activity[v], rand(), v))
         del self.trail_lim[target:]
-        self.qhead = len(self.trail)
-
-    def _decide(self) -> None:
-        # Every free variable has a heap entry (_backjump re-pushes what it
-        # unassigns), and this runs only while some variable is free.
-        while True:
-            _, _, v = heapq.heappop(self.heap)
-            if self.assigns[v] == 0:
-                self.stats.decisions += 1
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(v if self.phase[v] else -v, None)
-                return
+        self.qhead = limit
 
     def run(self, time_budget: float) -> SolveOutcome:
         start = time.monotonic()
@@ -308,39 +344,72 @@ class _Engine:
         return outcome
 
     def _search(self) -> SolveOutcome:
+        stats = self.stats
         if not self.ok:
-            return SolveOutcome(Verdict.UNSAT, stats=self.stats)
+            return SolveOutcome(Verdict.UNSAT, stats=stats)
+        val = self.val
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        watches = self.watches
+        trail = self.trail
+        trail_lim = self.trail_lim
+        heap = self.heap
+        nvars = self.nvars
+        deadline = self.deadline
         restart_round = 1
         conflicts_left = _luby(restart_round) * _RESTART_BASE
         while True:
             confl = self._propagate()
             if confl is not None:
-                self.stats.conflicts += 1
-                if not self.trail_lim:
-                    return SolveOutcome(Verdict.UNSAT, stats=self.stats)
+                stats.conflicts += 1
+                if not trail_lim:
+                    return SolveOutcome(Verdict.UNSAT, stats=stats)
                 learnt, back_level = self._analyze(confl)
                 self._backjump(back_level)
+                lit = learnt[0]
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
+                    cause = None
                 else:
-                    self._attach(learnt)
-                    self._enqueue(learnt[0], learnt)
+                    watches[lit].append(learnt)
+                    watches[learnt[1]].append(learnt)
+                    stats.learnts += 1
+                    cause = learnt
+                val[lit] = True
+                val[-lit] = False
+                v = lit if lit > 0 else -lit
+                level[v] = back_level
+                reason[v] = cause
+                trail.append(lit)
                 self.var_inc /= _VAR_DECAY
                 conflicts_left -= 1
                 if conflicts_left <= 0:
                     restart_round += 1
+                    stats.restarts += 1
                     conflicts_left = _luby(restart_round) * _RESTART_BASE
-                    if self.trail_lim:
+                    if trail_lim:
                         self._backjump(0)
-                if time.monotonic() > self.deadline:
+                if time.monotonic() > deadline:
                     raise _Timeout
                 continue
-            if len(self.trail) == self.nvars:
-                model = tuple([False] + [self.assigns[v] == 1 for v in range(1, self.nvars + 1)])
-                return SolveOutcome(Verdict.SAT, model=model, stats=self.stats)
-            if time.monotonic() > self.deadline:
+            if len(trail) == nvars:
+                return SolveOutcome(Verdict.SAT, model=(False, *val[1 : nvars + 1]), stats=stats)
+            if time.monotonic() > deadline:
                 raise _Timeout
-            self._decide()
+            # Decide: every free variable has a heap entry (_backjump re-pushes
+            # what it unassigns), and this runs only while some variable is free.
+            while True:
+                v = heappop(heap)[2]
+                if val[v] is None:
+                    break
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            lit = v if phase[v] else -v
+            val[lit] = True
+            val[-lit] = False
+            level[v] = len(trail_lim)
+            reason[v] = None
+            trail.append(lit)
 
 
 def solve(formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -113,6 +114,46 @@ class TestTypes:
         inst = build_instance(2)
         with pytest.raises(InstanceError, match="must_repack"):
             RepackProblem(instance=inst, clearing_target_mhz=6, must_repack=frozenset({"zz"}))
+
+
+class TestPickleState:
+    """Pickles carry the dataclass fields only; derived caches are rebuilt."""
+
+    INSTANCE_CACHES = ("station_ids", "by_id", "dma_members", "co_adjacency",
+                       "sorted_interference", "sorted_domain")
+
+    def problem(self) -> RepackProblem:
+        inst = generate_synthetic(40, channel_count=8, co_density=0.2, adj_density=0.1,
+                                  domain_density=0.1, forbidden_channels=(15,), seed=3)
+        return RepackProblem(
+            instance=inst, clearing_target_mhz=12, must_repack=frozenset(inst.station_ids[:5]),
+            max_cleared_nationwide=3, dma_caps={min(inst.dmas): 1},
+        )
+
+    def test_warm_pickle_no_larger_and_caches_rebuilt(self):
+        prob = self.problem()
+        cold = pickle.dumps(prob)
+        expected = {name: getattr(prob.instance, name) for name in self.INSTANCE_CACHES}
+        assert prob.channel_plan.flagged and prob.channel_plan.assignable
+        warm = pickle.dumps(prob)
+        assert len(warm) <= len(cold)
+        loaded = pickle.loads(warm)
+        assert loaded == prob
+        assert not set(self.INSTANCE_CACHES) & set(vars(loaded.instance))
+        assert "channel_plan" not in vars(loaded)
+        assert {name: getattr(loaded.instance, name) for name in self.INSTANCE_CACHES} == expected
+        assert loaded.channel_plan == prob.channel_plan
+        assert loaded.channel_plan.assignable == prob.channel_plan.assignable
+
+    def test_channel_plan_round_trip(self):
+        plan = self.problem().channel_plan
+        cold = pickle.dumps(plan)
+        assignable = plan.assignable
+        warm = pickle.dumps(plan)
+        assert len(warm) <= len(cold)
+        loaded = pickle.loads(warm)
+        assert loaded == plan and "assignable" not in vars(loaded)
+        assert loaded.assignable == assignable
 
 
 class TestValidateAssignment:

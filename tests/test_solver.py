@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 from repacker import solver
-from repacker.encoder import CnfFormula
+from repacker.encoder import CnfFormula, encode
 from repacker.solver import (
     EmbeddedSolver,
     ExternalSolver,
@@ -22,7 +22,9 @@ from repacker.solver import (
     solve,
 )
 
+from conftest import random_problem
 from oracles import dpll_sat
+from reference_engine import ReferenceEngine
 
 
 def random_3cnf(rng: random.Random, n: int, m: int) -> CnfFormula:
@@ -75,6 +77,15 @@ class TestBasics:
         outcome = solve(random_3cnf(rng, 20, 85), seed=1)
         assert outcome.stats.propagations > 0
         assert outcome.stats.wall_time >= 0
+
+    def test_restarts_and_learnts_counted(self):
+        outcome = solve(pigeonhole(6, 5), seed=0, time_budget=30)
+        assert outcome.is_unsat
+        assert outcome.stats.restarts > 0
+        assert 0 < outcome.stats.learnts <= outcome.stats.conflicts
+        assert set(outcome.stats.to_json_dict()) == {"decisions", "conflicts", "propagations"}
+        quiet = solve(CnfFormula(var_count=3, clauses=((1, 2), (-1,))), seed=0).stats
+        assert (quiet.restarts, quiet.learnts) == (0, 0)
 
 
 class TestOracleAgreement:
@@ -142,12 +153,12 @@ class TestTimeout:
 
 
 def reference_engine(var_count, clauses, seed):
-    """The engine as built clause by clause through ``_attach``/``_enqueue``.
+    """The reference engine built clause by clause through ``_attach``/``_enqueue``.
 
-    This is the construction loop the inlined one in ``_Engine.__init__``
-    replaced; the search depends on every piece of state it leaves behind.
+    The engine's inlined construction must leave the same state behind, in
+    its own layout: the search depends on every piece of it.
     """
-    engine = _Engine(var_count, (), seed)
+    engine = ReferenceEngine(var_count, (), seed)
     for clause in clauses:
         lits = sorted(set(clause), key=abs)
         if any(-lit in lits for lit in lits):
@@ -164,16 +175,11 @@ def reference_engine(var_count, clauses, seed):
     return engine
 
 
-def engine_state(engine):
-    """Every field the search reads, with clauses named by first appearance,
-    so two watch lists sharing one clause object compare as sharing it."""
-    names: dict[int, int] = {}
-    watches = [
-        [(names.setdefault(id(c), len(names)), tuple(c)) for c in ws] for ws in engine.watches
-    ]
+def state(engine, val, watches):
+    """Every field the search reads, with ``val`` and ``watches`` as given."""
     return {
         "ok": engine.ok,
-        "assigns": engine.assigns,
+        "val": val,
         "level": engine.level,
         "reason": engine.reason,
         "trail": engine.trail,
@@ -183,6 +189,40 @@ def engine_state(engine):
         "rng": engine.rng.getstate(),
         "watches": watches,
     }
+
+
+def engine_state(engine):
+    """The engine's state, with clause lists named by first appearance, so two
+    watch lists sharing one clause compare as sharing it. An int watch entry
+    is the other literal of an input binary clause."""
+    names: dict[int, int] = {}
+    watches = [
+        [c if type(c) is not list else (names.setdefault(id(c), len(names)), tuple(c)) for c in ws]
+        for ws in engine.watches
+    ]
+    return state(engine, engine.val, watches)
+
+
+def reference_state(engine):
+    """``engine_state`` of a reference engine, in the literal-indexed layout:
+    ``val`` for both polarities from ``assigns``, and each binary clause list
+    in the watches of ``lit`` as the int of its other literal."""
+    n = engine.nvars
+    lits = list(range(n + 1)) + list(range(-n, 0))  # position i holds literal lits[i]
+    val = [
+        None if engine.assigns[abs(lit)] == 0 else (engine.assigns[abs(lit)] == 1) == (lit > 0)
+        for lit in lits
+    ]
+    names: dict[int, int] = {}
+    watches = [
+        [
+            (c[1] if c[0] == lit else c[0]) if len(c) == 2
+            else (names.setdefault(id(c), len(names)), tuple(c))
+            for c in engine.watches[engine._watch_idx(lit)]
+        ]
+        for lit in lits
+    ]
+    return state(engine, val, watches)
 
 
 def messy_clauses(rng: random.Random, n: int) -> list[tuple[int, ...]]:
@@ -226,7 +266,7 @@ class TestEngineConstruction:
             clauses = messy_clauses(rng, n)
             seed = rng.randrange(1 << 30)
             expected = reference_engine(n, clauses, seed)
-            assert engine_state(_Engine(n, clauses, seed)) == engine_state(expected)
+            assert engine_state(_Engine(n, clauses, seed)) == reference_state(expected)
             shapes["built"] += expected.ok
             shapes["unsat"] += not expected.ok
             shapes["tautology"] += any(-x in c for c in clauses for x in c)
@@ -234,6 +274,87 @@ class TestEngineConstruction:
             shapes["unit"] += any(len(c) == 1 for c in clauses)
             shapes["long"] += any(len(c) > 2 for c in clauses)
         assert min(shapes.values()) > 100, shapes  # every shape was exercised
+
+
+class LearntRecorder(ReferenceEngine):
+    """The reference engine, noting the length of every clause it learns."""
+
+    def __init__(self, *args) -> None:
+        self.learnt_sizes: list[int] = []
+        super().__init__(*args)
+
+    def _analyze(self, confl):
+        learnt, back_level = super()._analyze(confl)
+        self.learnt_sizes.append(len(learnt))
+        return learnt, back_level
+
+
+def replay_both(var_count, clauses, seed, var_inc=None):
+    """Run the reference and the engine on one formula; return both engines
+    and both outcomes as (verdict, model, decisions, conflicts, propagations)."""
+    runs = []
+    for cls in (LearntRecorder, _Engine):
+        engine = cls(var_count, clauses, seed)
+        if var_inc is not None:
+            engine.var_inc = var_inc
+        outcome = engine.run(60.0)
+        stats = outcome.stats
+        runs.append((engine, (outcome.verdict, outcome.model,
+                              stats.decisions, stats.conflicts, stats.propagations)))
+    return runs
+
+
+def agreement_corpus(rng):
+    """Seeded (var_count, clauses) formulas of every kind the engine meets."""
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        yield n, messy_clauses(rng, n)
+    for _ in range(40):
+        n = rng.randint(30, 70)
+        yield n, random_3cnf(rng, n, round(n * rng.uniform(4.1, 4.4))).clauses
+    for pigeons, holes in ((3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 5)):
+        yield pigeons * holes, pigeonhole(pigeons, holes).clauses
+    for _ in range(60):
+        formula = encode(random_problem(rng, max_n=10, max_c=5))
+        yield formula.var_count, formula.clauses
+
+
+class TestEngineAgreement:
+    """The engine replays the reference search exactly: the same verdict,
+    model and counts on every formula, whatever shape its clauses have."""
+
+    def test_same_search_as_reference(self):
+        rng = random.Random(4242)
+        shapes = {"sat": 0, "unsat": 0, "unit learnt": 0, "binary learnt": 0,
+                  "long learnt": 0, "restart": 0, "rescale": 0}
+        for case, (var_count, clauses) in enumerate(agreement_corpus(rng)):
+            seed = rng.randrange(1 << 30)
+            # Every third case starts with the increment near the 1e100 limit,
+            # so bumps rescale every activity.
+            var_inc = rng.choice([1e100, 7e99]) if case % 3 == 0 else None
+            (reference, expected), (engine, got) = replay_both(var_count, clauses, seed, var_inc)
+            assert got == expected, case
+            shapes["sat"] += got[0] is Verdict.SAT
+            shapes["unsat"] += got[0] is Verdict.UNSAT
+            shapes["unit learnt"] += 1 in reference.learnt_sizes
+            shapes["binary learnt"] += 2 in reference.learnt_sizes
+            shapes["long learnt"] += any(size > 2 for size in reference.learnt_sizes)
+            shapes["restart"] += engine.stats.restarts > 0
+            shapes["rescale"] += var_inc is not None and reference.var_inc < 1e50
+            assert engine.var_inc == reference.var_inc
+        assert min(shapes.values()) >= 5, shapes  # every shape was exercised
+
+    def test_timeout_counts_match_reference(self):
+        # A unit and a chain of implications: the first deadline check comes
+        # at the 8192nd propagation, inside propagation, with the deadline past.
+        n = 10_000
+        clauses = [(1,)] + [(-v, v + 1) for v in range(1, n)]
+        outcomes = [cls(n, clauses, 0).run(1e-9) for cls in (ReferenceEngine, _Engine)]
+        assert [o.verdict for o in outcomes] == [Verdict.TIMEOUT] * 2
+        counts = [(o.stats.decisions, o.stats.conflicts, o.stats.propagations) for o in outcomes]
+        assert counts == [(0, 0, 8192)] * 2
+        formula = CnfFormula(var_count=n, clauses=tuple(clauses))
+        assert solve(formula, time_budget=1e-9).stats.propagations == 8192
 
 
 GC_CASES = {
