@@ -27,7 +27,6 @@ class DmaStats:
     mean: float
     std: float
     observed_min: int
-    sample_count: int
 
 
 @dataclass
@@ -35,7 +34,6 @@ class DmaClearingStats:
     """Per-DMA clearing statistics over one sample set."""
 
     per_dma: dict[int, DmaStats]
-    sample_count: int
     nationwide_mean: float
 
     def rows_by_mean(self) -> list[DmaStats]:
@@ -78,11 +76,9 @@ def dma_stats(sample_set: SampleSet) -> DmaClearingStats:
             mean=sum(xs) / n,
             std=math.sqrt(_spread(xs)) / n,
             observed_min=min(xs),
-            sample_count=n,
         )
     return DmaClearingStats(
         per_dma=per_dma,
-        sample_count=n,
         nationwide_mean=sum(map(sum, counts)) / n,
     )
 

@@ -400,7 +400,7 @@ def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
             sample_set = SampleSet.load_jsonl(args.samples, instance)
             set_b = SampleSet.load_jsonl(args.samples_b, instance) if args.samples_b else None
         if args.trials_file:
-            meta, trials = montecarlo.load_trial_set(args.trials_file, instance)
+            est = montecarlo.load_trial_set(args.trials_file, instance)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     out_dir = Path(args.out)
@@ -484,14 +484,7 @@ def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
             )
 
     if args.trials_file:
-        est = montecarlo.SuccessEstimate(
-            model=ModelSpec.from_dict(meta["model"]),
-            target_mhz=meta["target_mhz"],
-            use_domain=meta["use_domain"],
-            backend=meta["backend"],
-            trials=trials,
-        )
-        p = est.p if trials else None
+        p = est.p if est.trials else None
         _write_csv(
             out_dir / "trials_summary.csv",
             ("trials", "infeasible", "timeouts", "p", "mean_z", "attribution_fraction"),

@@ -1,6 +1,8 @@
 """Feasibility checks, minimum-clearing searches, and solution sampling.
 
-Timeouts are interpreted as infeasible (the standing convention for these
+Every minimum search runs through one loop, :func:`_min_cap_search`, which
+bisects over the cap and walks down one cap at a time once a probe has timed
+out. Timeouts are interpreted as infeasible (the standing convention for these
 experiments) but always reported distinctly, so a minimum found through a
 timed-out probe is flagged as an upper bound rather than certified.
 """
@@ -11,6 +13,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .encoder import decode, encode
@@ -125,12 +128,12 @@ def _min_cap_search(
 ) -> MinSearchResult:
     """Find the smallest cap in [0, hi] whose problem is feasible.
 
-    Binary search over the cap. A timed-out probe is never trusted as
-    infeasibility evidence: the search abandons the binary phase and walks
-    down from the last certified-feasible cap, re-probing timed-out caps with
-    fresh seeds, until it either brackets the minimum (feasible at the value,
-    genuinely infeasible one below) or times out again and reports the value
-    as an upper bound.
+    One loop narrows ``lo < high``, where ``high`` is the smallest cap seen
+    feasible and every cap below ``lo`` is proven infeasible. It bisects until
+    a probe times out; a timeout is never trusted as infeasibility evidence, so
+    from then on it walks down one cap at a time from ``high`` (a timed-out
+    cap is re-probed with a fresh seed) and a second timeout ends the search,
+    leaving ``high`` as an upper bound rather than a certified minimum.
     """
     probes: list[ProbeRecord] = []
     attempts: dict[int, int] = {}
@@ -146,45 +149,28 @@ def _min_cap_search(
         log.debug("%s: cap=%d -> %s", what, cap, res.verdict.value)
         return res
 
-    top = probe(hi)
-    if not top.feasible:
-        detail = "timed out" if top.infeasible_by_timeout else "is infeasible"
+    best = probe(hi)
+    if not best.feasible:
+        detail = "timed out" if best.infeasible_by_timeout else "is infeasible"
         raise SearchError(
             f"{what}: the base case with cap {hi} {detail}; the target cannot be certified"
         )
-    best_cap, best = hi, top
     timed_out = False
-
     lo, high = 0, hi
     while lo < high:
-        mid = (lo + high) // 2
-        res = probe(mid)
+        cap = high - 1 if timed_out else (lo + high) // 2
+        res = probe(cap)
         if res.feasible:
-            high = mid
-            best_cap, best = mid, res
-        elif res.infeasible_by_timeout:
-            timed_out = True
+            high, best = cap, res
+        elif not res.infeasible_by_timeout:
+            lo = cap + 1
+        elif timed_out:
             break
         else:
-            lo = mid + 1
-
-    # Establish the bracket, scanning further down when probes timed out.
-    while best_cap > 0:
-        if any(p.cap == best_cap - 1 and p.verdict is Verdict.UNSAT for p in probes):
-            break
-        res = probe(best_cap - 1)
-        if res.feasible:
-            best_cap, best = best_cap - 1, res
-        elif res.infeasible_by_timeout:
             timed_out = True
-            break
-        else:
-            break
 
     assert best.assignment is not None
-    return MinSearchResult(
-        value=best_cap, witness=best.assignment, probes=probes, timed_out=timed_out
-    )
+    return MinSearchResult(value=high, witness=best.assignment, probes=probes, timed_out=timed_out)
 
 
 def min_nationwide_clearings(
@@ -262,7 +248,8 @@ def min_dma_clearings_isolated(
             instance, target_mhz, use_domain,
             seed=derive_seed(seed, "b-star"), time_budget=time_budget, engine=engine,
         ).value
-    nationwide_cap = math.ceil(b_star * (1.0 + slack))
+    # Exact in the slack's decimal value: float ceil(50 * 1.1) would give 56.
+    nationwide_cap = b_star + math.ceil(b_star * Fraction(str(slack)))
 
     def make(cap: int) -> RepackProblem:
         return RepackProblem(
@@ -306,9 +293,6 @@ class SampleSet:
         if self.requested is None:
             return 0
         return max(0, self.requested - len(self.samples))
-
-    def assignments(self) -> list[ChannelAssignment]:
-        return [s.assignment for s in self.samples]
 
     def save_jsonl(self, path: str | os.PathLike, config_digest: Optional[str] = None) -> None:
         meta = {

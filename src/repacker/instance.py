@@ -293,8 +293,9 @@ class RepackProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "must_repack", frozenset(self.must_repack))
         object.__setattr__(self, "dma_caps", dict(self.dma_caps))
-        derive_available_channels(self.clearing_target_mhz, self.instance.universe)
-        unknown = self.must_repack - set(self.instance.station_ids)
+        self.channel_plan  # validates the target
+        known = self.instance.by_id
+        unknown = {sid for sid in self.must_repack if sid not in known}
         if unknown:
             raise InstanceError(f"must_repack references unknown stations: {sorted(unknown)}")
         if self.max_cleared_nationwide is not None and self.max_cleared_nationwide < 0:

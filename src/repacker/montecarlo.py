@@ -1,8 +1,10 @@
 """Monte Carlo estimation of clearing-success probability.
 
 Each trial draws a participation vector, forms the repack problem whose
-must-repack set is the non-participants, and decides feasibility. Three
-backends trade cost for completeness:
+must-repack set is the non-participants, and decides feasibility. Every
+backend runs the same single trial path, :func:`_run_trial`, which builds one
+report; the backend only chooses whether the clique scan runs and what an
+unblocked draw's verdict is. Three backends trade cost for completeness:
 
 * ``sat``             — full encode/solve pipeline every trial;
 * ``clique-then-sat`` — blocking-clique scan first, solver only when the scan
@@ -161,10 +163,9 @@ class SuccessEstimate:
         save_artifact(path, "trial-set", instance, meta, records, config_digest)
 
 
-def load_trial_set(
-    path: str | os.PathLike, instance: Instance
-) -> tuple[dict, list[TrialReport]]:
-    """Load a trial-set file run on ``instance``: (meta record, trial reports)."""
+def load_trial_set(path: str | os.PathLike, instance: Instance) -> SuccessEstimate:
+    """Load a trial-set file run on ``instance``, as written by
+    :meth:`SuccessEstimate.save_trials_jsonl`."""
     meta, records = load_artifact(path, "trial-set", instance, "trial")
     trials = [
         TrialReport(
@@ -177,7 +178,13 @@ def load_trial_set(
         )
         for rec in records
     ]
-    return meta, trials
+    return SuccessEstimate(
+        model=ModelSpec.from_dict(meta["model"]),
+        target_mhz=meta["target_mhz"],
+        use_domain=meta["use_domain"],
+        backend=meta["backend"],
+        trials=trials,
+    )
 
 
 def mean_z(trials: Sequence[TrialReport]) -> Optional[float]:
@@ -198,47 +205,36 @@ def _run_trial(context, task: tuple[int, int]) -> TrialReport:
     draw = sample_from_variates(model, instance, draw_variates(instance, seed))
     start = time.monotonic()
     non_participants = draw.non_participants()
-    if backend in (BACKEND_CLIQUE_THEN_SAT, BACKEND_CLIQUE_ONLY):
-        assert catalog is not None
-        report = blocking_check(catalog, non_participants, channel_count)
-        if report.blocked:
-            return TrialReport(
-                index=index,
-                seed=seed,
-                draw_digest=draw.digest(),
-                verdict=VERDICT_INFEASIBLE,
-                z=report.z,
-                blocking_cliques=report.clique_count,
-                wall_time=time.monotonic() - start,
-            )
-        if backend == BACKEND_CLIQUE_ONLY:
-            return TrialReport(
-                index=index,
-                seed=seed,
-                draw_digest=draw.digest(),
-                verdict=VERDICT_FEASIBLE,
-                wall_time=time.monotonic() - start,
-            )
-    problem = RepackProblem(
-        instance=instance,
-        clearing_target_mhz=target_mhz,
-        use_domain_constraints=use_domain,
-        must_repack=non_participants,
-    )
-    res = check_feasibility(
-        problem, seed=derive_seed(seed, "solve"), time_budget=time_budget, engine=engine
-    )
-    if res.feasible:
+    # The catalog is None exactly for the sat backend, which never scans.
+    scan = None if catalog is None else blocking_check(catalog, non_participants, channel_count)
+    z = blocking_cliques = None
+    if scan is not None and scan.blocked:
+        verdict, z, blocking_cliques = VERDICT_INFEASIBLE, scan.z, scan.clique_count
+    elif backend == BACKEND_CLIQUE_ONLY:
         verdict = VERDICT_FEASIBLE
-    elif res.infeasible_by_timeout:
-        verdict = VERDICT_TIMEOUT
     else:
-        verdict = VERDICT_INFEASIBLE
+        problem = RepackProblem(
+            instance=instance,
+            clearing_target_mhz=target_mhz,
+            use_domain_constraints=use_domain,
+            must_repack=non_participants,
+        )
+        res = check_feasibility(
+            problem, seed=derive_seed(seed, "solve"), time_budget=time_budget, engine=engine
+        )
+        if res.feasible:
+            verdict = VERDICT_FEASIBLE
+        elif res.infeasible_by_timeout:
+            verdict = VERDICT_TIMEOUT
+        else:
+            verdict = VERDICT_INFEASIBLE
     return TrialReport(
         index=index,
         seed=seed,
         draw_digest=draw.digest(),
         verdict=verdict,
+        z=z,
+        blocking_cliques=blocking_cliques,
         wall_time=time.monotonic() - start,
     )
 

@@ -9,8 +9,9 @@ within-group correlation appears.
 
 Sampling is ancestral: a uniform variate is drawn for every node of the
 network in a fixed order, then thresholded by that node's conditional
-probability. Keeping the variates explicit lets sweeps reuse one draw across
-a grid of rates, producing nested non-participant sets.
+probability, for every model in the same single pass over the stations
+(:func:`sample_from_variates`). Keeping the variates explicit lets sweeps
+reuse one draw across a grid of rates, producing nested non-participant sets.
 """
 
 from __future__ import annotations
@@ -154,35 +155,31 @@ def draw_variates(instance: Instance, seed: int) -> Variates:
 def sample_from_variates(
     model: ModelSpec, instance: Instance, variates: Variates
 ) -> ParticipationVector:
-    """Threshold a fixed set of variates by the model's conditional tables."""
-    bits: dict[str, int] = {}
-    if model.kind is ModelKind.RANDOM_BROADCASTERS:
-        assert model.alpha is not None
-        for s in instance.stations:
-            bits[s.id] = int(variates.station_u[s.id] < model.alpha)
-        return ParticipationVector(bits)
+    """Threshold a fixed set of variates by the model's conditional tables.
 
-    if model.kind is ModelKind.RANDOM_AFFILIATES:
-        assert model.alpha is not None
-        group_bit = {net: int(variates.group_u[net] < model.alpha) for net in NETWORKS}
+    One pass over the stations: the revenue model compares each station's
+    variate with its own probability, the affiliate models give an affiliate
+    its network's bit, and every other station compares with ``alpha``.
+    """
+    probs: Optional[dict[str, float]] = None
+    group_bit: Optional[dict[Affiliation, bool]] = None
+    if model.kind is ModelKind.REVENUE:
+        probs = revenue_probabilities(instance, model.beta, model.gamma)
+    elif model.kind is ModelKind.RANDOM_AFFILIATES:
+        group_bit = {net: variates.group_u[net] < model.alpha for net in NETWORKS}
     elif model.kind is ModelKind.CORRELATED_AFFILIATES:
-        assert model.alpha is not None
         top = variates.top_u < model.top_prob
         conditional = model.alpha / model.top_prob
-        group_bit = {
-            net: int(top and variates.group_u[net] < conditional) for net in NETWORKS
-        }
-    else:
-        probs = revenue_probabilities(instance, model.beta, model.gamma)
-        for s in instance.stations:
-            bits[s.id] = int(variates.station_u[s.id] < probs[s.id])
-        return ParticipationVector(bits)
-
+        group_bit = {net: top and variates.group_u[net] < conditional for net in NETWORKS}
+    station_u = variates.station_u
+    bits: dict[str, int] = {}
     for s in instance.stations:
-        if s.is_affiliate:
-            bits[s.id] = group_bit[s.affiliation]
+        if probs is not None:
+            bits[s.id] = int(station_u[s.id] < probs[s.id])
+        elif group_bit is not None and s.is_affiliate:
+            bits[s.id] = int(group_bit[s.affiliation])
         else:
-            bits[s.id] = int(variates.station_u[s.id] < model.alpha)
+            bits[s.id] = int(station_u[s.id] < model.alpha)
     return ParticipationVector(bits)
 
 

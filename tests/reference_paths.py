@@ -1,0 +1,194 @@
+"""The minimum-cap search, the Monte Carlo trial and the participation
+threshold as they were before each was folded into a single path, kept as the
+references that the agreement tests replay the current code against.
+
+``reference_min_cap_search`` runs a binary phase and then a separate walk
+down from the last feasible cap after a timeout; ``reference_run_trial``
+builds one report per outcome; ``reference_sample_from_variates`` runs one
+station loop per model. Each reaches the solver and the clique scan through
+the same module globals as the code it is compared with, so a test that
+replaces ``driver.check_feasibility`` scripts both.
+"""
+
+from __future__ import annotations
+
+import logging
+import time
+from typing import Callable
+
+from repacker import driver, montecarlo
+from repacker.driver import FeasibilityResult, MinSearchResult, ProbeRecord, SearchError
+from repacker.instance import NETWORKS, Instance, RepackProblem
+from repacker.montecarlo import (
+    BACKEND_CLIQUE_ONLY,
+    BACKEND_CLIQUE_THEN_SAT,
+    VERDICT_FEASIBLE,
+    VERDICT_INFEASIBLE,
+    VERDICT_TIMEOUT,
+    TrialReport,
+)
+from repacker.participation import (
+    ModelKind,
+    ModelSpec,
+    ParticipationVector,
+    Variates,
+    revenue_probabilities,
+)
+from repacker.solver import Verdict
+from repacker.util import derive_seed
+
+log = logging.getLogger(__name__)
+
+
+def reference_min_cap_search(
+    make_problem: Callable[[int], RepackProblem],
+    hi: int,
+    *,
+    seed: int,
+    time_budget: float,
+    engine,
+    what: str,
+) -> MinSearchResult:
+    probes: list[ProbeRecord] = []
+    attempts: dict[int, int] = {}
+
+    def probe(cap: int) -> FeasibilityResult:
+        attempt = attempts.get(cap, 0)
+        attempts[cap] = attempt + 1
+        res = driver.check_feasibility(
+            make_problem(cap), seed=derive_seed(seed, "probe", cap, attempt),
+            time_budget=time_budget, engine=engine,
+        )
+        probes.append(ProbeRecord(cap, res.verdict, res.seed))
+        log.debug("%s: cap=%d -> %s", what, cap, res.verdict.value)
+        return res
+
+    top = probe(hi)
+    if not top.feasible:
+        detail = "timed out" if top.infeasible_by_timeout else "is infeasible"
+        raise SearchError(
+            f"{what}: the base case with cap {hi} {detail}; the target cannot be certified"
+        )
+    best_cap, best = hi, top
+    timed_out = False
+
+    lo, high = 0, hi
+    while lo < high:
+        mid = (lo + high) // 2
+        res = probe(mid)
+        if res.feasible:
+            high = mid
+            best_cap, best = mid, res
+        elif res.infeasible_by_timeout:
+            timed_out = True
+            break
+        else:
+            lo = mid + 1
+
+    # Establish the bracket, scanning further down when probes timed out.
+    while best_cap > 0:
+        if any(p.cap == best_cap - 1 and p.verdict is Verdict.UNSAT for p in probes):
+            break
+        res = probe(best_cap - 1)
+        if res.feasible:
+            best_cap, best = best_cap - 1, res
+        elif res.infeasible_by_timeout:
+            timed_out = True
+            break
+        else:
+            break
+
+    assert best.assignment is not None
+    return MinSearchResult(
+        value=best_cap, witness=best.assignment, probes=probes, timed_out=timed_out
+    )
+
+
+def reference_sample_from_variates(
+    model: ModelSpec, instance: Instance, variates: Variates
+) -> ParticipationVector:
+    bits: dict[str, int] = {}
+    if model.kind is ModelKind.RANDOM_BROADCASTERS:
+        assert model.alpha is not None
+        for s in instance.stations:
+            bits[s.id] = int(variates.station_u[s.id] < model.alpha)
+        return ParticipationVector(bits)
+
+    if model.kind is ModelKind.RANDOM_AFFILIATES:
+        assert model.alpha is not None
+        group_bit = {net: int(variates.group_u[net] < model.alpha) for net in NETWORKS}
+    elif model.kind is ModelKind.CORRELATED_AFFILIATES:
+        assert model.alpha is not None
+        top = variates.top_u < model.top_prob
+        conditional = model.alpha / model.top_prob
+        group_bit = {
+            net: int(top and variates.group_u[net] < conditional) for net in NETWORKS
+        }
+    else:
+        probs = revenue_probabilities(instance, model.beta, model.gamma)
+        for s in instance.stations:
+            bits[s.id] = int(variates.station_u[s.id] < probs[s.id])
+        return ParticipationVector(bits)
+
+    for s in instance.stations:
+        if s.is_affiliate:
+            bits[s.id] = group_bit[s.affiliation]
+        else:
+            bits[s.id] = int(variates.station_u[s.id] < model.alpha)
+    return ParticipationVector(bits)
+
+
+def reference_run_trial(context, task: tuple[int, int]) -> TrialReport:
+    (
+        model, instance, target_mhz, use_domain,
+        backend, catalog, channel_count, time_budget, engine,
+    ) = context
+    index, seed = task
+    draw = reference_sample_from_variates(
+        model, instance, montecarlo.draw_variates(instance, seed)
+    )
+    start = time.monotonic()
+    non_participants = draw.non_participants()
+    if backend in (BACKEND_CLIQUE_THEN_SAT, BACKEND_CLIQUE_ONLY):
+        assert catalog is not None
+        report = montecarlo.blocking_check(catalog, non_participants, channel_count)
+        if report.blocked:
+            return TrialReport(
+                index=index,
+                seed=seed,
+                draw_digest=draw.digest(),
+                verdict=VERDICT_INFEASIBLE,
+                z=report.z,
+                blocking_cliques=report.clique_count,
+                wall_time=time.monotonic() - start,
+            )
+        if backend == BACKEND_CLIQUE_ONLY:
+            return TrialReport(
+                index=index,
+                seed=seed,
+                draw_digest=draw.digest(),
+                verdict=VERDICT_FEASIBLE,
+                wall_time=time.monotonic() - start,
+            )
+    problem = RepackProblem(
+        instance=instance,
+        clearing_target_mhz=target_mhz,
+        use_domain_constraints=use_domain,
+        must_repack=non_participants,
+    )
+    res = montecarlo.check_feasibility(
+        problem, seed=derive_seed(seed, "solve"), time_budget=time_budget, engine=engine
+    )
+    if res.feasible:
+        verdict = VERDICT_FEASIBLE
+    elif res.infeasible_by_timeout:
+        verdict = VERDICT_TIMEOUT
+    else:
+        verdict = VERDICT_INFEASIBLE
+    return TrialReport(
+        index=index,
+        seed=seed,
+        draw_digest=draw.digest(),
+        verdict=verdict,
+        wall_time=time.monotonic() - start,
+    )

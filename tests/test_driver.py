@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from repacker import driver
 from repacker.driver import (
+    FeasibilityResult,
     SampleSet,
     SamplingError,
     SearchError,
@@ -16,12 +18,13 @@ from repacker.driver import (
     min_nationwide_clearings,
     sample_solutions,
 )
-from repacker.instance import RepackProblem, validate_assignment
-from repacker.solver import Verdict
+from repacker.instance import ChannelAssignment, RepackProblem, validate_assignment
+from repacker.solver import SolveStats, Verdict
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance, random_problem
 from oracles import brute_force_min_cleared, brute_force_repack
+from reference_paths import reference_min_cap_search
 
 
 class TestCheckFeasibility:
@@ -169,6 +172,20 @@ class TestMinDmaIsolated:
         with pytest.raises(ValueError, match="unknown DMA"):
             min_dma_clearings_isolated(inst, 6, dma_id=99)
 
+    @pytest.mark.parametrize("b_star, slack, cap", [(50, 0.1, 55), (20, 0.05, 21)])
+    def test_nationwide_cap_is_exact_in_the_slack(self, monkeypatch, b_star, slack, cap):
+        # In floats, ceil(50 * (1 + 0.1)) is 56.
+        inst = build_instance(4, channels=(1, 2, 3, 4), dma_of={"a": 1, "b": 1, "c": 2, "d": 2})
+        caps = []
+
+        def recording(problem, **kwargs):
+            caps.append(problem.max_cleared_nationwide)
+            return check_feasibility(problem, **kwargs)
+
+        monkeypatch.setattr(driver, "check_feasibility", recording)
+        min_dma_clearings_isolated(inst, 6, dma_id=1, b_star=b_star, slack=slack)
+        assert caps and set(caps) == {cap}
+
 
 class TestSearchErrors:
     def test_impossible_target_raises(self):
@@ -290,3 +307,72 @@ class TestTimeoutFallback:
         assert result.value == 3
         assert result.timed_out  # a probe did time out along the way
         assert engine.timeouts_served == 1
+
+
+class TestSearchMatchesReference:
+    """The one-loop search replays the two-phase search it replaced."""
+
+    @staticmethod
+    def _scripted(rng: random.Random, hi: int):
+        """Verdicts by (cap, attempt): a monotone minimum (sometimes above
+        ``hi``, so the base case fails) with random timeouts, or, for one
+        script in five, any verdict at all."""
+        timeout_rate = rng.choice((0.0, 0.1, 0.3, 0.6))
+        minimum = rng.randint(0, hi + 1)
+        monotone = rng.random() < 0.8
+        script = {}
+        for cap in range(hi + 1):
+            for attempt in range(3):
+                if rng.random() < timeout_rate:
+                    script[cap, attempt] = Verdict.TIMEOUT
+                elif monotone:
+                    script[cap, attempt] = Verdict.SAT if cap >= minimum else Verdict.UNSAT
+                else:
+                    script[cap, attempt] = rng.choice((Verdict.SAT, Verdict.UNSAT))
+        return script
+
+    @staticmethod
+    def _run(monkeypatch, search, script, hi, seed):
+        attempts: dict[int, int] = {}
+
+        def scripted_check(cap, *, seed, time_budget, engine):
+            attempt = attempts.get(cap, 0)
+            attempts[cap] = attempt + 1
+            verdict = script[cap, attempt]
+            witness = ChannelAssignment({"cap": cap, "attempt": attempt})
+            return FeasibilityResult(
+                verdict, witness if verdict is Verdict.SAT else None, SolveStats(), seed
+            )
+
+        monkeypatch.setattr(driver, "check_feasibility", scripted_check)
+        try:
+            result = search(lambda cap: cap, hi, seed=seed, time_budget=1.0, engine=None,
+                            what="scripted")
+        except SearchError as exc:
+            return ("error", str(exc))
+        return (
+            [(p.cap, p.verdict, p.seed) for p in result.probes],
+            result.value,
+            result.timed_out,
+            result.certified,
+            result.witness,
+        )
+
+    def test_same_probes_and_result_as_reference(self, monkeypatch):
+        rng = random.Random(11)
+        seen = {"error": 0, "certified": 0, "upper-bound": 0, "re-probed": 0, "two-timeouts": 0}
+        for case in range(4000):
+            hi = rng.randint(0, 40)
+            script = self._scripted(rng, hi)
+            new = self._run(monkeypatch, driver._min_cap_search, script, hi, seed=case)
+            ref = self._run(monkeypatch, reference_min_cap_search, script, hi, seed=case)
+            assert new == ref, (case, hi)
+            if new[0] == "error":
+                seen["error"] += 1
+                continue
+            probes, _, _, certified, _ = new
+            seen["certified" if certified else "upper-bound"] += 1
+            caps = [cap for cap, _, _ in probes]
+            seen["re-probed"] += len(caps) != len(set(caps))
+            seen["two-timeouts"] += sum(v is Verdict.TIMEOUT for _, v, _ in probes[1:]) >= 2
+        assert min(seen.values()) >= 100, seen

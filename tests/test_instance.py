@@ -238,7 +238,7 @@ def write_trial_set(inst, path):
     est.save_trials_jsonl(path, inst)
 
     def load(p, i):
-        return [t.to_json_dict() for t in load_trial_set(p, i)[1]]
+        return [t.to_json_dict() for t in load_trial_set(p, i).trials]
 
     return [t.to_json_dict() for t in est.trials], load
 

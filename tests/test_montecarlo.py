@@ -7,11 +7,13 @@ import math
 
 import pytest
 
-from repacker.cliques import enumerate_cliques_greedy
+from repacker import montecarlo
+from repacker.cliques import CliqueCatalog, enumerate_cliques_greedy
 from repacker.montecarlo import (
     BACKEND_CLIQUE_ONLY,
     BACKEND_CLIQUE_THEN_SAT,
     BACKEND_SAT,
+    BACKENDS,
     TrialReport,
     estimate_success,
     load_trial_set,
@@ -19,9 +21,11 @@ from repacker.montecarlo import (
     shared_randomness_sweep,
 )
 from repacker.participation import ModelSpec
+from repacker.solver import EmbeddedSolver, SolveOutcome, Verdict
 from repacker.synthetic import generate_synthetic
 
 from conftest import build_instance
+from reference_paths import reference_run_trial
 
 
 def congested_instance():
@@ -159,8 +163,64 @@ class TestEstimateSuccess:
         )
         path = tmp_path / "trials.jsonl"
         est.save_trials_jsonl(path, inst, config_digest="deadbeef")
-        loaded = load_trial_set(path, inst)[1]
+        loaded = load_trial_set(path, inst).trials
         assert [t.to_json_dict() for t in loaded] == [t.to_json_dict() for t in est.trials]
+
+
+class TestTrialMatchesReference:
+    """Every backend's trials equal those of the per-outcome trial path they replaced."""
+
+    class SometimesTimingOut:
+        """The embedded solver, except that every fifth solve seed times out."""
+
+        def __init__(self):
+            self.inner = EmbeddedSolver()
+
+        def solve(self, formula, seed=0, time_budget=60.0):
+            if seed % 5 == 0:
+                return SolveOutcome(Verdict.TIMEOUT)
+            return self.inner.solve(formula, seed=seed, time_budget=time_budget)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_trial_matches_reference(self, monkeypatch, backend):
+        inst = congested_instance()
+        full = enumerate_cliques_greedy(inst, seed=3)
+        # Without its largest clique the catalog misses draws the solver refutes.
+        partial = CliqueCatalog(full.cliques[1:], full.min_size_retained)
+        engine = self.SometimesTimingOut()
+        verdicts = {}
+        for model, catalog in itertools.product(
+            (
+                ModelSpec.random_broadcasters(0.55),
+                ModelSpec.random_affiliates(0.6),
+                ModelSpec.correlated_affiliates(0.6),
+                ModelSpec.revenue(0.5, 1.5),
+            ),
+            (full, partial),
+        ):
+            def run():
+                return estimate_success(
+                    model, inst, TARGET, trials=40, seed=11, backend=backend,
+                    catalog=catalog, engine=engine,
+                )
+
+            trials = [t.to_json_dict() for t in run().trials]
+            with monkeypatch.context() as patched:
+                patched.setattr(montecarlo, "_run_trial", reference_run_trial)
+                assert [t.to_json_dict() for t in run().trials] == trials
+            for t in trials:
+                key = (t["verdict"], t["z"] is not None)
+                verdicts[key] = verdicts.get(key, 0) + 1
+        # Every way this backend can decide a trial occurs: feasible, blocked
+        # by a clique, refuted by the solver, timed out.
+        required = {
+            BACKEND_SAT: {("feasible", False), ("infeasible", False), ("timeout", False)},
+            BACKEND_CLIQUE_THEN_SAT: {
+                ("feasible", False), ("infeasible", True), ("infeasible", False), ("timeout", False),
+            },
+            BACKEND_CLIQUE_ONLY: {("feasible", False), ("infeasible", True)},
+        }[backend]
+        assert all(verdicts.get(key, 0) >= 3 for key in required), verdicts
 
 
 class TestMeanZ:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from repacker.instance import Affiliation
+from repacker.instance import NETWORKS, Affiliation
 from repacker.participation import (
     ModelSpec,
     draw_variates,
@@ -16,7 +16,10 @@ from repacker.participation import (
     sample_from_variates,
 )
 
+from repacker.synthetic import generate_synthetic
+
 from conftest import build_instance
+from reference_paths import reference_sample_from_variates
 
 
 def affiliate_instance():
@@ -192,3 +195,34 @@ class TestRevenueModel:
         probs = revenue_probabilities(inst, beta=1.0, gamma=1.0)
         for sid in inst.station_ids:
             assert abs(freq[sid] / draws - probs[sid]) < 0.05
+
+
+class TestSampleMatchesReference:
+    def test_same_bits_as_per_model_loops(self):
+        # The single station pass thresholds exactly as the per-model loops did,
+        # also at rates equal to a drawn variate.
+        inst = generate_synthetic(40, channel_count=4, affiliate_fraction=0.5, seed=8)
+        for seed in range(60):
+            variates = draw_variates(inst, seed)
+            station_u = variates.station_u[inst.station_ids[seed % inst.n]]
+            group_u = variates.group_u[NETWORKS[seed % len(NETWORKS)]]
+            specs = [
+                builder(alpha)
+                for builder in (
+                    ModelSpec.random_broadcasters,
+                    ModelSpec.random_affiliates,
+                    ModelSpec.correlated_affiliates,
+                )
+                for alpha in (0.0, 0.3, 0.9)
+            ] + [
+                ModelSpec.random_broadcasters(station_u),
+                ModelSpec.random_affiliates(group_u),
+                ModelSpec.correlated_affiliates(0.5, top_prob=max(0.5, variates.top_u)),
+                ModelSpec.revenue(0.5, 1.0),
+                ModelSpec.revenue(0.2, 3.0),
+            ]
+            for spec in specs:
+                assert (
+                    sample_from_variates(spec, inst, variates).bits
+                    == reference_sample_from_variates(spec, inst, variates).bits
+                ), (seed, spec)
