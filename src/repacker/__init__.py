@@ -20,7 +20,6 @@ from .instance import (
 )
 from .instance_io import (
     instance_digest,
-    instance_from_json,
     instance_to_json,
     load_instance,
     save_instance,
@@ -33,7 +32,6 @@ from .encoder import (
     VarPool,
     at_most_true,
     decode,
-    dimacs_text,
     encode,
     export_dimacs,
     parse_dimacs_result,
@@ -70,10 +68,8 @@ from .participation import (
     sample_from_variates,
 )
 from .cliques import (
-    AttributionResult,
     BlockingReport,
     CliqueCatalog,
-    attribution_fraction,
     blocking_check,
     enumerate_cliques_greedy,
 )
@@ -84,7 +80,6 @@ from .montecarlo import (
     SuccessEstimate,
     TrialReport,
     estimate_success,
-    mean_z,
     shared_randomness_sweep,
 )
 from . import analytics

@@ -127,8 +127,8 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
         fh.write("\n")
 
 
-def _print(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
+def _print(payload: dict, digest: str) -> None:
+    json.dump({**payload, "config_digest": digest}, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
 
 
@@ -191,22 +191,19 @@ def _cmd_gen(args: argparse.Namespace, digest: str) -> None:
         seed=args.seed,
     )
     save_instance(instance, out_dir)
+    inst_digest = instance_digest(instance)
     # The instance CSVs stay comment-free for canonical round-trips, so the
     # provenance digest rides in a sidecar instead.
-    _write_json(
-        out_dir / "meta.json",
-        {"instance_digest": instance_digest(instance), "n": instance.n},
-        digest,
-    )
+    _write_json(out_dir / "meta.json", {"instance_digest": inst_digest, "n": instance.n}, digest)
     _print(
         {
             "out": str(out_dir),
             "n": instance.n,
             "dmas": len(instance.dmas),
             "interference": len(instance.interference),
-            "instance_digest": instance_digest(instance),
-            "config_digest": digest,
-        }
+            "instance_digest": inst_digest,
+        },
+        digest,
     )
 
 
@@ -227,8 +224,8 @@ def _cmd_encode(args: argparse.Namespace, digest: str) -> None:
             "vars": str(vars_path),
             "var_count": formula.var_count,
             "clause_count": formula.clause_count,
-            "config_digest": digest,
-        }
+        },
+        digest,
     )
 
 
@@ -242,7 +239,6 @@ def _cmd_solve(args: argparse.Namespace, digest: str) -> None:
         "infeasible_by_timeout": result.infeasible_by_timeout,
         "seed": result.seed,
         "stats": result.stats.to_json_dict(),
-        "config_digest": digest,
     }
     if result.assignment is not None:
         violations = validate_assignment(problem, result.assignment)
@@ -251,7 +247,7 @@ def _cmd_solve(args: argparse.Namespace, digest: str) -> None:
         if args.out:
             _write_json(Path(args.out), {"assignment": result.assignment.to_json_dict()}, digest)
             payload["assignment_file"] = str(args.out)
-    _print(payload)
+    _print(payload, digest)
 
 
 def _isolated_params(args: argparse.Namespace) -> dict[str, Any]:
@@ -278,11 +274,7 @@ def _cmd_min_search(args: argparse.Namespace, digest: str) -> None:
         time_budget=args.timeout_secs,
         engine=_engine_from(args),
     )
-    payload = {
-        **result.to_json_dict(),
-        **{key: getattr(args, key) for key in echoed},
-        "config_digest": digest,
-    }
+    payload = {**result.to_json_dict(), **{key: getattr(args, key) for key in echoed}}
     if args.out:
         _write_json(
             Path(args.out),
@@ -290,7 +282,7 @@ def _cmd_min_search(args: argparse.Namespace, digest: str) -> None:
             digest,
         )
         payload["result_file"] = str(args.out)
-    _print(payload)
+    _print(payload, digest)
 
 
 def _cmd_sample(args: argparse.Namespace, digest: str) -> None:
@@ -317,9 +309,8 @@ def _cmd_sample(args: argparse.Namespace, digest: str) -> None:
         "shortfall": sample_set.shortfall,
         "b_star": sample_set.b_star,
         "cap": sample_set.cap,
-        "config_digest": digest,
     }
-    _print(payload)
+    _print(payload, digest)
     if sample_set.shortfall:
         raise CliError(
             f"sampled only {len(sample_set.samples)} of {sample_set.requested} solutions"
@@ -343,18 +334,19 @@ def _cmd_cliques(args: argparse.Namespace, digest: str) -> None:
             "out": str(out),
             "cliques": len(catalog),
             "largest": catalog.largest(),
-            "config_digest": digest,
-        }
+        },
+        digest,
     )
 
 
 def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
-    instance = load_instance(args.instance)
     alphas = [float(a) for a in str(args.alphas).split(",") if a] if args.alphas else []
+    if alphas and args.alpha is not None:
+        raise CliError("--alpha cannot be combined with --alphas, which sets every rate")
+    instance = load_instance(args.instance)
     # The sweep overrides the rate per grid point; any point serves as the
     # base model, so use the first.
-    alpha = alphas[0] if alphas and args.alpha is None else args.alpha
-    model = _model_from(args, alpha)
+    model = _model_from(args, alphas[0] if alphas else args.alpha)
     catalog = CliqueCatalog.load_jsonl(args.catalog, instance) if args.catalog else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -385,8 +377,8 @@ def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
                  "alpha": est.model.alpha}
                 for est in estimates
             ],
-            "config_digest": digest,
-        }
+        },
+        digest,
     )
 
 
@@ -489,14 +481,14 @@ def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
             out_dir / "trials_summary.csv",
             ("trials", "infeasible", "timeouts", "p", "mean_z", "attribution_fraction"),
             [(est.trial_count, est.infeasible_count, est.timeout_count, p,
-              est.mean_z_value, est.attribution.fraction)],
+              est.mean_z, est.attribution_fraction)],
             digest,
         )
         summary["trials"] = est.trial_count
         summary["p"] = p
 
     _write_json(out_dir / "summary.json", summary, digest)
-    _print({"out": str(out_dir), **summary, "config_digest": digest})
+    _print({"out": str(out_dir), **summary}, digest)
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .instance import Instance
 from .instance_io import load_artifact, save_artifact
@@ -154,27 +154,3 @@ def blocking_check(
     if not blocking:
         return BlockingReport(blocked=False)
     return BlockingReport(blocked=True, z=len(union), blocking_sets=tuple(blocking))
-
-
-@dataclass(frozen=True)
-class AttributionResult:
-    fraction: Optional[float]
-    blocked_infeasible: int
-    infeasible: int
-
-
-def attribution_fraction(trials: Sequence) -> AttributionResult:
-    """Share of infeasible trials that a blocking clique accounts for.
-
-    Takes any records with ``infeasible`` and ``blocked`` attributes (trial
-    reports). Undefined when no trial was infeasible.
-    """
-    infeasible = [t for t in trials if t.infeasible]
-    if not infeasible:
-        return AttributionResult(fraction=None, blocked_infeasible=0, infeasible=0)
-    blocked = sum(1 for t in infeasible if t.blocked)
-    return AttributionResult(
-        fraction=blocked / len(infeasible),
-        blocked_infeasible=blocked,
-        infeasible=len(infeasible),
-    )

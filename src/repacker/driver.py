@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -183,17 +183,10 @@ def min_nationwide_clearings(
     engine=None,
 ) -> MinSearchResult:
     """Smallest number of stations that must be cleared to reach the target."""
-
-    def make(cap: int) -> RepackProblem:
-        return RepackProblem(
-            instance=instance,
-            clearing_target_mhz=target_mhz,
-            use_domain_constraints=use_domain,
-            max_cleared_nationwide=cap,
-        )
-
+    base = RepackProblem(instance, target_mhz, use_domain)
     return _min_cap_search(
-        make, instance.n, seed=seed, time_budget=time_budget, engine=engine,
+        lambda cap: replace(base, max_cleared_nationwide=cap), instance.n,
+        seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-clearings@{target_mhz}MHz",
     )
 
@@ -208,19 +201,25 @@ def min_dmas_with_clearing(
     engine=None,
 ) -> MinSearchResult:
     """Smallest number of DMAs in which any clearing occurs."""
-
-    def make(cap: int) -> RepackProblem:
-        return RepackProblem(
-            instance=instance,
-            clearing_target_mhz=target_mhz,
-            use_domain_constraints=use_domain,
-            max_dmas_with_clearing=cap,
-        )
-
+    base = RepackProblem(instance, target_mhz, use_domain)
     return _min_cap_search(
-        make, len(instance.dmas), seed=seed, time_budget=time_budget, engine=engine,
+        lambda cap: replace(base, max_dmas_with_clearing=cap), len(instance.dmas),
+        seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-dmas@{target_mhz}MHz",
     )
+
+
+def _b_star(
+    instance: Instance, target_mhz: int, use_domain: bool, b_star: Optional[int],
+    seed: int, time_budget: float, engine,
+) -> int:
+    """``b_star`` when given, else the nationwide minimum, searched with its own derived seed."""
+    if b_star is not None:
+        return b_star
+    return min_nationwide_clearings(
+        instance, target_mhz, use_domain,
+        seed=derive_seed(seed, "b-star"), time_budget=time_budget, engine=engine,
+    ).value
 
 
 def min_dma_clearings_isolated(
@@ -243,26 +242,14 @@ def min_dma_clearings_isolated(
     """
     if dma_id not in instance.dmas:
         raise ValueError(f"unknown DMA {dma_id}")
-    if b_star is None:
-        b_star = min_nationwide_clearings(
-            instance, target_mhz, use_domain,
-            seed=derive_seed(seed, "b-star"), time_budget=time_budget, engine=engine,
-        ).value
+    b_star = _b_star(instance, target_mhz, use_domain, b_star, seed, time_budget, engine)
     # Exact in the slack's decimal value: float ceil(50 * 1.1) would give 56.
     nationwide_cap = b_star + math.ceil(b_star * Fraction(str(slack)))
-
-    def make(cap: int) -> RepackProblem:
-        return RepackProblem(
-            instance=instance,
-            clearing_target_mhz=target_mhz,
-            use_domain_constraints=use_domain,
-            max_cleared_nationwide=nationwide_cap,
-            dma_caps={dma_id: cap},
-        )
-
-    hi = len(instance.dma_members.get(dma_id, ()))
+    base = RepackProblem(instance, target_mhz, use_domain, max_cleared_nationwide=nationwide_cap)
     return _min_cap_search(
-        make, hi, seed=seed, time_budget=time_budget, engine=engine,
+        lambda cap: replace(base, dma_caps={dma_id: cap}),
+        len(instance.dma_members.get(dma_id, ())),
+        seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-dma-{dma_id}@{target_mhz}MHz",
     )
 
@@ -370,11 +357,7 @@ def sample_solutions(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if b_star is None:
-        b_star = min_nationwide_clearings(
-            instance, target_mhz, use_domain,
-            seed=derive_seed(seed, "b-star"), time_budget=time_budget, engine=engine,
-        ).value
+    b_star = _b_star(instance, target_mhz, use_domain, b_star, seed, time_budget, engine)
     cap = b_star + buffer
     problem = RepackProblem(
         instance=instance,

@@ -10,7 +10,6 @@ when some station of that DMA is cleared.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
@@ -344,12 +343,6 @@ def export_dimacs(formula: CnfFormula, sink: TextIO) -> None:
     for clause in formula.clauses:
         sink.write(" ".join(str(lit) for lit in clause))
         sink.write(" 0\n")
-
-
-def dimacs_text(formula: CnfFormula) -> str:
-    buf = io.StringIO()
-    export_dimacs(formula, buf)
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

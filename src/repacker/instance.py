@@ -84,10 +84,6 @@ class ChannelUniverse:
         if not self.forbidden <= set(chans):
             raise InstanceError("forbidden channels must belong to the universe")
 
-    @property
-    def size(self) -> int:
-        return len(self.channels)
-
 
 #: UHF band 14..51 with channel 37 reserved (never assignable).
 US_UNIVERSE = ChannelUniverse(channels=tuple(range(14, 52)), forbidden=frozenset({37}))

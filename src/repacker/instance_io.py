@@ -11,11 +11,11 @@ Blank affiliation means independent, blank revenue means 0. The channel
 universe travels in an optional ``universe.json`` next to the CSVs and
 defaults to the UHF band 14..51 with channel 37 reserved.
 
-A canonical JSON form of the whole instance supports round-trip tests and
-digest-based provenance checks. Derived artifacts (sample sets, trial sets,
-clique catalogs) are JSON-lines files whose first line is a meta record
-naming the artifact's kind and the digest of its instance;
-:func:`save_artifact` writes them and :func:`load_artifact` checks both.
+An instance's digest is the hash of its canonical JSON form. Derived
+artifacts (sample sets, trial sets, clique catalogs) are JSON-lines files
+whose first line is a meta record naming the artifact's kind and the digest
+of its instance; :func:`save_artifact` writes them and :func:`load_artifact`
+checks both.
 """
 
 from __future__ import annotations
@@ -225,34 +225,6 @@ def instance_to_json(instance: Instance) -> str:
     return canonical_json(data)
 
 
-def instance_from_json(text: str) -> Instance:
-    data = json.loads(text)
-    return Instance(
-        stations=tuple(
-            Station(
-                id=s["id"],
-                dma_id=int(s["dma_id"]),
-                affiliation=Affiliation(s.get("affiliation", "NONE")),
-                revenue=float(s.get("revenue", 0.0)),
-            )
-            for s in data["stations"]
-        ),
-        universe=ChannelUniverse(
-            channels=tuple(int(c) for c in data["universe"]["channels"]),
-            forbidden=frozenset(int(c) for c in data["universe"].get("forbidden", ())),
-        ),
-        interference=frozenset(
-            InterferenceConstraint(kind=ConstraintKind(ic["kind"]), a=ic["a"], b=ic["b"])
-            for ic in data.get("interference", ())
-        ),
-        domain=frozenset(
-            DomainConstraint(station=dc["station"], channel=int(dc["channel"]))
-            for dc in data.get("domain", ())
-        ),
-        dmas={int(k): v for k, v in data.get("dmas", {}).items()},
-    )
-
-
 def instance_digest(instance: Instance) -> str:
     """Content hash used to tie derived artifacts back to their instance."""
     return sha256_hex(instance_to_json(instance))
@@ -282,12 +254,12 @@ def load_artifact(
     """Read a JSON-lines artifact written by :func:`save_artifact`.
 
     Returns the meta record and the records of ``record_type``. Raises
-    ``ValueError`` when the file is not a ``kind`` artifact or was derived
-    from a different instance.
+    ``ValueError`` when the file is not a ``kind`` artifact, was derived
+    from a different instance, or holds a record that is not a JSON object.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    meta = lines[0] if lines and isinstance(lines[0], dict) else {}
+        lines = [(n, json.loads(line)) for n, line in enumerate(fh, start=1) if line.strip()]
+    meta = lines[0][1] if lines and isinstance(lines[0][1], dict) else {}
     if meta.get("type") != "meta" or meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} file")
     digest = instance_digest(instance)
@@ -296,4 +268,7 @@ def load_artifact(
             f"{path}: {kind} belongs to a different instance "
             f"({str(meta.get('instance_digest'))[:12]}... vs {digest[:12]}...)"
         )
-    return meta, [rec for rec in lines[1:] if rec.get("type") == record_type]
+    for n, rec in lines[1:]:
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: line {n} is not a JSON object")
+    return meta, [rec for _, rec in lines[1:] if rec.get("type") == record_type]

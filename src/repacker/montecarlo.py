@@ -13,7 +13,9 @@ unblocked draw's verdict is. Three backends trade cost for completeness:
                         counted feasible, an explicit approximation.
 
 Timed-out solves count as infeasible under the standing convention but are
-tallied separately so the estimate can be read both ways.
+tallied separately so the estimate can be read both ways. Each estimate also
+reports what the clique scan explains: the mean degree of infeasibility ``z``
+and the share of infeasible trials a blocking clique accounts for.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cliques import AttributionResult, CliqueCatalog, attribution_fraction, blocking_check, enumerate_cliques_greedy
+from .cliques import CliqueCatalog, blocking_check, enumerate_cliques_greedy
 from .driver import DEFAULT_TIME_BUDGET, check_feasibility
 from .instance import Instance, RepackProblem, derive_available_channels
 from .instance_io import load_artifact, save_artifact
@@ -118,21 +120,28 @@ class SuccessEstimate:
         return 1.0 - (self.infeasible_count - self.timeout_count) / kept
 
     @property
-    def mean_z_value(self) -> Optional[float]:
-        return mean_z(self.trials)
+    def mean_z(self) -> Optional[float]:
+        """Average degree of infeasibility over the clique-blocked trials;
+        undefined (None) when no trial was blocked."""
+        zs = [t.z for t in self.trials if t.infeasible and t.z is not None]
+        if not zs:
+            return None
+        return sum(zs) / len(zs)
 
     @property
-    def attribution(self) -> AttributionResult:
-        # The pure SAT backend never runs the clique scan, so the fraction of
-        # clique-attributable infeasibilities is unknown, not zero.
-        if self.backend == BACKEND_SAT:
-            return AttributionResult(
-                fraction=None, blocked_infeasible=0, infeasible=self.infeasible_count
-            )
-        return attribution_fraction(self.trials)
+    def attribution_fraction(self) -> Optional[float]:
+        """Share of infeasible trials that a blocking clique accounts for.
+
+        Undefined (None) when no trial is infeasible, and for the ``sat``
+        backend, which never runs the clique scan: there the share is
+        unknown, not zero.
+        """
+        infeasible = [t for t in self.trials if t.infeasible]
+        if self.backend == BACKEND_SAT or not infeasible:
+            return None
+        return sum(1 for t in infeasible if t.blocked) / len(infeasible)
 
     def summary_row(self) -> dict:
-        attr = self.attribution
         return {
             "model": self.model.kind.value,
             "alpha": self.model.alpha,
@@ -146,8 +155,8 @@ class SuccessEstimate:
             "stderr": self.stderr,
             "timeouts": self.timeout_count,
             "p_excluding_timeouts": self.p_excluding_timeouts,
-            "mean_z": self.mean_z_value,
-            "attribution_fraction": attr.fraction,
+            "mean_z": self.mean_z,
+            "attribution_fraction": self.attribution_fraction,
         }
 
     def save_trials_jsonl(
@@ -185,15 +194,6 @@ def load_trial_set(path: str | os.PathLike, instance: Instance) -> SuccessEstima
         backend=meta["backend"],
         trials=trials,
     )
-
-
-def mean_z(trials: Sequence[TrialReport]) -> Optional[float]:
-    """Average degree of infeasibility over infeasible trials with blocking
-    information; undefined (None) when no trial qualifies."""
-    zs = [t.z for t in trials if t.infeasible and t.z is not None]
-    if not zs:
-        return None
-    return sum(zs) / len(zs)
 
 
 def _run_trial(context, task: tuple[int, int]) -> TrialReport:

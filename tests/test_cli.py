@@ -407,6 +407,37 @@ class TestConfigAndErrors:
         assert not (tmp_path / "sim").exists()
 
 
+    def test_simulate_rejects_alpha_with_alphas(self, instance_dir, tmp_path, capsys):
+        sweep = (
+            "simulate", "--instance", str(instance_dir), "--target", "12",
+            "--model", "correlated-affiliates", "--alphas", "0.2,0.5", "--trials", "2",
+            "--backend", "clique-only", "--workers", "1",
+        )
+        err = run_cli_error(capsys, *sweep, "--alpha", "0.95", "--out", str(tmp_path / "a"))
+        assert err["error"]["type"] == "CliError"
+        assert "--alphas" in err["error"]["message"]
+        assert not (tmp_path / "a").exists()
+        # The base model comes from the first grid point, so every point is checked alike.
+        assert len(run_cli(capsys, *sweep, "--out", str(tmp_path / "b"))["points"]) == 2
+
+    def test_stats_rejects_a_record_that_is_not_an_object(self, instance_dir, tmp_path, capsys):
+        run_cli(
+            capsys, "simulate", "--instance", str(instance_dir), "--target", "12",
+            "--model", "random-broadcasters", "--alpha", "0.5", "--trials", "3",
+            "--backend", "clique-only", "--workers", "1", "--out", str(tmp_path / "sim"),
+        )
+        trials = tmp_path / "sim" / "trials.jsonl"
+        trials.write_text(trials.read_text().splitlines()[0] + "\n[1,2]\n")
+        err = run_cli_error(
+            capsys, "stats", "--instance", str(instance_dir),
+            "--trials-file", str(trials), "--out", str(tmp_path / "stats"),
+        )
+        assert err["error"] == {
+            "type": "CliError", "message": f"{trials}: line 2 is not a JSON object",
+        }
+        assert not (tmp_path / "stats").exists()
+
+
 class TestConfigDigest:
     """The digest covers every option the subcommand takes, defaults included,
     and nothing that leaves results unchanged."""
@@ -431,6 +462,44 @@ class TestConfigDigest:
             "--model", "random-broadcasters", "--alpha", "0.5", "--trials", "3",
             "--backend", "clique-only", "--out", str(out), *extra,
         )
+
+    def test_stdout_digest_matches_written_files(self, tmp_path, capsys):
+        def digests_in(path: Path) -> list[str]:
+            if path.is_dir():
+                return [d for f in sorted(path.iterdir()) for d in digests_in(f)]
+            first = path.read_text().splitlines()[0]
+            if path.suffix == ".csv":
+                return [first.removeprefix("# config_digest=")]
+            if path.suffix == ".jsonl":
+                return [json.loads(first)["config_digest"]]
+            return [json.loads(path.read_text())["config_digest"]]
+
+        inst, sim, sweep = tmp_path / "inst", tmp_path / "sim", tmp_path / "sweep"
+        solving = ("--instance", str(inst), "--target", "12")
+        model = ("--model", "random-broadcasters", "--trials", "4", "--workers", "1")
+        runs = [
+            (("gen", "--n", "8", "--channels", "5", "--co-density", "0.3", "--clique-size",
+              "4", "--seed", "2", "--out", str(inst)), [inst / "meta.json"]),
+            (("encode", *solving, "--out", str(tmp_path / "f")), [tmp_path / "f.vars.json"]),
+            (("solve", *solving, "--out", str(tmp_path / "a.json")), [tmp_path / "a.json"]),
+            (("min-clear", *solving, "--out", str(tmp_path / "m.json")), [tmp_path / "m.json"]),
+            (("min-dmas", *solving, "--out", str(tmp_path / "d.json")), [tmp_path / "d.json"]),
+            (("min-dma-isolated", *solving, "--dma", "1", "--out", str(tmp_path / "i.json")),
+             [tmp_path / "i.json"]),
+            (("sample", *solving, "--count", "3", "--workers", "1",
+              "--out", str(tmp_path / "s.jsonl")), [tmp_path / "s.jsonl"]),
+            (("cliques", "--instance", str(inst), "--out", str(tmp_path / "c.jsonl")),
+             [tmp_path / "c.jsonl"]),
+            (("simulate", *solving, *model, "--alpha", "0.5", "--out", str(sim)), [sim]),
+            (("simulate", *solving, *model, "--alphas", "0.3,0.9", "--out", str(sweep)), [sweep]),
+            (("stats", "--instance", str(inst), "--samples", str(tmp_path / "s.jsonl"),
+              "--trials-file", str(sim / "trials.jsonl"), "--out", str(tmp_path / "st")),
+             [tmp_path / "st"]),
+        ]
+        for argv, written in runs:
+            digest = self.digest(capsys, *argv)
+            found = [d for path in written for d in digests_in(path)]
+            assert found and set(found) == {digest}, argv[0]
 
     def test_simulate_target_enters_digest(self, instance_dir, tmp_path, capsys):
         d6 = self.simulate(capsys, instance_dir, tmp_path / "s6", "--target", "6", "--workers", "1")

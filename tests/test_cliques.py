@@ -7,7 +7,6 @@ import pytest
 from repacker.cliques import (
     CliqueCatalog,
     CliqueError,
-    attribution_fraction,
     blocking_check,
     enumerate_cliques_greedy,
 )
@@ -15,6 +14,7 @@ from repacker.montecarlo import TrialReport
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance
+from test_montecarlo import estimate_of
 
 
 class TestEnumeration:
@@ -132,22 +132,20 @@ def _trial(verdict: str, z=None) -> TrialReport:
 
 
 class TestAttribution:
+    """The share of an estimate's infeasible trials that blocking cliques explain."""
+
     def test_all_blocked(self):
-        trials = [_trial("infeasible", z=5), _trial("infeasible", z=7)]
-        result = attribution_fraction(trials)
-        assert result.fraction == 1.0
-        assert result.blocked_infeasible == 2
+        est = estimate_of(_trial("infeasible", z=5), _trial("infeasible", z=7))
+        assert est.attribution_fraction == 1.0
 
     def test_none_blocked(self):
-        trials = [_trial("infeasible"), _trial("infeasible")]
-        assert attribution_fraction(trials).fraction == 0.0
+        est = estimate_of(_trial("infeasible"), _trial("infeasible"))
+        assert est.attribution_fraction == 0.0
 
     def test_mixed(self):
-        trials = [_trial("infeasible", z=5), _trial("infeasible"), _trial("feasible")]
-        result = attribution_fraction(trials)
-        assert result.fraction == 0.5
-        assert result.infeasible == 2
+        est = estimate_of(_trial("infeasible", z=5), _trial("infeasible"), _trial("feasible"))
+        assert est.attribution_fraction == 0.5
+        assert est.infeasible_count == 2
 
     def test_no_infeasible_trials_undefined(self):
-        result = attribution_fraction([_trial("feasible")])
-        assert result.fraction is None
+        assert estimate_of(_trial("feasible")).attribution_fraction is None

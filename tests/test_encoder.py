@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import random
 
@@ -15,8 +16,8 @@ from repacker.encoder import (
     VarPool,
     at_most_true,
     decode,
-    dimacs_text,
     encode,
+    export_dimacs,
     model_from_literals,
     parse_dimacs_result,
 )
@@ -403,7 +404,9 @@ class TestDecode:
 class TestDimacs:
     def test_exact_minimal_output(self):
         formula = CnfFormula(var_count=1, clauses=((1,),))
-        assert dimacs_text(formula) == "p cnf 1 1\n1 0\n"
+        sink = io.StringIO()
+        export_dimacs(formula, sink)
+        assert sink.getvalue() == "p cnf 1 1\n1 0\n"
 
     def test_parse_sat_output(self):
         text = "c comment\ns SATISFIABLE\nv 1 -2 3 0\n"

@@ -14,10 +14,10 @@ from repacker.montecarlo import (
     BACKEND_CLIQUE_THEN_SAT,
     BACKEND_SAT,
     BACKENDS,
+    SuccessEstimate,
     TrialReport,
     estimate_success,
     load_trial_set,
-    mean_z,
     shared_randomness_sweep,
 )
 from repacker.participation import ModelSpec
@@ -58,7 +58,7 @@ class TestEstimateSuccess:
         assert est.p == 0.0
         # Every failure carries the planted clique.
         assert all(t.blocked for t in est.trials)
-        assert est.mean_z_value >= 5
+        assert est.mean_z >= 5
 
     def test_backend_agreement_trial_by_trial(self):
         inst = congested_instance()
@@ -138,7 +138,7 @@ class TestEstimateSuccess:
             backend=BACKEND_SAT,
         )
         assert est.infeasible_count > 0
-        assert est.attribution.fraction is None
+        assert est.attribution_fraction is None
 
     def test_attribution_fraction_dominated_by_cliques(self):
         # On an instance whose hard core is one big clique, nearly every
@@ -151,9 +151,8 @@ class TestEstimateSuccess:
             ModelSpec.random_broadcasters(0.8), inst, TARGET, trials=150, seed=6,
             backend=BACKEND_CLIQUE_THEN_SAT,
         )
-        attr = est.attribution
-        assert attr.infeasible > 30
-        assert attr.fraction >= 0.8
+        assert est.infeasible_count > 30
+        assert est.attribution_fraction >= 0.8
 
     def test_trials_jsonl_round_trip(self, tmp_path):
         inst = congested_instance()
@@ -223,28 +222,59 @@ class TestTrialMatchesReference:
         assert all(verdicts.get(key, 0) >= 3 for key in required), verdicts
 
 
+def estimate_of(*trials: TrialReport) -> SuccessEstimate:
+    """A clique-then-sat estimate over hand-built trials."""
+    return SuccessEstimate(
+        model=ModelSpec.random_broadcasters(0.5), target_mhz=TARGET, use_domain=True,
+        backend=BACKEND_CLIQUE_THEN_SAT, trials=list(trials),
+    )
+
+
 class TestMeanZ:
     def test_single_trial(self):
         t = TrialReport(index=0, seed=0, draw_digest="", verdict="infeasible", z=52)
-        assert mean_z([t]) == 52
+        assert estimate_of(t).mean_z == 52
 
     def test_two_trials_average(self):
         ts = [
             TrialReport(index=0, seed=0, draw_digest="", verdict="infeasible", z=10),
             TrialReport(index=1, seed=0, draw_digest="", verdict="infeasible", z=20),
         ]
-        assert mean_z(ts) == 15
+        assert estimate_of(*ts).mean_z == 15
 
     def test_feasible_only_undefined(self):
         t = TrialReport(index=0, seed=0, draw_digest="", verdict="feasible")
-        assert mean_z([t]) is None
+        assert estimate_of(t).mean_z is None
 
     def test_unblocked_infeasibilities_not_counted(self):
         ts = [
             TrialReport(index=0, seed=0, draw_digest="", verdict="infeasible", z=6),
             TrialReport(index=1, seed=0, draw_digest="", verdict="infeasible"),
         ]
-        assert mean_z(ts) == 6
+        assert estimate_of(*ts).mean_z == 6
+
+
+class TestEstimateStatistics:
+    def test_one_trial_of_each_outcome(self):
+        est = estimate_of(
+            TrialReport(index=0, seed=0, draw_digest="", verdict="feasible"),
+            TrialReport(index=1, seed=0, draw_digest="", verdict="infeasible", z=5, blocking_cliques=1),
+            TrialReport(index=2, seed=0, draw_digest="", verdict="infeasible"),
+            TrialReport(index=3, seed=0, draw_digest="", verdict="timeout"),
+        )
+        # The timeout counts as infeasible, and no clique explains it.
+        assert (est.trial_count, est.infeasible_count, est.timeout_count) == (4, 3, 1)
+        assert est.p == 0.25
+        assert est.p_excluding_timeouts == pytest.approx(1 / 3)
+        assert est.mean_z == 5
+        assert est.attribution_fraction == pytest.approx(1 / 3)
+        assert list(est.summary_row().items()) == [
+            ("model", "random-broadcasters"), ("alpha", 0.5), ("beta", None), ("gamma", None),
+            ("target_mhz", TARGET), ("use_domain", True), ("backend", BACKEND_CLIQUE_THEN_SAT),
+            ("trials", 4), ("p", 0.25), ("stderr", pytest.approx(math.sqrt(0.25 * 0.75 / 4))),
+            ("timeouts", 1), ("p_excluding_timeouts", pytest.approx(1 / 3)), ("mean_z", 5),
+            ("attribution_fraction", pytest.approx(1 / 3)),
+        ]
 
 
 class TestSharedRandomnessSweep:
