@@ -209,6 +209,19 @@ def _restricted_distance(sa: frozenset[str], sb: frozenset[str]) -> Optional[flo
     return len(sa ^ sb) / len(union)
 
 
+def _pair_distance_sum(sets: list[frozenset[str]]) -> tuple[float, int]:
+    """Sum, in pair order, and count of the pairwise distances of sets not both empty."""
+    total = 0.0
+    counted = 0
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            d = _restricted_distance(sets[i], sets[j])
+            if d is not None:
+                total += d
+                counted += 1
+    return total, counted
+
+
 @dataclass(frozen=True)
 class DmaDiversity:
     dma_id: int
@@ -235,29 +248,16 @@ def diversity_report(sample_set: SampleSet) -> DiversityReport:
         raise ValueError("need at least 2 samples for diversity")
     inst = sample_set.problem.instance
     cleared = [s.assignment.cleared_set() for s in samples]
-
-    total = 0.0
-    pairs = 0
-    for i in range(len(cleared)):
-        for j in range(i + 1, len(cleared)):
-            total += _restricted_distance(cleared[i], cleared[j]) or 0.0
-            pairs += 1
-    overall = total / pairs
+    # Overall, a pair of empty sets counts, at distance 0.
+    total, _ = _pair_distance_sum(cleared)
+    overall = total / math.comb(len(cleared), 2)
 
     per_dma: list[DmaDiversity] = []
     for dma in sorted(inst.dmas):
         members = frozenset(inst.dma_members.get(dma, ()))
         if not members:
             continue
-        restricted = [c & members for c in cleared]
-        total_d = 0.0
-        counted = 0
-        for i in range(len(restricted)):
-            for j in range(i + 1, len(restricted)):
-                d = _restricted_distance(restricted[i], restricted[j])
-                if d is not None:
-                    total_d += d
-                    counted += 1
+        total_d, counted = _pair_distance_sum([c & members for c in cleared])
         if counted:
             per_dma.append(
                 DmaDiversity(

@@ -93,8 +93,7 @@ def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> Non
 
 def _check_required(args: argparse.Namespace) -> None:
     for name in _REQUIRED[args.command]:
-        # A config-file ``model_spec`` object stands in for ``--model``.
-        if getattr(args, name) is None and not (name == "model" and args.model_spec):
+        if getattr(args, name) is None:
             raise CliError(f"missing required parameter: --{name.replace('_', '-')}")
 
 
@@ -115,8 +114,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence], dige
         fh.write(f"# config_digest={digest}\n")
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow(["" if v is None else v for v in row])
+        # The csv module writes None as an empty field.
+        w.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict, digest: str) -> None:
@@ -130,15 +129,6 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
 def _print(payload: dict, digest: str) -> None:
     json.dump({**payload, "config_digest": digest}, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _model_from(args: argparse.Namespace, alpha: Optional[float]) -> ModelSpec:
-    if isinstance(args.model_spec, dict):
-        return ModelSpec.from_dict(args.model_spec)
-    return ModelSpec.from_dict({
-        "kind": args.model, "alpha": alpha, "beta": args.beta, "gamma": args.gamma,
-        "top_prob": args.top_prob,
-    })
 
 
 def _read_station_list(path: str) -> frozenset[str]:
@@ -346,10 +336,14 @@ def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
     instance = load_instance(args.instance)
     # The sweep overrides the rate per grid point; any point serves as the
     # base model, so use the first.
-    model = _model_from(args, alphas[0] if alphas else args.alpha)
-    catalog = CliqueCatalog.load_jsonl(args.catalog, instance) if args.catalog else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    model = ModelSpec.from_dict({
+        "kind": args.model, "alpha": alphas[0] if alphas else args.alpha, "beta": args.beta,
+        "gamma": args.gamma, "top_prob": args.top_prob,
+    })
+    try:
+        catalog = CliqueCatalog.load_jsonl(args.catalog, instance) if args.catalog else None
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     run = dict(
         trials=args.trials, seed=args.seed, backend=args.backend, catalog=catalog,
         time_budget=args.timeout_secs, engine=_engine_from(args), workers=args.workers,
@@ -359,13 +353,14 @@ def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
         estimates = shared_randomness_sweep(
             model, alphas, instance, args.target, args.use_domain, **run
         )
-        for est in estimates:
-            est.save_trials_jsonl(
-                out_dir / f"trials-alpha-{est.model.alpha:g}.jsonl", instance, digest
-            )
     else:
         estimates = [estimate_success(model, instance, args.target, args.use_domain, **run)]
-        estimates[0].save_trials_jsonl(out_dir / "trials.jsonl", instance, digest)
+    # Created only now, so a run that fails on its inputs leaves no --out behind.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for est in estimates:
+        name = f"trials-alpha-{est.model.alpha:g}.jsonl" if alphas else "trials.jsonl"
+        est.save_trials_jsonl(out_dir / name, instance, digest)
 
     rows = [est.summary_row() for est in estimates]
     _write_csv(out_dir / "summary.csv", list(rows[0]), [list(r.values()) for r in rows], digest)
@@ -601,8 +596,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--backend", choices=BACKENDS, default=BACKEND_SAT)
     p.add_argument("--catalog", help="clique catalog JSONL to reuse")
     p.add_argument("--alphas", help="comma-separated grid for a shared-randomness sweep")
-    # A config-file-only field: a full ModelSpec object that replaces --model.
-    p.set_defaults(fn=_cmd_simulate, model_spec=None)
+    p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("cliques", parents=[base, seeded, source], help="build a clique catalog")
     p.add_argument("--min-size", type=int, dest="min_size", default=2)

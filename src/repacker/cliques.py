@@ -64,10 +64,12 @@ class CliqueCatalog:
 
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "CliqueCatalog":
-        meta, records = load_artifact(path, "clique-catalog", instance, "clique")
-        cliques = tuple(frozenset(rec["members"]) for rec in records)
+        min_size, cliques = load_artifact(
+            path, "clique-catalog", instance, "clique",
+            lambda meta: int(meta.get("min_size", 2)), lambda rec: frozenset(rec["members"]),
+        )
         _verify_cliques(cliques, instance.co_adjacency)
-        return cls(cliques=cliques, min_size_retained=int(meta.get("min_size", 2)))
+        return cls(cliques=tuple(cliques), min_size_retained=min_size)
 
 
 def enumerate_cliques_greedy(

@@ -300,28 +300,32 @@ class SampleSet:
 
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "SampleSet":
-        meta, records = load_artifact(path, "sample-set", instance, "sample")
-        problem = RepackProblem(
-            instance=instance,
-            clearing_target_mhz=int(meta["target_mhz"]),
-            use_domain_constraints=bool(meta["use_domain"]),
-            max_cleared_nationwide=meta["cap"],
-        )
-        samples = [
-            Sample(
+        def fields(meta: dict) -> dict:
+            return {
+                "problem": RepackProblem(
+                    instance=instance,
+                    clearing_target_mhz=int(meta["target_mhz"]),
+                    use_domain_constraints=bool(meta["use_domain"]),
+                    max_cleared_nationwide=meta["cap"],
+                ),
+                "buffer": int(meta.get("buffer") or 0),
+                "b_star": meta.get("b_star"),
+                "requested": meta.get("requested"),
+            }
+
+        def sample(rec: dict) -> Sample:
+            assignment = ChannelAssignment.from_json_dict(rec["assignment"])
+            unknown = assignment.channels.keys() - instance.by_id.keys()
+            if unknown:
+                raise ValueError(f"unknown station {min(unknown)!r}")
+            return Sample(
                 seed=int(rec["seed"]),
-                assignment=ChannelAssignment.from_json_dict(rec["assignment"]),
+                assignment=assignment,
                 stats=SolveStats(**rec["stats"]) if "stats" in rec else None,
             )
-            for rec in records
-        ]
-        return cls(
-            problem=problem,
-            samples=samples,
-            buffer=int(meta.get("buffer") or 0),
-            b_star=meta.get("b_star"),
-            requested=meta.get("requested"),
-        )
+
+        head, samples = load_artifact(path, "sample-set", instance, "sample", fields, sample)
+        return cls(samples=samples, **head)
 
 
 def _solve_sample(context, seed: int) -> Optional[Sample]:

@@ -213,21 +213,16 @@ class Instance:
 class ChannelPlan:
     """Channels left for repacking after clearing the top of the band.
 
-    ``channels`` is the retained (lowest) slice of the universe and its length
-    is the channel count ``c`` used throughout; reserved channels may still
-    appear in it and are listed in ``flagged`` — they are excluded from actual
-    assignment via per-station prohibitions, not by shrinking the count.
+    ``channels`` is the retained (lowest) slice of the universe. Reserved
+    channels may still appear in it and are listed in ``flagged``; the
+    encoder blocks them for every station. ``assignable`` is the rest, and
+    its length is the channel count ``c`` that a blocking clique must exceed.
     """
 
     channels: tuple[int, ...]
     flagged: frozenset[int]
-    removed: tuple[int, ...]
 
     __getstate__ = _fields_state
-
-    @property
-    def count(self) -> int:
-        return len(self.channels)
 
     @cached_property
     def assignable(self) -> tuple[int, ...]:
@@ -247,24 +242,16 @@ def derive_available_channels(target_mhz: int, universe: ChannelUniverse) -> Cha
         raise ValueError(f"clearing target must be a positive multiple of 6 MHz, got {target_mhz}")
     slots = target_mhz // 6
     chans = universe.channels
-    usable_total = sum(1 for ch in chans if ch not in universe.forbidden)
-    if slots > usable_total:
+    usable = [i for i, ch in enumerate(chans) if ch not in universe.forbidden]
+    if slots > len(usable):
         raise ValueError(
             f"clearing target {target_mhz} MHz needs {slots} usable channels, "
-            f"universe only has {usable_total}"
+            f"universe only has {len(usable)}"
         )
-    removed: list[int] = []
-    usable_removed = 0
-    k = 0
-    while usable_removed < slots:
-        k += 1
-        ch = chans[-k]
-        removed.append(ch)
-        if ch not in universe.forbidden:
-            usable_removed += 1
-    remaining = chans[: len(chans) - k]
+    # The cleared block runs from the slots-th usable channel from the top.
+    remaining = chans[: usable[-slots]]
     flagged = frozenset(ch for ch in remaining if ch in universe.forbidden)
-    return ChannelPlan(channels=remaining, flagged=flagged, removed=tuple(reversed(removed)))
+    return ChannelPlan(channels=remaining, flagged=flagged)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ defaults to the UHF band 14..51 with channel 37 reserved.
 An instance's digest is the hash of its canonical JSON form. Derived
 artifacts (sample sets, trial sets, clique catalogs) are JSON-lines files
 whose first line is a meta record naming the artifact's kind and the digest
-of its instance; :func:`save_artifact` writes them and :func:`load_artifact`
-checks both.
+of its instance. :func:`load_artifact` checks both, and reports a record
+its reader cannot parse as a ``ValueError`` naming the record's line.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from .instance import (
     US_UNIVERSE,
@@ -45,6 +45,8 @@ DOMAIN_FILE = "domain.csv"
 DMAS_FILE = "dmas.csv"
 UNIVERSE_FILE = "universe.json"
 
+_T = TypeVar("_T")
+
 
 def _fail(path: Path, row: int, msg: str) -> "InstanceError":
     return InstanceError(f"{path.name}, row {row}: {msg}")
@@ -54,7 +56,7 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[st
     if not path.is_file():
         raise InstanceError(f"missing input file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as blank
         if reader.fieldnames is None:
             raise InstanceError(f"{path.name}: empty file, header required")
         missing = [c for c in required if c not in reader.fieldnames]
@@ -65,6 +67,21 @@ def _read_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[st
             if any((row.get(c) or "").strip() for c in required):
                 rows.append((i, row))
         return rows
+
+
+def _write_rows(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _field(path: Path, row: int, text: str, parse: Callable[[str], _T], what: str) -> _T:
+    """``parse(text)``; a ValueError becomes ``<what> <text>``, naming the file and row."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise _fail(path, row, f"{what} {text!r}") from None
 
 
 def load_instance(directory: str | os.PathLike) -> Instance:
@@ -85,70 +102,54 @@ def load_instance(directory: str | os.PathLike) -> Instance:
         )
 
     dmas: dict[int, str] = {}
-    for rownum, row in _read_rows(base / DMAS_FILE, ("dma_id", "name")):
-        try:
-            dma_id = int(row["dma_id"])
-        except ValueError:
-            raise _fail(base / DMAS_FILE, rownum, f"bad dma_id {row['dma_id']!r}") from None
+    path = base / DMAS_FILE
+    for rownum, row in _read_rows(path, ("dma_id", "name")):
+        dma_id = _field(path, rownum, row["dma_id"], int, "bad dma_id")
         if dma_id in dmas:
-            raise _fail(base / DMAS_FILE, rownum, f"duplicate DMA id {dma_id}")
+            raise _fail(path, rownum, f"duplicate DMA id {dma_id}")
         dmas[dma_id] = row["name"].strip()
 
     stations: list[Station] = []
     seen_ids: set[str] = set()
-    for rownum, row in _read_rows(base / STATIONS_FILE, ("id", "dma_id")):
+    path = base / STATIONS_FILE
+    for rownum, row in _read_rows(path, ("id", "dma_id")):
         sid = row["id"].strip()
         if not sid:
-            raise _fail(base / STATIONS_FILE, rownum, "empty station id")
+            raise _fail(path, rownum, "empty station id")
         if sid in seen_ids:
-            raise _fail(base / STATIONS_FILE, rownum, f"duplicate station id {sid!r}")
+            raise _fail(path, rownum, f"duplicate station id {sid!r}")
         seen_ids.add(sid)
-        try:
-            dma_id = int(row["dma_id"])
-        except ValueError:
-            raise _fail(base / STATIONS_FILE, rownum, f"bad dma_id {row['dma_id']!r}") from None
+        dma_id = _field(path, rownum, row["dma_id"], int, "bad dma_id")
         aff_text = (row.get("affiliation") or "").strip()
-        try:
-            affiliation = Affiliation(aff_text) if aff_text else Affiliation.NONE
-        except ValueError:
-            raise _fail(base / STATIONS_FILE, rownum, f"unknown affiliation {aff_text!r}") from None
+        affiliation = _field(path, rownum, aff_text or "NONE", Affiliation, "unknown affiliation")
         rev_text = (row.get("revenue") or "").strip()
-        try:
-            revenue = float(rev_text) if rev_text else 0.0
-        except ValueError:
-            raise _fail(base / STATIONS_FILE, rownum, f"bad revenue {rev_text!r}") from None
+        revenue = _field(path, rownum, rev_text or "0", float, "bad revenue")
         try:
             stations.append(Station(id=sid, dma_id=dma_id, affiliation=affiliation, revenue=revenue))
         except InstanceError as exc:
-            raise _fail(base / STATIONS_FILE, rownum, str(exc)) from None
+            raise _fail(path, rownum, str(exc)) from None
 
     interference: set[InterferenceConstraint] = set()
-    for rownum, row in _read_rows(base / INTERFERENCE_FILE, ("kind", "station_a", "station_b")):
-        kind_text = row["kind"].strip()
-        try:
-            kind = ConstraintKind(kind_text)
-        except ValueError:
-            raise _fail(base / INTERFERENCE_FILE, rownum, f"unknown kind {kind_text!r}") from None
+    path = base / INTERFERENCE_FILE
+    for rownum, row in _read_rows(path, ("kind", "station_a", "station_b")):
+        kind = _field(path, rownum, row["kind"].strip(), ConstraintKind, "unknown kind")
         a, b = row["station_a"].strip(), row["station_b"].strip()
         for end in (a, b):
             if end not in seen_ids:
-                raise _fail(base / INTERFERENCE_FILE, rownum, f"unknown station {end!r}")
+                raise _fail(path, rownum, f"unknown station {end!r}")
         try:
             interference.add(InterferenceConstraint(kind=kind, a=a, b=b))
         except InstanceError as exc:
-            raise _fail(base / INTERFERENCE_FILE, rownum, str(exc)) from None
+            raise _fail(path, rownum, str(exc)) from None
 
     domain: set[DomainConstraint] = set()
-    dpath = base / DOMAIN_FILE
-    if dpath.is_file():
-        for rownum, row in _read_rows(dpath, ("station", "channel")):
+    path = base / DOMAIN_FILE
+    if path.is_file():
+        for rownum, row in _read_rows(path, ("station", "channel")):
             sid = row["station"].strip()
             if sid not in seen_ids:
-                raise _fail(dpath, rownum, f"unknown station {sid!r}")
-            try:
-                channel = int(row["channel"])
-            except ValueError:
-                raise _fail(dpath, rownum, f"bad channel {row['channel']!r}") from None
+                raise _fail(path, rownum, f"unknown station {sid!r}")
+            channel = _field(path, rownum, row["channel"], int, "bad channel")
             domain.add(DomainConstraint(station=sid, channel=channel))
 
     return Instance(
@@ -164,38 +165,27 @@ def save_instance(instance: Instance, directory: str | os.PathLike) -> None:
     """Write the instance as its canonical CSV directory."""
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
-    with open(base / STATIONS_FILE, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "dma_id", "affiliation", "revenue"])
-        for s in instance.stations:
-            aff = "" if s.affiliation is Affiliation.NONE else s.affiliation.value
-            rev = "" if s.revenue == 0 else repr(s.revenue)
-            w.writerow([s.id, s.dma_id, aff, rev])
-    with open(base / INTERFERENCE_FILE, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "station_a", "station_b"])
-        for ic in instance.sorted_interference:
-            w.writerow([ic.kind.value, ic.a, ic.b])
-    with open(base / DOMAIN_FILE, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["station", "channel"])
-        for dc in instance.sorted_domain:
-            w.writerow([dc.station, dc.channel])
-    with open(base / DMAS_FILE, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dma_id", "name"])
-        for dma_id in sorted(instance.dmas):
-            w.writerow([dma_id, instance.dmas[dma_id]])
+    _write_rows(base / STATIONS_FILE, ("id", "dma_id", "affiliation", "revenue"), (
+        (s.id, s.dma_id, "" if s.affiliation is Affiliation.NONE else s.affiliation.value,
+         "" if s.revenue == 0 else repr(s.revenue))
+        for s in instance.stations
+    ))
+    _write_rows(base / INTERFERENCE_FILE, ("kind", "station_a", "station_b"), (
+        (ic.kind.value, ic.a, ic.b) for ic in instance.sorted_interference
+    ))
+    _write_rows(base / DOMAIN_FILE, ("station", "channel"), (
+        (dc.station, dc.channel) for dc in instance.sorted_domain
+    ))
+    _write_rows(base / DMAS_FILE, ("dma_id", "name"), (
+        (dma_id, instance.dmas[dma_id]) for dma_id in sorted(instance.dmas)
+    ))
     with open(base / UNIVERSE_FILE, "w", encoding="utf-8") as fh:
-        fh.write(
-            canonical_json(
-                {
-                    "channels": list(instance.universe.channels),
-                    "forbidden": sorted(instance.universe.forbidden),
-                }
-            )
-        )
+        fh.write(canonical_json(_universe_json(instance.universe)))
         fh.write("\n")
+
+
+def _universe_json(universe: ChannelUniverse) -> dict:
+    return {"channels": list(universe.channels), "forbidden": sorted(universe.forbidden)}
 
 
 def instance_to_json(instance: Instance) -> str:
@@ -210,10 +200,7 @@ def instance_to_json(instance: Instance) -> str:
             }
             for s in instance.stations
         ],
-        "universe": {
-            "channels": list(instance.universe.channels),
-            "forbidden": sorted(instance.universe.forbidden),
-        },
+        "universe": _universe_json(instance.universe),
         "interference": [
             {"kind": ic.kind.value, "a": ic.a, "b": ic.b} for ic in instance.sorted_interference
         ],
@@ -248,14 +235,26 @@ def save_artifact(
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _parse_line(path: str | os.PathLike, n: int, parse: Callable[[dict], _T], rec: dict) -> _T:
+    """``parse(rec)``, with a malformed field's exception naming the file and line."""
+    try:
+        return parse(rec)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: line {n}: {why}") from None
+
+
 def load_artifact(
-    path: str | os.PathLike, kind: str, instance: Instance, record_type: str
-) -> tuple[dict, list[dict]]:
+    path: str | os.PathLike, kind: str, instance: Instance, record_type: str,
+    parse_meta: Callable[[dict], Any], parse_record: Callable[[dict], _T],
+) -> tuple[Any, list[_T]]:
     """Read a JSON-lines artifact written by :func:`save_artifact`.
 
-    Returns the meta record and the records of ``record_type``. Raises
-    ``ValueError`` when the file is not a ``kind`` artifact, was derived
-    from a different instance, or holds a record that is not a JSON object.
+    Returns ``parse_meta`` of the meta record and ``parse_record`` of each
+    record of ``record_type``. Raises ``ValueError`` when the file is not a
+    ``kind`` artifact, was derived from a different instance, or holds a
+    record that is not a JSON object or whose fields its parser rejects,
+    naming the record's line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [(n, json.loads(line)) for n, line in enumerate(fh, start=1) if line.strip()]
@@ -271,4 +270,7 @@ def load_artifact(
     for n, rec in lines[1:]:
         if not isinstance(rec, dict):
             raise ValueError(f"{path}: line {n} is not a JSON object")
-    return meta, [rec for _, rec in lines[1:] if rec.get("type") == record_type]
+    return _parse_line(path, lines[0][0], parse_meta, meta), [
+        _parse_line(path, n, parse_record, rec)
+        for n, rec in lines[1:] if rec.get("type") == record_type
+    ]

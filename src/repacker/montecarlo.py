@@ -24,7 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .cliques import CliqueCatalog, blocking_check, enumerate_cliques_greedy
 from .driver import DEFAULT_TIME_BUDGET, check_feasibility
@@ -36,6 +36,7 @@ from .participation import (
     draw_variates,
     sample_from_variates,
 )
+from .solver import Verdict
 from .util import derive_seed
 from . import parallel
 
@@ -47,6 +48,13 @@ BACKENDS = (BACKEND_SAT, BACKEND_CLIQUE_THEN_SAT, BACKEND_CLIQUE_ONLY)
 VERDICT_FEASIBLE = "feasible"
 VERDICT_INFEASIBLE = "infeasible"
 VERDICT_TIMEOUT = "timeout"
+
+#: The trial verdict for each solver verdict.
+_TRIAL_VERDICT = {
+    Verdict.SAT: VERDICT_FEASIBLE,
+    Verdict.UNSAT: VERDICT_INFEASIBLE,
+    Verdict.TIMEOUT: VERDICT_TIMEOUT,
+}
 
 DEFAULT_TRIALS = 100
 
@@ -172,28 +180,37 @@ class SuccessEstimate:
         save_artifact(path, "trial-set", instance, meta, records, config_digest)
 
 
+def _known(value: str, allowed: Collection[str], what: str) -> str:
+    if value not in allowed:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {tuple(allowed)}")
+    return value
+
+
+def _meta_fields(meta: dict) -> dict:
+    return {
+        "model": ModelSpec.from_dict(meta["model"]),
+        "target_mhz": meta["target_mhz"],
+        "use_domain": meta["use_domain"],
+        "backend": _known(meta["backend"], BACKENDS, "backend"),
+    }
+
+
+def _trial_from(rec: dict) -> TrialReport:
+    return TrialReport(
+        index=int(rec["index"]),
+        seed=int(rec["seed"]),
+        draw_digest=rec["draw_digest"],
+        verdict=_known(rec["verdict"], _TRIAL_VERDICT.values(), "verdict"),
+        z=rec.get("z"),
+        blocking_cliques=rec.get("blocking_cliques"),
+    )
+
+
 def load_trial_set(path: str | os.PathLike, instance: Instance) -> SuccessEstimate:
     """Load a trial-set file run on ``instance``, as written by
     :meth:`SuccessEstimate.save_trials_jsonl`."""
-    meta, records = load_artifact(path, "trial-set", instance, "trial")
-    trials = [
-        TrialReport(
-            index=int(rec["index"]),
-            seed=int(rec["seed"]),
-            draw_digest=rec["draw_digest"],
-            verdict=rec["verdict"],
-            z=rec.get("z"),
-            blocking_cliques=rec.get("blocking_cliques"),
-        )
-        for rec in records
-    ]
-    return SuccessEstimate(
-        model=ModelSpec.from_dict(meta["model"]),
-        target_mhz=meta["target_mhz"],
-        use_domain=meta["use_domain"],
-        backend=meta["backend"],
-        trials=trials,
-    )
+    head, trials = load_artifact(path, "trial-set", instance, "trial", _meta_fields, _trial_from)
+    return SuccessEstimate(**head, trials=trials)
 
 
 def _run_trial(context, task: tuple[int, int]) -> TrialReport:
@@ -222,12 +239,7 @@ def _run_trial(context, task: tuple[int, int]) -> TrialReport:
         res = check_feasibility(
             problem, seed=derive_seed(seed, "solve"), time_budget=time_budget, engine=engine
         )
-        if res.feasible:
-            verdict = VERDICT_FEASIBLE
-        elif res.infeasible_by_timeout:
-            verdict = VERDICT_TIMEOUT
-        else:
-            verdict = VERDICT_INFEASIBLE
+        verdict = _TRIAL_VERDICT[res.verdict]
     return TrialReport(
         index=index,
         seed=seed,
@@ -240,9 +252,7 @@ def _run_trial(context, task: tuple[int, int]) -> TrialReport:
 
 
 def _need_catalog(backend: str, catalog: Optional[CliqueCatalog], instance: Instance, seed: int):
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == BACKEND_SAT:
+    if _known(backend, BACKENDS, "backend") == BACKEND_SAT:
         return None
     if catalog is None:
         catalog = enumerate_cliques_greedy(instance, seed=derive_seed(seed, "catalog"))

@@ -10,8 +10,6 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repacker import analytics
 from repacker.instance import ChannelAssignment
@@ -275,25 +273,35 @@ class TestSolutionDistance:
             assignment_from_sets(set(), u), assignment_from_sets(set(), u)
         ) == 0.0
 
-    @given(
-        st.sets(st.integers(0, 11), max_size=12),
-        st.sets(st.integers(0, 11), max_size=12),
-        st.sets(st.integers(0, 11), max_size=12),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_metric_properties(self, xs, ys, zs):
+    def test_metric_properties(self):
+        # Every subset of 12 stations is equally likely; the corner cases
+        # (empty, equal and disjoint sets) are listed explicitly as well.
+        rng = random.Random(20140)
+        everything, evens, odds = set(range(12)), set(range(0, 12, 2)), set(range(1, 12, 2))
+        triples = [
+            (set(), set(), set()), (set(), set(), {3}), (set(), {3}, set()), ({3}, set(), set()),
+            (set(), everything, set()), (everything, everything, everything),
+            ({1, 2}, {1, 2}, {5}), (evens, odds, set()), (evens, odds, everything),
+            ({0}, {11}, {0, 11}), (set(), evens, odds),
+        ]
+
+        def subset() -> set[int]:
+            return {i for i in range(12) if rng.random() < 0.5}
+
+        triples += [(subset(), subset(), subset()) for _ in range(300)]
         u = [f"s{i}" for i in range(12)]
-        a = assignment_from_sets({f"s{i}" for i in xs}, u)
-        b = assignment_from_sets({f"s{i}" for i in ys}, u)
-        c = assignment_from_sets({f"s{i}" for i in zs}, u)
-        dab = analytics.solution_distance(a, b)
-        dba = analytics.solution_distance(b, a)
-        assert dab == dba
-        assert 0.0 <= dab <= 1.0
-        assert (dab == 0.0) == (xs == ys)
-        dac = analytics.solution_distance(a, c)
-        dcb = analytics.solution_distance(c, b)
-        assert dab <= dac + dcb + 1e-12
+        for xs, ys, zs in triples:
+            a = assignment_from_sets({f"s{i}" for i in xs}, u)
+            b = assignment_from_sets({f"s{i}" for i in ys}, u)
+            c = assignment_from_sets({f"s{i}" for i in zs}, u)
+            dab = analytics.solution_distance(a, b)
+            dba = analytics.solution_distance(b, a)
+            assert dab == dba
+            assert 0.0 <= dab <= 1.0
+            assert (dab == 0.0) == (xs == ys)
+            dac = analytics.solution_distance(a, c)
+            dcb = analytics.solution_distance(c, b)
+            assert dab <= dac + dcb + 1e-12
 
 
 class TestDiversity:
@@ -333,6 +341,46 @@ class TestDiversity:
         report = analytics.diversity_report(make_sample_set(inst, [s1, s2]))
         values = [d.diversity for d in report.per_dma]
         assert values == sorted(values, reverse=True)
+
+    def test_same_floats_as_two_loop_reference(self):
+        # The overall and per-DMA means share one pairwise pass; the reference
+        # keeps the separate loops, and every float must come out bit-equal.
+        def reference(sample_set):
+            inst = sample_set.problem.instance
+            cleared = [s.assignment.cleared_set() for s in sample_set.samples]
+            total, pairs = 0.0, 0
+            for i in range(len(cleared)):
+                for j in range(i + 1, len(cleared)):
+                    total += analytics._restricted_distance(cleared[i], cleared[j]) or 0.0
+                    pairs += 1
+            per_dma = []
+            for dma in sorted(inst.dmas):
+                members = frozenset(inst.dma_members.get(dma, ()))
+                restricted = [c & members for c in cleared]
+                total_d, counted = 0.0, 0
+                for i in range(len(restricted)):
+                    for j in range(i + 1, len(restricted)):
+                        d = analytics._restricted_distance(restricted[i], restricted[j])
+                        if d is not None:
+                            total_d += d
+                            counted += 1
+                if members and counted:
+                    per_dma.append((dma, total_d / counted, counted))
+            per_dma.sort(key=lambda r: (-r[1], r[0]))
+            return total / pairs, per_dma
+
+        rng = random.Random(7)
+        names = ids(9)
+        inst = build_instance(9, dma_of={s: 1 + i % 4 for i, s in enumerate(names)}, n_dmas=5)
+        for _ in range(200):
+            sets = [
+                {s for s in names if rng.random() < rng.choice((0.0, 0.2, 0.5))}
+                for _ in range(rng.randint(2, 7))
+            ]
+            sample_set = make_sample_set(inst, [assignment_with_cleared(inst, c) for c in sets])
+            report = analytics.diversity_report(sample_set)
+            got = [(d.dma_id, d.diversity, d.pairs_counted) for d in report.per_dma]
+            assert (report.overall, got) == reference(sample_set)
 
 
 class TestMissingMass:

@@ -437,6 +437,127 @@ class TestConfigAndErrors:
         }
         assert not (tmp_path / "stats").exists()
 
+    def test_config_alpha_loses_to_flag(self, instance_dir, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "random-broadcasters", "alpha": 0.1}))
+        run = (
+            "simulate", "--config", str(config), "--instance", str(instance_dir),
+            "--target", "12", "--trials", "2", "--backend", "clique-only", "--workers", "1",
+        )
+        payload = run_cli(capsys, *run, "--alpha", "0.9", "--out", str(tmp_path / "a"))
+        assert payload["points"][0]["alpha"] == 0.9
+        assert "0.9" in (tmp_path / "a" / "summary.csv").read_text()
+
+    def test_config_model_spec_is_ignored_like_any_unknown_field(
+        self, instance_dir, tmp_path, capsys
+    ):
+        plain, spec = tmp_path / "plain.json", tmp_path / "spec.json"
+        fields = {"model": "random-broadcasters", "alpha": 0.9}
+        plain.write_text(json.dumps(fields))
+        spec.write_text(json.dumps(
+            {**fields, "model_spec": {"kind": "random-broadcasters", "alpha": 0.1}}
+        ))
+        run = (
+            "simulate", "--instance", str(instance_dir), "--target", "12", "--trials", "2",
+            "--backend", "clique-only", "--workers", "1",
+        )
+        a = run_cli(capsys, *run, "--config", str(plain), "--out", str(tmp_path / "a"))
+        b = run_cli(capsys, *run, "--config", str(spec), "--out", str(tmp_path / "b"))
+        assert a == {**b, "out": a["out"]}
+        assert b["points"][0]["alpha"] == 0.9
+        # A model_spec object no longer stands in for --model.
+        spec.write_text(json.dumps({"model_spec": {"kind": "random-broadcasters", "alpha": 0.1}}))
+        err = run_cli_error(capsys, *run, "--config", str(spec), "--out", str(tmp_path / "c"))
+        assert err["error"]["message"] == "missing required parameter: --model"
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("rates", [
+        ("--model", "revenue", "--beta", "0.5", "--gamma", "1", "--alphas", "0.2,0.4"),
+        ("--model", "random-broadcasters", "--alphas", "0.4,0.2"),
+    ], ids=["revenue-sweep", "decreasing-grid"])
+    def test_simulate_rejects_a_sweep_before_creating_out(
+        self, rates, instance_dir, tmp_path, capsys
+    ):
+        err = run_cli_error(
+            capsys, "simulate", "--instance", str(instance_dir), "--target", "12", *rates,
+            "--trials", "2", "--backend", "clique-only", "--workers", "1",
+            "--out", str(tmp_path / "sim"),
+        )
+        assert err["error"]["type"] == "ValueError"
+        assert not (tmp_path / "sim").exists()
+
+
+def _rewrite(path: Path, edit) -> None:
+    """Rewrite a JSON-lines artifact after ``edit`` changes its records (meta first)."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+class TestMalformedArtifacts:
+    """A record a reader cannot parse is a CliError naming the file and line,
+    raised before any output exists."""
+
+    @pytest.fixture
+    def artifacts(self, instance_dir, tmp_path, capsys) -> dict[str, Path]:
+        paths = {
+            "samples": tmp_path / "s.jsonl",
+            "trials": tmp_path / "sim" / "trials.jsonl",
+            "catalog": tmp_path / "c.jsonl",
+        }
+        solving = ("--instance", str(instance_dir), "--target", "12", "--workers", "1")
+        run_cli(capsys, "sample", *solving, "--count", "3", "--out", str(paths["samples"]))
+        run_cli(
+            capsys, "simulate", *solving, "--model", "random-broadcasters", "--alpha", "0.5",
+            "--trials", "3", "--backend", "clique-only", "--out", str(tmp_path / "sim"),
+        )
+        run_cli(capsys, "cliques", "--instance", str(instance_dir), "--out", str(paths["catalog"]))
+        return paths
+
+    @pytest.mark.parametrize("artifact, edit, line, message", [
+        ("trials", lambda r: r.append({"type": "trial", "seed": 1}), 5,
+         "missing field 'index'"),
+        ("trials", lambda r: r[2].update(verdict="banana"), 3,
+         "unknown verdict 'banana'; expected one of ('feasible', 'infeasible', 'timeout')"),
+        ("trials", lambda r: r[0].update(model={"kind": "nope", "alpha": 0.5}), 1,
+         "'nope' is not a valid ModelKind"),
+        ("trials", lambda r: r[0].pop("model"), 1, "missing field 'model'"),
+        ("trials", lambda r: r[0].update(backend="warp"), 1,
+         "unknown backend 'warp'; expected one of ('sat', 'clique-then-sat', 'clique-only')"),
+        ("samples", lambda r: r[2].pop("assignment"), 3, "missing field 'assignment'"),
+        ("samples", lambda r: r[1]["stats"].update(restarts_typo=1), 2,
+         "SolveStats.__init__() got an unexpected keyword argument 'restarts_typo'"),
+        ("samples", lambda r: r[1]["assignment"].update(KZZZ=None), 2,
+         "unknown station 'KZZZ'"),
+        ("samples", lambda r: r[3].update(assignment=["s0000"]), 4,
+         "'list' object has no attribute 'items'"),
+        ("catalog", lambda r: r.append({"type": "clique"}), None, "missing field 'members'"),
+    ], ids=[
+        "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
+        "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
+        "sample-unknown-stats-field", "sample-unknown-station", "sample-assignment-not-an-object",
+        "catalog-missing-members",
+    ])
+    def test_reported_with_its_line(
+        self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys
+    ):
+        path = artifacts[artifact]
+        _rewrite(path, edit)
+        line = line or len(path.read_text().splitlines())
+        out = tmp_path / "out"
+        if artifact == "catalog":
+            argv = (
+                "simulate", "--instance", str(instance_dir), "--target", "12",
+                "--model", "random-broadcasters", "--alpha", "0.5", "--trials", "2",
+                "--backend", "clique-then-sat", "--catalog", str(path), "--workers", "1",
+            )
+        else:
+            flag = "--samples" if artifact == "samples" else "--trials-file"
+            argv = ("stats", "--instance", str(instance_dir), flag, str(path))
+        err = run_cli_error(capsys, *argv, "--out", str(out))
+        assert err["error"] == {"type": "CliError", "message": f"{path}: line {line}: {message}"}
+        assert not out.exists()
+
 
 class TestConfigDigest:
     """The digest covers every option the subcommand takes, defaults included,

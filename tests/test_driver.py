@@ -43,7 +43,7 @@ class TestCheckFeasibility:
             instance=inst, clearing_target_mhz=6,
             must_repack=frozenset(planted_clique_ids(4)),
         )
-        assert prob.channel_plan.count == 3
+        assert len(prob.channel_plan.channels) == 3
         res = check_feasibility(prob, seed=0)
         assert res.verdict is Verdict.UNSAT
         assert not res.feasible

@@ -106,7 +106,7 @@ class TestEncode:
         prob = RepackProblem(
             instance=inst, clearing_target_mhz=6, must_repack=frozenset(inst.station_ids)
         )
-        assert prob.channel_plan.count == 2
+        assert len(prob.channel_plan.channels) == 2
         assert solve(encode(prob), seed=3).is_unsat
 
     def test_must_repack_station_never_cleared(self):
@@ -174,7 +174,7 @@ class TestEncode:
         prob = RepackProblem(
             instance=inst, clearing_target_mhz=12, must_repack=frozenset({"a"})
         )
-        assert prob.channel_plan.count == 0
+        assert len(prob.channel_plan.channels) == 0
         assert solve(encode(prob), seed=0).is_unsat
         # Without the must-repack requirement, clearing everyone works.
         free = RepackProblem(instance=inst, clearing_target_mhz=12)
@@ -332,7 +332,7 @@ class TestEncodeMatchesReference:
                 instance=inst, clearing_target_mhz=12, must_repack=must_repack,
                 max_cleared_nationwide=3, dma_caps={1: 1}, max_dmas_with_clearing=1,
             )
-            assert prob.channel_plan.count == 0
+            assert len(prob.channel_plan.channels) == 0
             assert_matches_reference(prob)
 
     def test_alternating_instances_targets_and_domain_flag(self):

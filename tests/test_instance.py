@@ -41,7 +41,7 @@ from oracles import brute_force_repack, oracle_check_assignment
 class TestDeriveAvailableChannels:
     def test_84_mhz_leaves_24(self):
         plan = derive_available_channels(84, US_UNIVERSE)
-        assert plan.count == 24
+        assert len(plan.channels) == 24
         assert plan.channels == tuple(range(14, 38))
         assert plan.flagged == {37}
 
@@ -49,16 +49,16 @@ class TestDeriveAvailableChannels:
         # Above 84 MHz the reserved channel sits in the cleared block, so one
         # extra channel comes off the top: 37 - 15 = 22.
         plan = derive_available_channels(90, US_UNIVERSE)
-        assert plan.count == 22
+        assert len(plan.channels) == 22
         assert plan.channels == tuple(range(14, 36))
         assert not plan.flagged
 
     def test_60_mhz_leaves_28(self):
         plan = derive_available_channels(60, US_UNIVERSE)
-        assert plan.count == 28
+        assert len(plan.channels) == 28
 
     def test_monotone_in_target(self):
-        counts = [derive_available_channels(m, US_UNIVERSE).count for m in range(6, 217, 6)]
+        counts = [len(derive_available_channels(m, US_UNIVERSE).channels) for m in range(6, 217, 6)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_rejects_non_multiple_of_six(self):
@@ -73,7 +73,7 @@ class TestDeriveAvailableChannels:
 
     def test_removed_channels_are_the_top(self):
         plan = derive_available_channels(12, US_UNIVERSE)
-        assert plan.removed == (50, 51)
+        assert US_UNIVERSE.channels[len(plan.channels):] == (50, 51)
 
 
 class TestTypes:
@@ -324,6 +324,34 @@ class TestSerialization:
         (d / "dmas.csv").write_text("dma_id,name\n1,Alpha\n")
         with pytest.raises(InstanceError, match="row 3"):
             load_instance(d)
+
+    @pytest.mark.parametrize("name, rows, message", [
+        ("stations.csv", "id,dma_id,affiliation,revenue\nKAAA,1,,\nKBBB\n",
+         "stations.csv, row 3: bad dma_id ''"),
+        ("interference.csv", "kind,station_a,station_b\nCO,KAAA\n",
+         "interference.csv, row 2: unknown station ''"),
+        ("domain.csv", "station,channel\nKAAA\n", "domain.csv, row 2: bad channel ''"),
+    ], ids=["stations", "interference", "domain"])
+    def test_short_row_reports_row(self, name, rows, message, tmp_path):
+        # Cells missing from a short row read as blank, so the row's error
+        # names it instead of a TypeError or AttributeError escaping.
+        d = tmp_path / "short"
+        d.mkdir()
+        (d / "stations.csv").write_text("id,dma_id\nKAAA,1\n")
+        (d / "interference.csv").write_text("kind,station_a,station_b\n")
+        (d / "dmas.csv").write_text("dma_id,name\n1,Alpha\n")
+        (d / name).write_text(rows)
+        with pytest.raises(InstanceError) as info:
+            load_instance(d)
+        assert str(info.value) == message
+
+    def test_short_dma_row_has_a_blank_name(self, tmp_path):
+        d = tmp_path / "short"
+        d.mkdir()
+        (d / "stations.csv").write_text("id,dma_id\nKAAA,1\n")
+        (d / "interference.csv").write_text("kind,station_a,station_b\n")
+        (d / "dmas.csv").write_text("dma_id,name\n1,Alpha\n2\n")
+        assert load_instance(d).dmas == {1: "Alpha", 2: ""}
 
     def test_duplicate_constraints_deduplicated(self, tmp_path):
         d = tmp_path / "dedup"
