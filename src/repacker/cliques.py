@@ -6,6 +6,12 @@ conflict clique of ``c + 1`` or more non-participants certifies infeasibility
 outright — no solver call needed. The catalog of cliques is built once per
 instance by randomized greedy growth; it makes no completeness claim, so the
 absence of a blocking clique never proves feasibility.
+
+Catalog construction and verification work on the instance's station index
+(a station's position in the id-sorted ``station_ids``) with each station's
+co-channel neighbours as an int bitmask, ``Instance.co_masks``; ascending
+bit order is id order. Ids stay at every edge: catalogs hold frozensets of
+station ids, and catalog files and :func:`blocking_check` see only ids.
 """
 
 from __future__ import annotations
@@ -24,15 +30,27 @@ class CliqueError(ValueError):
     pass
 
 
-def _verify_cliques(
-    cliques: Iterable[frozenset[str]], adjacency: dict[str, frozenset[str]]
-) -> None:
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask`` in ascending order: station indices in id order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _verify_cliques(cliques: Iterable[int], instance: Instance) -> None:
+    """Raise :class:`CliqueError` naming the first non-adjacent pair, in id
+    order, of any clique given as a station-index mask."""
+    adj, ids = instance.co_masks, instance.station_ids
     for clique in cliques:
-        members = sorted(clique)
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if b not in adjacency.get(a, frozenset()):
-                    raise CliqueError(f"{a} and {b} are not co-channel neighbors")
+        for a in _bits(clique):
+            clique ^= 1 << a  # leaves the members after a
+            stray = clique & ~adj[a]
+            if stray:
+                b = (stray & -stray).bit_length() - 1
+                raise CliqueError(f"{ids[a]} and {ids[b]} are not co-channel neighbors")
 
 
 @dataclass(frozen=True)
@@ -64,11 +82,20 @@ class CliqueCatalog:
 
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "CliqueCatalog":
+        index = instance.station_index
+
+        def clique(rec: dict) -> frozenset[str]:
+            members = frozenset(rec["members"])
+            unknown = members.difference(index)
+            if unknown:
+                raise ValueError(f"unknown station {min(unknown)!r}")
+            return members
+
         min_size, cliques = load_artifact(
             path, "clique-catalog", instance, "clique",
-            lambda meta: int(meta.get("min_size", 2)), lambda rec: frozenset(rec["members"]),
+            lambda meta: int(meta.get("min_size", 2)), clique,
         )
-        _verify_cliques(cliques, instance.co_adjacency)
+        _verify_cliques((sum(1 << index[sid] for sid in c) for c in cliques), instance)
         return cls(cliques=tuple(cliques), min_size_retained=min_size)
 
 
@@ -91,28 +118,36 @@ def enumerate_cliques_greedy(
         raise ValueError("min_size must be at least 1")
     if attempts_per_vertex < 1:
         raise ValueError("attempts_per_vertex must be at least 1")
-    adjacency = instance.co_adjacency
+    adj = instance.co_masks
     rng = random.Random(derive_seed(seed, "clique-catalog"))
-    order = sorted(adjacency, key=lambda v: (-len(adjacency[v]), v))
-    found: set[frozenset[str]] = set()
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    found: set[int] = set()
     for v in order:
         if max_cliques is not None and len(found) >= max_cliques:
             break
         for _ in range(attempts_per_vertex):
-            clique = [v]
-            candidates = set(adjacency[v])
+            clique = 1 << v
+            candidates = adj[v]
             while candidates:
-                scored = [(len(candidates & adjacency[u]), u) for u in sorted(candidates)]
-                best_score = max(score for score, _ in scored)
-                pool = [u for score, u in scored if score == best_score]
+                # Ascending bits are ascending ids, so the pool and the draw
+                # from it are those of an id-sorted candidate walk.
+                best_score, pool = -1, []
+                for u in _bits(candidates):
+                    score = (candidates & adj[u]).bit_count()
+                    if score > best_score:
+                        best_score, pool = score, [u]
+                    elif score == best_score:
+                        pool.append(u)
                 u = rng.choice(pool)
-                clique.append(u)
-                candidates &= adjacency[u]
-            if len(clique) >= min_size:
-                found.add(frozenset(clique))
+                clique |= 1 << u
+                candidates &= adj[u]
+            if clique.bit_count() >= min_size:
+                found.add(clique)
 
-    _verify_cliques(found, adjacency)
-    ordered = tuple(sorted(found, key=lambda c: (-len(c), tuple(sorted(c)))))
+    _verify_cliques(found, instance)
+    ids = instance.station_ids
+    cliques = (frozenset(ids[i] for i in _bits(mask)) for mask in found)
+    ordered = tuple(sorted(cliques, key=lambda c: (-len(c), tuple(sorted(c)))))
     return CliqueCatalog(cliques=ordered, min_size_retained=min_size)
 
 

@@ -191,14 +191,22 @@ class Instance:
         return {d: tuple(sorted(v)) for d, v in members.items()}
 
     @cached_property
-    def co_adjacency(self) -> dict[str, frozenset[str]]:
-        """Co-channel conflict graph as an adjacency map."""
-        adj: dict[str, set[str]] = {s.id: set() for s in self.stations}
+    def station_index(self) -> dict[str, int]:
+        """Each station's position in ``station_ids``, so index order is id order."""
+        return {sid: i for i, sid in enumerate(self.station_ids)}
+
+    @cached_property
+    def co_masks(self) -> tuple[int, ...]:
+        """Co-channel conflict graph on the station index: bit ``j`` of
+        ``co_masks[i]`` is set when stations ``i`` and ``j`` conflict."""
+        index = self.station_index
+        masks = [0] * self.n
         for ic in self.interference:
             if ic.kind is ConstraintKind.CO:
-                adj[ic.a].add(ic.b)
-                adj[ic.b].add(ic.a)
-        return {k: frozenset(v) for k, v in adj.items()}
+                a, b = index[ic.a], index[ic.b]
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        return tuple(masks)
 
     @cached_property
     def sorted_interference(self) -> tuple[InterferenceConstraint, ...]:

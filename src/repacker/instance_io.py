@@ -84,6 +84,31 @@ def _field(path: Path, row: int, text: str, parse: Callable[[str], _T], what: st
         raise _fail(path, row, f"{what} {text!r}") from None
 
 
+def _load_universe(path: Path) -> ChannelUniverse:
+    """Read ``universe.json``: an object with a ``channels`` list of integers
+    and an optional ``forbidden`` list; any defect names the file."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{path.name}: not JSON: {exc}") from None
+    if not isinstance(data, dict) or "channels" not in data:
+        raise InstanceError(f"{path.name}: expected an object with a 'channels' list")
+
+    def channels(key: str) -> tuple[int, ...]:
+        values = data.get(key, [])
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise InstanceError(
+                f"{path.name}: {key!r} must be a list of integers, got {values!r}"
+            )
+        return tuple(values)
+
+    chans, forbidden = channels("channels"), channels("forbidden")
+    try:
+        return ChannelUniverse(channels=chans, forbidden=frozenset(forbidden))
+    except InstanceError as exc:
+        raise InstanceError(f"{path.name}: {exc}") from None
+
+
 def load_instance(directory: str | os.PathLike) -> Instance:
     """Load and validate an instance from its CSV directory.
 
@@ -91,15 +116,8 @@ def load_instance(directory: str | os.PathLike) -> Instance:
     so reloading a saved instance yields an identical canonical form.
     """
     base = Path(directory)
-    universe = US_UNIVERSE
     upath = base / UNIVERSE_FILE
-    if upath.is_file():
-        with open(upath, encoding="utf-8") as fh:
-            udata = json.load(fh)
-        universe = ChannelUniverse(
-            channels=tuple(int(c) for c in udata["channels"]),
-            forbidden=frozenset(int(c) for c in udata.get("forbidden", ())),
-        )
+    universe = _load_universe(upath) if upath.is_file() else US_UNIVERSE
 
     dmas: dict[int, str] = {}
     path = base / DMAS_FILE
@@ -235,6 +253,13 @@ def save_artifact(
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _json_line(path: str | os.PathLike, n: int, line: str) -> Any:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {n} is not JSON: {exc.msg} at column {exc.colno}") from None
+
+
 def _parse_line(path: str | os.PathLike, n: int, parse: Callable[[dict], _T], rec: dict) -> _T:
     """``parse(rec)``, with a malformed field's exception naming the file and line."""
     try:
@@ -253,11 +278,12 @@ def load_artifact(
     Returns ``parse_meta`` of the meta record and ``parse_record`` of each
     record of ``record_type``. Raises ``ValueError`` when the file is not a
     ``kind`` artifact, was derived from a different instance, or holds a
-    record that is not a JSON object or whose fields its parser rejects,
-    naming the record's line.
+    line that is not JSON, a record that is not a JSON object or one whose
+    fields its parser rejects, naming the line.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [(n, json.loads(line)) for n, line in enumerate(fh, start=1) if line.strip()]
+        lines = [(n, _json_line(path, n, line))
+                 for n, line in enumerate(fh, start=1) if line.strip()]
     meta = lines[0][1] if lines and isinstance(lines[0][1], dict) else {}
     if meta.get("type") != "meta" or meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} file")

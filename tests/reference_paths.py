@@ -1,6 +1,7 @@
-"""The minimum-cap search, the Monte Carlo trial and the participation
-threshold as they were before each was folded into a single path, kept as the
-references that the agreement tests replay the current code against.
+"""The minimum-cap search, the Monte Carlo trial, the participation
+threshold and the clique catalog as they were before each was folded into a
+single path or moved onto the station index, kept as the references that the
+agreement tests replay the current code against.
 
 ``reference_min_cap_search`` runs a binary phase and then a separate walk
 down from the last feasible cap after a timeout; ``reference_run_trial``
@@ -8,17 +9,22 @@ builds one report per outcome; ``reference_sample_from_variates`` runs one
 station loop per model. Each reaches the solver and the clique scan through
 the same module globals as the code it is compared with, so a test that
 replaces ``driver.check_feasibility`` scripts both.
+``reference_enumerate_cliques_greedy`` grows cliques on frozensets of ids
+from the id-keyed adjacency map ``reference_co_adjacency`` and rescores
+candidates by set intersection.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 import time
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
 from repacker import driver, montecarlo
+from repacker.cliques import CliqueCatalog, CliqueError
 from repacker.driver import FeasibilityResult, MinSearchResult, ProbeRecord, SearchError
-from repacker.instance import NETWORKS, Instance, RepackProblem
+from repacker.instance import NETWORKS, ConstraintKind, Instance, RepackProblem
 from repacker.montecarlo import (
     BACKEND_CLIQUE_ONLY,
     BACKEND_CLIQUE_THEN_SAT,
@@ -192,3 +198,61 @@ def reference_run_trial(context, task: tuple[int, int]) -> TrialReport:
         verdict=verdict,
         wall_time=time.monotonic() - start,
     )
+
+
+def reference_co_adjacency(instance: Instance) -> dict[str, frozenset[str]]:
+    """Co-channel conflict graph as an adjacency map."""
+    adj: dict[str, set[str]] = {s.id: set() for s in instance.stations}
+    for ic in instance.interference:
+        if ic.kind is ConstraintKind.CO:
+            adj[ic.a].add(ic.b)
+            adj[ic.b].add(ic.a)
+    return {k: frozenset(v) for k, v in adj.items()}
+
+
+def reference_verify_cliques(
+    cliques: Iterable[frozenset[str]], adjacency: dict[str, frozenset[str]]
+) -> None:
+    for clique in cliques:
+        members = sorted(clique)
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                if b not in adjacency.get(a, frozenset()):
+                    raise CliqueError(f"{a} and {b} are not co-channel neighbors")
+
+
+def reference_enumerate_cliques_greedy(
+    instance: Instance,
+    *,
+    min_size: int = 2,
+    attempts_per_vertex: int = 4,
+    max_cliques: Optional[int] = None,
+    seed: int = 0,
+) -> CliqueCatalog:
+    if min_size < 1:
+        raise ValueError("min_size must be at least 1")
+    if attempts_per_vertex < 1:
+        raise ValueError("attempts_per_vertex must be at least 1")
+    adjacency = reference_co_adjacency(instance)
+    rng = random.Random(derive_seed(seed, "clique-catalog"))
+    order = sorted(adjacency, key=lambda v: (-len(adjacency[v]), v))
+    found: set[frozenset[str]] = set()
+    for v in order:
+        if max_cliques is not None and len(found) >= max_cliques:
+            break
+        for _ in range(attempts_per_vertex):
+            clique = [v]
+            candidates = set(adjacency[v])
+            while candidates:
+                scored = [(len(candidates & adjacency[u]), u) for u in sorted(candidates)]
+                best_score = max(score for score, _ in scored)
+                pool = [u for score, u in scored if score == best_score]
+                u = rng.choice(pool)
+                clique.append(u)
+                candidates &= adjacency[u]
+            if len(clique) >= min_size:
+                found.add(frozenset(clique))
+
+    reference_verify_cliques(found, adjacency)
+    ordered = tuple(sorted(found, key=lambda c: (-len(c), tuple(sorted(c)))))
+    return CliqueCatalog(cliques=ordered, min_size_retained=min_size)

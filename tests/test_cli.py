@@ -532,11 +532,13 @@ class TestMalformedArtifacts:
         ("samples", lambda r: r[3].update(assignment=["s0000"]), 4,
          "'list' object has no attribute 'items'"),
         ("catalog", lambda r: r.append({"type": "clique"}), None, "missing field 'members'"),
+        ("catalog", lambda r: r.append({"type": "clique", "members": ["KZZZ"]}), None,
+         "unknown station 'KZZZ'"),
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
         "sample-unknown-stats-field", "sample-unknown-station", "sample-assignment-not-an-object",
-        "catalog-missing-members",
+        "catalog-missing-members", "catalog-unknown-station",
     ])
     def test_reported_with_its_line(
         self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys
@@ -556,6 +558,20 @@ class TestMalformedArtifacts:
             argv = ("stats", "--instance", str(instance_dir), flag, str(path))
         err = run_cli_error(capsys, *argv, "--out", str(out))
         assert err["error"] == {"type": "CliError", "message": f"{path}: line {line}: {message}"}
+        assert not out.exists()
+
+    def test_line_that_is_not_json(self, artifacts, instance_dir, tmp_path, capsys):
+        path = artifacts["trials"]
+        assert len(path.read_text().splitlines()) == 4
+        with open(path, "a") as fh:
+            fh.write("{not json\n")
+        out = tmp_path / "out"
+        err = run_cli_error(
+            capsys, "stats", "--instance", str(instance_dir), "--trials-file", str(path),
+            "--out", str(out),
+        )
+        assert err["error"]["type"] == "CliError"
+        assert err["error"]["message"].startswith(f"{path}: line 5 is not JSON: ")
         assert not out.exists()
 
 

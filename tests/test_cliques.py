@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
 from repacker.cliques import (
     CliqueCatalog,
     CliqueError,
+    _verify_cliques,
     blocking_check,
     enumerate_cliques_greedy,
 )
@@ -14,6 +18,11 @@ from repacker.montecarlo import TrialReport
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance
+from reference_paths import (
+    reference_co_adjacency,
+    reference_enumerate_cliques_greedy,
+    reference_verify_cliques,
+)
 from test_montecarlo import estimate_of
 
 
@@ -48,7 +57,7 @@ class TestEnumeration:
     def test_every_entry_pairwise_connected(self):
         inst = generate_synthetic(15, co_density=0.35, seed=3)
         catalog = enumerate_cliques_greedy(inst, seed=2)
-        adj = inst.co_adjacency
+        adj = reference_co_adjacency(inst)
         for clique in catalog.cliques:
             members = sorted(clique)
             for i, a in enumerate(members):
@@ -75,8 +84,72 @@ class TestEnumeration:
         good.save_jsonl(path, inst)
         text = path.read_text().replace('["a", "b"]', '["a", "c"]')
         path.write_text(text)
-        with pytest.raises(CliqueError):
+        with pytest.raises(CliqueError, match="^a and c are not co-channel neighbors$"):
             CliqueCatalog.load_jsonl(path, inst)
+
+
+def _raised(verify, *args) -> str | None:
+    """The message of the CliqueError ``verify(*args)`` raises, or None."""
+    try:
+        verify(*args)
+    except CliqueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCatalogMatchesReference:
+    """The station-index enumerator builds the catalog the frozenset
+    enumerator built: the same cliques in the same order, from the same draws."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(13)
+        for case in range(240):
+            n = rng.randint(1, 28)
+            planted = rng.choice((0, 0, rng.randint(2, n) if n > 1 else 0))
+            instance = {
+                "co_density": rng.choice((0.0, 0.05, 0.15, 0.3, 0.5, 0.8)),
+                "planted_clique": planted, "seed": case,
+            }
+            enumeration = {
+                "min_size": rng.randint(1, 5),
+                "attempts_per_vertex": rng.randint(1, 5),
+                "max_cliques": rng.choice((None, None, rng.randint(0, 12))),
+                "seed": rng.randrange(1000),
+            }
+            yield generate_synthetic(n, **instance), enumeration
+
+    def test_same_catalog_over_seeded_instances(self):
+        empty_graphs = isolated = 0
+        for inst, enumeration in self.cases():
+            got = enumerate_cliques_greedy(inst, **enumeration)
+            assert got == reference_enumerate_cliques_greedy(inst, **enumeration), enumeration
+            degrees = [len(nbrs) for nbrs in reference_co_adjacency(inst).values()]
+            empty_graphs += not any(degrees)
+            isolated += any(degrees) and 0 in degrees
+        assert empty_graphs and isolated
+
+    def test_masks_match_the_adjacency_map_and_never_reach_a_pickle(self):
+        inst = generate_synthetic(30, co_density=0.3, planted_clique=5, seed=4)
+        cold = pickle.dumps(inst)
+        ids, index = inst.station_ids, inst.station_index
+        assert [index[sid] for sid in ids] == list(range(inst.n))
+        assert {ids[i]: frozenset(ids[j] for j in range(inst.n) if mask >> j & 1)
+                for i, mask in enumerate(inst.co_masks)} == reference_co_adjacency(inst)
+        assert pickle.dumps(inst) == cold
+
+    def test_verify_raises_the_reference_message(self):
+        inst = generate_synthetic(12, co_density=0.6, seed=7)
+        index = inst.station_index
+        rng = random.Random(5)
+        raised = 0
+        for _ in range(300):
+            clique = frozenset(rng.sample(inst.station_ids, rng.randint(1, 5)))
+            mask = sum(1 << index[sid] for sid in clique)
+            expected = _raised(reference_verify_cliques, [clique], reference_co_adjacency(inst))
+            assert _raised(_verify_cliques, [mask], inst) == expected
+            raised += expected is not None
+        assert 0 < raised < 300
 
 
 class TestBlockingCheck:

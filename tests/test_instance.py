@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 
 import pytest
 
@@ -35,6 +36,7 @@ from repacker.participation import ModelSpec
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance, random_problem
+from reference_paths import reference_co_adjacency
 from oracles import brute_force_repack, oracle_check_assignment
 
 
@@ -118,7 +120,7 @@ class TestTypes:
 class TestPickleState:
     """Pickles carry the dataclass fields only; derived caches are rebuilt."""
 
-    INSTANCE_CACHES = ("station_ids", "by_id", "dma_members", "co_adjacency",
+    INSTANCE_CACHES = ("station_ids", "by_id", "dma_members", "station_index", "co_masks",
                        "sorted_interference", "sorted_domain")
 
     def problem(self) -> RepackProblem:
@@ -271,6 +273,11 @@ class TestSerialization:
         path.write_text(path.read_text().splitlines()[0] + "\n[1, 2]\n")
         with pytest.raises(ValueError, match="line 2 is not a JSON object"):
             load(path, inst)
+        write(inst, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:2], "{not json", *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3 is not JSON: ")):
+            load(path, inst)
 
     def test_csv_round_trip_is_canonical(self, tmp_path):
         inst = generate_synthetic(
@@ -345,6 +352,28 @@ class TestSerialization:
             load_instance(d)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("universe, message", [
+        ('{"channel": [14, 15]}', "universe.json: expected an object with a 'channels' list"),
+        ('{"channels": [14, "x"]}',
+         "universe.json: 'channels' must be a list of integers, got [14, 'x']"),
+        ('{"channels": [14, 15], "forbidden": [15.5]}',
+         "universe.json: 'forbidden' must be a list of integers, got [15.5]"),
+        ('{"channels": 14}', "universe.json: 'channels' must be a list of integers, got 14"),
+        ('{"channels": [14, 14]}', "universe.json: duplicate channels in universe"),
+        ('{"channels": [14,', "universe.json: not JSON: "),
+    ], ids=["missing-channels", "non-integer-channel", "non-integer-forbidden",
+            "channels-not-a-list", "duplicate-channel", "not-json"])
+    def test_bad_universe_names_the_file(self, universe, message, tmp_path):
+        d = tmp_path / "universe"
+        d.mkdir()
+        (d / "stations.csv").write_text("id,dma_id\nKAAA,1\n")
+        (d / "interference.csv").write_text("kind,station_a,station_b\n")
+        (d / "dmas.csv").write_text("dma_id,name\n1,Alpha\n")
+        (d / "universe.json").write_text(universe)
+        with pytest.raises(InstanceError) as info:
+            load_instance(d)
+        assert str(info.value).startswith(message)
+
     def test_short_dma_row_has_a_blank_name(self, tmp_path):
         d = tmp_path / "short"
         d.mkdir()
@@ -381,7 +410,7 @@ class TestSyntheticGenerator:
     def test_planted_clique_is_pairwise_connected(self):
         inst = generate_synthetic(10, co_density=0.05, planted_clique=6, seed=5)
         members = planted_clique_ids(6)
-        adj = inst.co_adjacency
+        adj = reference_co_adjacency(inst)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 assert b in adj[a]
