@@ -333,6 +333,11 @@ def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
     alphas = [float(a) for a in str(args.alphas).split(",") if a] if args.alphas else []
     if alphas and args.alpha is not None:
         raise CliError("--alpha cannot be combined with --alphas, which sets every rate")
+    names = [f"trials-alpha-{alpha:g}.jsonl" for alpha in alphas] or ["trials.jsonl"]
+    for i, name in enumerate(names):
+        first = names.index(name)
+        if first < i:
+            raise CliError(f"--alphas {alphas[first]!r} and {alphas[i]!r} would both write {name}")
     instance = load_instance(args.instance)
     # The sweep overrides the rate per grid point; any point serves as the
     # base model, so use the first.
@@ -358,8 +363,7 @@ def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
     # Created only now, so a run that fails on its inputs leaves no --out behind.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for est in estimates:
-        name = f"trials-alpha-{est.model.alpha:g}.jsonl" if alphas else "trials.jsonl"
+    for name, est in zip(names, estimates):
         est.save_trials_jsonl(out_dir / name, instance, digest)
 
     rows = [est.summary_row() for est in estimates]

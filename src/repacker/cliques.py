@@ -122,6 +122,10 @@ def enumerate_cliques_greedy(
     rng = random.Random(derive_seed(seed, "clique-catalog"))
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
     found: set[int] = set()
+    # A candidate set fixes its best-scoring pool, and attempts keep reaching
+    # the same sets (every attempt from a vertex starts from one), so each
+    # pool is scored once per call.
+    pools: dict[int, list[int]] = {}
     for v in order:
         if max_cliques is not None and len(found) >= max_cliques:
             break
@@ -129,15 +133,18 @@ def enumerate_cliques_greedy(
             clique = 1 << v
             candidates = adj[v]
             while candidates:
-                # Ascending bits are ascending ids, so the pool and the draw
-                # from it are those of an id-sorted candidate walk.
-                best_score, pool = -1, []
-                for u in _bits(candidates):
-                    score = (candidates & adj[u]).bit_count()
-                    if score > best_score:
-                        best_score, pool = score, [u]
-                    elif score == best_score:
-                        pool.append(u)
+                pool = pools.get(candidates)
+                if pool is None:
+                    # Ascending bits are ascending ids, so the pool and the
+                    # draw from it are those of an id-sorted candidate walk.
+                    best_score, pool = -1, []
+                    for u in _bits(candidates):
+                        score = (candidates & adj[u]).bit_count()
+                        if score > best_score:
+                            best_score, pool = score, [u]
+                        elif score == best_score:
+                            pool.append(u)
+                    pools[candidates] = pool
                 u = rng.choice(pool)
                 clique |= 1 << u
                 candidates &= adj[u]

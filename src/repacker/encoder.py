@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain, combinations, compress
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
@@ -108,7 +109,14 @@ class CnfFormula:
         return len(self.clauses)
 
 
-def _check_clauses(clauses: Iterable[Sequence[int]], var_count: int) -> None:
+def _check_clauses(clauses: Sequence[Sequence[int]], var_count: int) -> None:
+    """Raise :class:`EncodingError` for an empty clause or a literal outside
+    ``±1..var_count``, naming the first one in clause order."""
+    literals = set(chain.from_iterable(clauses))  # one C-level pass; few distinct values
+    if all(clauses) and min(literals, default=0) >= -var_count and (
+        max(literals, default=0) <= var_count and 0 not in literals
+    ):
+        return
     for clause in clauses:
         if not clause:
             raise EncodingError("empty clause")
@@ -197,14 +205,17 @@ def _base_for(problem: RepackProblem) -> _Base:
 
 def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     channels = plan.channels
-    channel_set = set(channels)
-    pool = VarPool()
-    vm = VarMap()
-
-    for sid in inst.station_ids:
-        vm.cleared[sid] = pool.fresh()
-        for ch in channels:
-            vm.assign[(sid, ch)] = pool.fresh()
+    count, width = len(channels), len(channels) + 1
+    ids = inst.station_ids
+    # Station i owns the block of variables i*width + 1 (cleared) through
+    # i*width + width, and channels[p] is variable i*width + 2 + p.
+    position = {ch: p for p, ch in enumerate(channels)}
+    vm = VarMap(
+        assign={(sid, ch): i * width + 2 + p
+                for i, sid in enumerate(ids) for p, ch in enumerate(channels)},
+        cleared={sid: i * width + 1 for i, sid in enumerate(ids)},
+        var_count=len(ids) * width,
+    )
 
     clauses: list[tuple[int, ...]] = []
     repacked: dict[str, tuple[int, tuple[tuple[int, ...], ...]]] = {}
@@ -212,44 +223,42 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     # Exactly-one slot per station. A must-repack station loses the cleared
     # slot from its at-least-one clause; with no channels left it cannot be
     # placed at all.
-    for sid in inst.station_ids:
-        cleared = vm.cleared[sid]
-        slots = tuple(vm.assign[(sid, ch)] for ch in channels)
+    for i, sid in enumerate(ids):
+        cleared = i * width + 1
+        slots = tuple(range(cleared + 1, cleared + width))
         repacked[sid] = (len(clauses), (slots,) if slots else ((cleared,), (-cleared,)))
-        all_slots = (cleared, *slots)
-        clauses.append(all_slots)
-        for p in range(len(all_slots)):
-            for q in range(p + 1, len(all_slots)):
-                clauses.append((-all_slots[p], -all_slots[q]))
+        clauses.append((cleared, *slots))
+        clauses.extend(combinations(range(-cleared, -cleared - width, -1), 2))
 
-    # Pairwise interference over actual channels.
+    # Pairwise interference over actual channels, as (position of a's
+    # channel, position of b's channel) pairs: ADJ_UP rules out
+    # channel(a) == channel(b) + 1 and ADJ_DOWN channel(a) == channel(b) - 1,
+    # each vacuous where the neighbouring channel is not retained.
+    adjacent = {
+        ConstraintKind.ADJ_UP: [(position[ch + 1], p) for p, ch in enumerate(channels)
+                                if ch + 1 in position],
+        ConstraintKind.ADJ_DOWN: [(position[ch - 1], p) for p, ch in enumerate(channels)
+                                  if ch - 1 in position],
+    }
+    index = inst.station_index
     for ic in inst.sorted_interference:
+        a, b = index[ic.a] * width + 2, index[ic.b] * width + 2
         if ic.kind is ConstraintKind.CO:
-            for ch in channels:
-                clauses.append((-vm.assign[(ic.a, ch)], -vm.assign[(ic.b, ch)]))
-        elif ic.kind is ConstraintKind.ADJ_UP:
-            # channel(a) != channel(b) + 1; vacuous when ch+1 is not retained.
-            for ch in channels:
-                if ch + 1 in channel_set:
-                    clauses.append((-vm.assign[(ic.a, ch + 1)], -vm.assign[(ic.b, ch)]))
+            clauses.extend(zip(range(-a, -a - count, -1), range(-b, -b - count, -1)))
         else:
-            for ch in channels:
-                if ch - 1 in channel_set:
-                    clauses.append((-vm.assign[(ic.a, ch - 1)], -vm.assign[(ic.b, ch)]))
+            clauses.extend([(-a - pa, -b - pb) for pa, pb in adjacent[ic.kind]])
 
     # Channel prohibitions: reserved channels for everyone, then per-station rows.
-    for sid in inst.station_ids:
-        for ch in channels:
-            if ch in plan.flagged:
-                clauses.append((-vm.assign[(sid, ch)],))
+    flagged = [p for p, ch in enumerate(channels) if ch in plan.flagged]
+    for i in range(len(ids)):
+        clauses.extend((-(i * width + 2 + p),) for p in flagged)
     if use_domain:
         for dc in inst.sorted_domain:
-            if dc.channel in channel_set and dc.channel not in plan.flagged:
-                clauses.append((-vm.assign[(dc.station, dc.channel)],))
+            if dc.channel in position and dc.channel not in plan.flagged:
+                clauses.append((-(index[dc.station] * width + 2 + position[dc.channel]),))
 
-    vm.var_count = pool.count
     # The must-repack replacements reuse literals of the at-least-one clauses.
-    _check_clauses(clauses, pool.count)
+    _check_clauses(clauses, vm.var_count)
     return _Base(inst, plan, use_domain, vm, tuple(clauses), repacked)
 
 
@@ -324,12 +333,12 @@ def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:
         )
     channels: dict[str, Optional[int]] = {}
     per_station: dict[str, list[Optional[int]]] = {sid: [] for sid in vm.cleared}
-    for sid, v in vm.cleared.items():
-        if model[v]:
-            per_station[sid].append(None)
-    for (sid, ch), v in vm.assign.items():
-        if model[v]:
-            per_station[sid].append(ch)
+    # compress keeps the keys whose variable the model sets, so only the
+    # true slots are unpacked and recorded.
+    for sid in compress(vm.cleared, [model[v] for v in vm.cleared.values()]):
+        per_station[sid].append(None)
+    for sid, ch in compress(vm.assign, [model[v] for v in vm.assign.values()]):
+        per_station[sid].append(ch)
     for sid, slots in per_station.items():
         if len(slots) != 1:
             raise EncodingError(f"station {sid} has {len(slots)} true slots in the model")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
@@ -47,25 +48,45 @@ UNIVERSE_FILE = "universe.json"
 
 _T = TypeVar("_T")
 
+# The CSV spellings of the enum-valued columns.
+_KINDS = {kind.value: kind for kind in ConstraintKind}
+_AFFILIATIONS = {aff.value: aff for aff in Affiliation}
+
 
 def _fail(path: Path, row: int, msg: str) -> "InstanceError":
     return InstanceError(f"{path.name}, row {row}: {msg}")
 
 
-def _read_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+def _read_rows(
+    path: Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> list[tuple[int, tuple[str, ...]]]:
+    """The rows of a CSV file as ``(row number, cells)``, the cells in the order
+    of ``required + optional``. A cell missing from a short row, or from a file
+    without an optional column, reads as blank. Rows with every required cell
+    blank are dropped; row numbers count the header and every non-empty record."""
     if not path.is_file():
         raise InstanceError(f"missing input file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as blank
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise InstanceError(f"{path.name}: empty file, header required")
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in header]
         if missing:
             raise InstanceError(f"{path.name}: missing columns {missing}")
+        # A repeated column name reads its last cell; an absent optional
+        # column reads the padding cell past the header. Every file names at
+        # least two columns, so ``pick`` returns a tuple.
+        column = {name: i for i, name in enumerate(header)}
+        picks = [column.get(c, len(header)) for c in required + optional]
+        pick, needed, n_required = itemgetter(*picks), max(picks) + 1, len(required)
         rows = []
-        for i, row in enumerate(reader, start=2):
-            if any((row.get(c) or "").strip() for c in required):
-                rows.append((i, row))
+        for i, row in enumerate(filter(None, reader), start=2):
+            if len(row) < needed:
+                row += [""] * (needed - len(row))
+            cells = pick(row)
+            if "".join(cells[:n_required]).strip():
+                rows.append((i, cells))
         return rows
 
 
@@ -77,10 +98,11 @@ def _write_rows(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> N
 
 
 def _field(path: Path, row: int, text: str, parse: Callable[[str], _T], what: str) -> _T:
-    """``parse(text)``; a ValueError becomes ``<what> <text>``, naming the file and row."""
+    """``parse(text)``; a KeyError or ValueError becomes ``<what> <text>``,
+    naming the file and row."""
     try:
         return parse(text)
-    except ValueError:
+    except (KeyError, ValueError):
         raise _fail(path, row, f"{what} {text!r}") from None
 
 
@@ -121,27 +143,28 @@ def load_instance(directory: str | os.PathLike) -> Instance:
 
     dmas: dict[int, str] = {}
     path = base / DMAS_FILE
-    for rownum, row in _read_rows(path, ("dma_id", "name")):
-        dma_id = _field(path, rownum, row["dma_id"], int, "bad dma_id")
+    for rownum, (dma_text, name) in _read_rows(path, ("dma_id", "name")):
+        dma_id = _field(path, rownum, dma_text, int, "bad dma_id")
         if dma_id in dmas:
             raise _fail(path, rownum, f"duplicate DMA id {dma_id}")
-        dmas[dma_id] = row["name"].strip()
+        dmas[dma_id] = name.strip()
 
     stations: list[Station] = []
     seen_ids: set[str] = set()
     path = base / STATIONS_FILE
-    for rownum, row in _read_rows(path, ("id", "dma_id")):
-        sid = row["id"].strip()
+    for rownum, (sid, dma_text, aff_text, rev_text) in _read_rows(
+        path, ("id", "dma_id"), ("affiliation", "revenue")
+    ):
+        sid = sid.strip()
         if not sid:
             raise _fail(path, rownum, "empty station id")
         if sid in seen_ids:
             raise _fail(path, rownum, f"duplicate station id {sid!r}")
         seen_ids.add(sid)
-        dma_id = _field(path, rownum, row["dma_id"], int, "bad dma_id")
-        aff_text = (row.get("affiliation") or "").strip()
-        affiliation = _field(path, rownum, aff_text or "NONE", Affiliation, "unknown affiliation")
-        rev_text = (row.get("revenue") or "").strip()
-        revenue = _field(path, rownum, rev_text or "0", float, "bad revenue")
+        dma_id = _field(path, rownum, dma_text, int, "bad dma_id")
+        affiliation = _field(path, rownum, aff_text.strip() or "NONE",
+                             _AFFILIATIONS.__getitem__, "unknown affiliation")
+        revenue = _field(path, rownum, rev_text.strip() or "0", float, "bad revenue")
         try:
             stations.append(Station(id=sid, dma_id=dma_id, affiliation=affiliation, revenue=revenue))
         except InstanceError as exc:
@@ -149,9 +172,9 @@ def load_instance(directory: str | os.PathLike) -> Instance:
 
     interference: set[InterferenceConstraint] = set()
     path = base / INTERFERENCE_FILE
-    for rownum, row in _read_rows(path, ("kind", "station_a", "station_b")):
-        kind = _field(path, rownum, row["kind"].strip(), ConstraintKind, "unknown kind")
-        a, b = row["station_a"].strip(), row["station_b"].strip()
+    for rownum, (kind_text, a, b) in _read_rows(path, ("kind", "station_a", "station_b")):
+        kind = _field(path, rownum, kind_text.strip(), _KINDS.__getitem__, "unknown kind")
+        a, b = a.strip(), b.strip()
         for end in (a, b):
             if end not in seen_ids:
                 raise _fail(path, rownum, f"unknown station {end!r}")
@@ -163,11 +186,11 @@ def load_instance(directory: str | os.PathLike) -> Instance:
     domain: set[DomainConstraint] = set()
     path = base / DOMAIN_FILE
     if path.is_file():
-        for rownum, row in _read_rows(path, ("station", "channel")):
-            sid = row["station"].strip()
+        for rownum, (sid, channel_text) in _read_rows(path, ("station", "channel")):
+            sid = sid.strip()
             if sid not in seen_ids:
                 raise _fail(path, rownum, f"unknown station {sid!r}")
-            channel = _field(path, rownum, row["channel"], int, "bad channel")
+            channel = _field(path, rownum, channel_text, int, "bad channel")
             domain.add(DomainConstraint(station=sid, channel=channel))
 
     return Instance(

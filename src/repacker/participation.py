@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping, Optional
 
 from .instance import NETWORKS, Affiliation, Instance
@@ -205,7 +206,9 @@ def revenue_probabilities(
     stations = instance.stations
     n = len(stations)
     revenues = [s.revenue for s in stations]
-    pivot_rank = max(1, math.ceil((1.0 - beta) * n))  # 1-based index into sorted revenues
+    # 1-based index into sorted revenues, exact in beta's decimal value:
+    # float ceil((1 - 0.41) * 100) would give 60.
+    pivot_rank = max(1, math.ceil((1 - Fraction(str(beta))) * n))
     pivot = sorted(revenues)[pivot_rank - 1]
     shifted = [r - pivot for r in revenues]
     scale = max(abs(v) for v in shifted) / 4.0

@@ -11,20 +11,35 @@ the same module globals as the code it is compared with, so a test that
 replaces ``driver.check_feasibility`` scripts both.
 ``reference_enumerate_cliques_greedy`` grows cliques on frozensets of ids
 from the id-keyed adjacency map ``reference_co_adjacency`` and rescores
-candidates by set intersection.
+candidates by set intersection. ``reference_load_instance`` reads each CSV
+row through ``csv.DictReader`` and each enum cell through its enum class.
 """
 
 from __future__ import annotations
 
+import csv
 import logging
 import random
 import time
+from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from repacker import driver, montecarlo
 from repacker.cliques import CliqueCatalog, CliqueError
 from repacker.driver import FeasibilityResult, MinSearchResult, ProbeRecord, SearchError
-from repacker.instance import NETWORKS, ConstraintKind, Instance, RepackProblem
+from repacker.instance import (
+    NETWORKS,
+    US_UNIVERSE,
+    Affiliation,
+    ConstraintKind,
+    DomainConstraint,
+    Instance,
+    InstanceError,
+    InterferenceConstraint,
+    RepackProblem,
+    Station,
+)
+from repacker.instance_io import _fail, _field, _load_universe
 from repacker.montecarlo import (
     BACKEND_CLIQUE_ONLY,
     BACKEND_CLIQUE_THEN_SAT,
@@ -256,3 +271,85 @@ def reference_enumerate_cliques_greedy(
     reference_verify_cliques(found, adjacency)
     ordered = tuple(sorted(found, key=lambda c: (-len(c), tuple(sorted(c)))))
     return CliqueCatalog(cliques=ordered, min_size_retained=min_size)
+
+
+def _reference_read_rows(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    if not path.is_file():
+        raise InstanceError(f"missing input file: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as blank
+        if reader.fieldnames is None:
+            raise InstanceError(f"{path.name}: empty file, header required")
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise InstanceError(f"{path.name}: missing columns {missing}")
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            if any((row.get(c) or "").strip() for c in required):
+                rows.append((i, row))
+        return rows
+
+
+def reference_load_instance(directory) -> Instance:
+    base = Path(directory)
+    upath = base / "universe.json"
+    universe = _load_universe(upath) if upath.is_file() else US_UNIVERSE
+
+    dmas: dict[int, str] = {}
+    path = base / "dmas.csv"
+    for rownum, row in _reference_read_rows(path, ("dma_id", "name")):
+        dma_id = _field(path, rownum, row["dma_id"], int, "bad dma_id")
+        if dma_id in dmas:
+            raise _fail(path, rownum, f"duplicate DMA id {dma_id}")
+        dmas[dma_id] = row["name"].strip()
+
+    stations: list[Station] = []
+    seen_ids: set[str] = set()
+    path = base / "stations.csv"
+    for rownum, row in _reference_read_rows(path, ("id", "dma_id")):
+        sid = row["id"].strip()
+        if not sid:
+            raise _fail(path, rownum, "empty station id")
+        if sid in seen_ids:
+            raise _fail(path, rownum, f"duplicate station id {sid!r}")
+        seen_ids.add(sid)
+        dma_id = _field(path, rownum, row["dma_id"], int, "bad dma_id")
+        aff_text = (row.get("affiliation") or "").strip()
+        affiliation = _field(path, rownum, aff_text or "NONE", Affiliation, "unknown affiliation")
+        rev_text = (row.get("revenue") or "").strip()
+        revenue = _field(path, rownum, rev_text or "0", float, "bad revenue")
+        try:
+            stations.append(Station(id=sid, dma_id=dma_id, affiliation=affiliation, revenue=revenue))
+        except InstanceError as exc:
+            raise _fail(path, rownum, str(exc)) from None
+
+    interference: set[InterferenceConstraint] = set()
+    path = base / "interference.csv"
+    for rownum, row in _reference_read_rows(path, ("kind", "station_a", "station_b")):
+        kind = _field(path, rownum, row["kind"].strip(), ConstraintKind, "unknown kind")
+        a, b = row["station_a"].strip(), row["station_b"].strip()
+        for end in (a, b):
+            if end not in seen_ids:
+                raise _fail(path, rownum, f"unknown station {end!r}")
+        try:
+            interference.add(InterferenceConstraint(kind=kind, a=a, b=b))
+        except InstanceError as exc:
+            raise _fail(path, rownum, str(exc)) from None
+
+    domain: set[DomainConstraint] = set()
+    path = base / "domain.csv"
+    if path.is_file():
+        for rownum, row in _reference_read_rows(path, ("station", "channel")):
+            sid = row["station"].strip()
+            if sid not in seen_ids:
+                raise _fail(path, rownum, f"unknown station {sid!r}")
+            channel = _field(path, rownum, row["channel"], int, "bad channel")
+            domain.add(DomainConstraint(station=sid, channel=channel))
+
+    return Instance(
+        stations=tuple(stations),
+        universe=universe,
+        interference=frozenset(interference),
+        domain=frozenset(domain),
+        dmas=dmas,
+    )

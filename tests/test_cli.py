@@ -420,6 +420,22 @@ class TestConfigAndErrors:
         # The base model comes from the first grid point, so every point is checked alike.
         assert len(run_cli(capsys, *sweep, "--out", str(tmp_path / "b"))["points"]) == 2
 
+    def test_simulate_rejects_grid_points_sharing_a_trial_file(self, tmp_path, capsys):
+        # Both rates print as 0.123456, so their trial files would collide. The
+        # check comes before any work: the instance directory does not exist.
+        err = run_cli_error(
+            capsys, "simulate", "--instance", str(tmp_path / "absent"), "--target", "12",
+            "--model", "random-broadcasters", "--alphas", "0.1234561,0.1234562",
+            "--trials", "2", "--backend", "clique-only", "--workers", "1",
+            "--out", str(tmp_path / "sim"),
+        )
+        assert err["error"] == {
+            "type": "CliError",
+            "message": "--alphas 0.1234561 and 0.1234562 would both write "
+                       "trials-alpha-0.123456.jsonl",
+        }
+        assert not (tmp_path / "sim").exists()
+
     def test_stats_rejects_a_record_that_is_not_an_object(self, instance_dir, tmp_path, capsys):
         run_cli(
             capsys, "simulate", "--instance", str(instance_dir), "--target", "12",

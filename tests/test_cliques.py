@@ -129,6 +129,28 @@ class TestCatalogMatchesReference:
             isolated += any(degrees) and 0 in degrees
         assert empty_graphs and isolated
 
+    def test_same_catalog_where_candidate_sets_repeat(self, monkeypatch):
+        # On larger, denser graphs attempts keep reaching candidate sets seen
+        # before, so a third or more of the pools come from the per-call memo,
+        # which hands rng.choice the same pool object again.
+        pools: list[list[int]] = []
+
+        class RecordingRandom(random.Random):
+            def choice(self, seq):
+                pools.append(seq)
+                return super().choice(seq)
+
+        for n, density, planted in ((150, 0.08, 0), (200, 0.1, 12), (250, 0.06, 0),
+                                    (300, 0.05, 20), (350, 0.04, 0), (400, 0.035, 15)):
+            inst = generate_synthetic(n, co_density=density, planted_clique=planted, seed=n)
+            assert sum(mask.bit_count() for mask in inst.co_masks) >= 10 * n
+            expected = reference_enumerate_cliques_greedy(inst, seed=n)
+            pools.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(random, "Random", RecordingRandom)
+                assert enumerate_cliques_greedy(inst, seed=n) == expected, n
+            assert len({id(pool) for pool in pools}) <= 2 * len(pools) / 3, n
+
     def test_masks_match_the_adjacency_map_and_never_reach_a_pickle(self):
         inst = generate_synthetic(30, co_density=0.3, planted_clique=5, seed=4)
         cold = pickle.dumps(inst)

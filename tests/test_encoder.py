@@ -14,6 +14,7 @@ from repacker.encoder import (
     EncodingError,
     VarMap,
     VarPool,
+    _check_clauses,
     at_most_true,
     decode,
     encode,
@@ -21,7 +22,7 @@ from repacker.encoder import (
     model_from_literals,
     parse_dimacs_result,
 )
-from repacker.instance import ConstraintKind, RepackProblem, validate_assignment
+from repacker.instance import ChannelAssignment, ConstraintKind, RepackProblem, validate_assignment
 from repacker.solver import solve
 from repacker.synthetic import generate_synthetic
 
@@ -290,6 +291,32 @@ def reference_encode(problem: RepackProblem) -> CnfFormula:
     return CnfFormula(var_count=pool.count, clauses=tuple(clauses), var_map=vm)
 
 
+def gapped_problem(rng: random.Random) -> RepackProblem:
+    """A problem on a universe with holes and up to two reserved channels."""
+    n = rng.randint(1, 7)
+    ids = [chr(ord("a") + i) for i in range(n)]
+    channels = tuple(sorted(rng.sample(range(1, 16), rng.randint(2, 9))))
+    forbidden = frozenset(rng.sample(channels, rng.randint(0, min(2, len(channels) - 1))))
+    ordered = [(a, b) for a in ids for b in ids if a != b]
+    domain = {(sid, ch) for sid in ids for ch in channels if rng.random() < 0.2}
+    if rng.random() < 0.3:
+        domain |= {(rng.choice(ids), ch) for ch in channels}  # a station with no channel
+    inst = build_instance(
+        n, channels=channels, forbidden=forbidden,
+        co_pairs=tuple((a, b) for a, b in ordered if a < b and rng.random() < 0.3),
+        adj_up=tuple(pair for pair in ordered if rng.random() < 0.15),
+        adj_down=tuple(pair for pair in ordered if rng.random() < 0.15),
+        domain=tuple(sorted(domain)),
+    )
+    slots = rng.randint(1, len(channels) - len(forbidden))
+    return RepackProblem(
+        instance=inst, clearing_target_mhz=6 * slots,
+        use_domain_constraints=rng.random() < 0.7,
+        must_repack=frozenset(sid for sid in ids if rng.random() < 0.4),
+        max_cleared_nationwide=rng.choice((None, rng.randint(0, n))),
+    )
+
+
 def formula_key(formula: CnfFormula) -> tuple:
     vm = formula.var_map
     return (formula.var_count, formula.clauses, vm.var_count, tuple(vm.names().items()))
@@ -359,6 +386,30 @@ class TestEncodeMatchesReference:
                 must_repack=must_repack, max_cleared_nationwide=rng.choice([None, 4]),
             ))
 
+    def test_gapped_universes_reserved_channels_and_band_edges(self):
+        # Universes with holes, reserved channels inside the retained band,
+        # ADJ rules whose neighbouring channel is missing or outside the band,
+        # and stations whose domain rows leave them no channel at all.
+        rng = random.Random(2024)
+        shapes = dict.fromkeys(("gap", "reserved-in-band", "adj-at-edge", "no-channel-left",
+                                "empty-band", "one-channel"), 0)
+        for _ in range(300):
+            prob = gapped_problem(rng)
+            for must_repack in (prob.must_repack, frozenset(prob.instance.station_ids)):
+                assert_matches_reference(dataclasses.replace(prob, must_repack=must_repack))
+            plan, inst = prob.channel_plan, prob.instance
+            chans = plan.channels
+            shapes["gap"] += any(b - a > 1 for a, b in zip(chans, chans[1:]))
+            shapes["reserved-in-band"] += bool(plan.flagged)
+            shapes["adj-at-edge"] += bool(chans) and any(
+                ic.kind is not ConstraintKind.CO for ic in inst.interference)
+            shapes["no-channel-left"] += prob.use_domain_constraints and bool(plan.assignable) and any(
+                {dc.channel for dc in inst.domain if dc.station == sid} >= set(plan.assignable)
+                for sid in inst.station_ids)
+            shapes["empty-band"] += not chans
+            shapes["one-channel"] += len(chans) == 1
+        assert min(shapes.values()) >= 10, shapes
+
     def test_mutating_a_returned_var_map_changes_nothing_later(self):
         inst = generate_synthetic(6, co_density=0.3, domain_density=0.2, seed=4)
         prob = RepackProblem(instance=inst, clearing_target_mhz=6, max_dmas_with_clearing=1)
@@ -399,6 +450,68 @@ class TestDecode:
         formula = encode(RepackProblem(instance=inst, clearing_target_mhz=6))
         with pytest.raises(EncodingError, match="model covers"):
             decode(formula, [False])
+
+
+def reference_decode(formula: CnfFormula, model) -> ChannelAssignment:
+    """``decode`` as it walked every entry of the variable map."""
+    if formula.var_map is None:
+        raise EncodingError("formula carries no variable map")
+    vm = formula.var_map
+    if len(model) != formula.var_count + 1:
+        raise EncodingError(
+            f"model covers {len(model) - 1} variables, formula has {formula.var_count}"
+        )
+    channels = {}
+    per_station = {sid: [] for sid in vm.cleared}
+    for sid, v in vm.cleared.items():
+        if model[v]:
+            per_station[sid].append(None)
+    for (sid, ch), v in vm.assign.items():
+        if model[v]:
+            per_station[sid].append(ch)
+    for sid, slots in per_station.items():
+        if len(slots) != 1:
+            raise EncodingError(f"station {sid} has {len(slots)} true slots in the model")
+        channels[sid] = slots[0]
+    return ChannelAssignment(channels=channels)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the EncodingError it raises."""
+    try:
+        return fn(*args)
+    except EncodingError as exc:
+        return str(exc)
+
+
+class TestDecodeMatchesReference:
+    def test_seeded_models(self):
+        rng = random.Random(31)
+        kinds = dict.fromkeys(("decoded", "no-slot", "two-slots", "noise", "wrong-length"), 0)
+        for case in range(200):
+            prob = gapped_problem(rng) if case % 2 else random_problem(rng, max_n=10, max_c=5)
+            formula = encode(prob)
+            vm = formula.var_map
+            model = [False] * (formula.var_count + 1)
+            for sid in prob.instance.station_ids:
+                slots = [vm.cleared[sid], *(vm.assign[(sid, ch)] for ch in prob.channel_plan.channels)]
+                model[rng.choice(slots)] = True
+            kind = rng.choice(list(kinds))
+            if kind == "no-slot":
+                for v in rng.sample(range(1, len(model)), min(3, formula.var_count)):
+                    model[v] = False
+            elif kind == "two-slots":
+                for v in rng.sample(range(1, len(model)), min(3, formula.var_count)):
+                    model[v] = True
+            elif kind == "noise":
+                model = [False] + [rng.random() < 0.3 for _ in range(formula.var_count)]
+            elif kind == "wrong-length":
+                model.append(False)
+            for shaped in (model, tuple(model), [int(bit) for bit in model]):
+                expected = _outcome(reference_decode, formula, shaped)
+                assert _outcome(decode, formula, shaped) == expected, (case, kind)
+            kinds["decoded" if isinstance(expected, ChannelAssignment) else kind] += 1
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestDimacs:
@@ -445,7 +558,32 @@ class TestDimacs:
         assert back.var_count == vm.var_count
 
 
+def reference_check_clauses(clauses, var_count: int) -> None:
+    for clause in clauses:
+        if not clause:
+            raise EncodingError("empty clause")
+        for lit in clause:
+            if lit == 0 or abs(lit) > var_count:
+                raise EncodingError(f"literal {lit} outside 1..{var_count}")
+
+
 class TestFormulaInvariants:
+    def test_check_names_the_first_bad_clause_like_the_loop(self):
+        rng = random.Random(6)
+        raised = 0
+        for _ in range(2000):
+            var_count = rng.randint(1, 6)
+            clauses = [tuple(rng.choice((-1, 1)) * rng.randint(1, var_count)
+                             for _ in range(rng.randint(1, 4)))
+                       for _ in range(rng.randint(0, 8))]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                bad = rng.choice(((), (0,), (var_count + 1,), (-var_count - 1,), (1, 0)))
+                clauses.insert(rng.randint(0, len(clauses)), bad)
+            expected = _outcome(reference_check_clauses, clauses, var_count)
+            assert _outcome(_check_clauses, clauses, var_count) == expected, clauses
+            raised += expected is not None
+        assert 500 < raised < 1500
+
     def test_empty_clause_rejected(self):
         with pytest.raises(EncodingError, match="empty clause"):
             CnfFormula(var_count=1, clauses=((),))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import pickle
 import random
 import re
@@ -36,7 +37,7 @@ from repacker.participation import ModelSpec
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance, random_problem
-from reference_paths import reference_co_adjacency
+from reference_paths import reference_co_adjacency, reference_load_instance
 from oracles import brute_force_repack, oracle_check_assignment
 
 
@@ -392,6 +393,74 @@ class TestSerialization:
         (d / "dmas.csv").write_text("dma_id,name\n1,Alpha\n")
         inst = load_instance(d)
         assert len(inst.interference) == 1
+
+
+def _loaded(load, directory):
+    """The canonical JSON of ``load(directory)``, or its exception's type and message."""
+    try:
+        return instance_to_json(load(directory))
+    except Exception as exc:  # noqa: BLE001 - the reader and its reference must fail alike
+        return type(exc).__name__, str(exc)
+
+
+_JUNK = ("", " ", "  x ", "KZZZ", "ABC", " NONE", "CO", "ADJ_UP ", "co", "-1", "1.5", "07",
+         "1e3", "multi\nline", "\u00e9")
+
+
+def _mutate(rng: random.Random, rows: list[list[str]], ids: list[str]) -> list[list[str]]:
+    """Rows after a few random edits a hand-written CSV file might carry."""
+    rows = [list(row) for row in rows]
+    for _ in range(rng.randint(0, 3)):
+        if not rows:
+            break
+        edit = rng.randrange(9)
+        i = rng.randrange(len(rows))
+        if edit == 0:
+            rows.insert(rng.randint(1, len(rows)), [])
+        elif edit == 1:
+            rows[i] = rows[i][: rng.randint(0, len(rows[i]))]
+        elif edit == 2:
+            rows[i] = rows[i] + rng.sample(_JUNK, rng.randint(1, 2))
+        elif edit == 3 and rows[i]:
+            j = rng.randrange(len(rows[i]))
+            rows[i][j] = f" {rows[i][j]}\t"
+        elif edit == 4 and rows[i]:
+            rows[i][rng.randrange(len(rows[i]))] = rng.choice(_JUNK + tuple(ids))
+        elif edit == 5:
+            rows.insert(rng.randint(1, len(rows)), list(rows[i]))
+        elif edit == 6:
+            order = rng.sample(range(len(rows[0])), len(rows[0]))
+            rows = [[row[k] for k in order if k < len(row)] if row else row for row in rows]
+        elif edit == 7 and rows[0]:
+            rows[0] = rows[0] + [rng.choice(rows[0])]
+        elif edit == 8:
+            rows = rng.choice(([], [[]], rows[:1], [[]] + rows))
+    return rows
+
+
+class TestLoaderMatchesReference:
+    def test_mutated_csv_directories(self, tmp_path):
+        # The header-indexed reader loads what the DictReader loader loaded,
+        # and rejects what it rejected with the same message.
+        rng = random.Random(77)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for case in range(400):
+            inst = generate_synthetic(rng.randint(1, 8), co_density=0.4, adj_density=0.3,
+                                      domain_density=0.2, seed=case)
+            d = tmp_path / f"case{case}"
+            save_instance(inst, d)
+            for name in ("stations.csv", "interference.csv", "domain.csv", "dmas.csv"):
+                if rng.random() < 0.35:
+                    with open(d / name, newline="", encoding="utf-8") as fh:
+                        rows = list(csv.reader(fh))
+                    with open(d / name, "w", newline="", encoding="utf-8") as fh:
+                        csv.writer(fh).writerows(_mutate(rng, rows, list(inst.station_ids)))
+            if rng.random() < 0.1:
+                (d / "domain.csv").unlink()
+            expected = _loaded(reference_load_instance, d)
+            assert _loaded(load_instance, d) == expected, case
+            outcomes["loaded" if isinstance(expected, str) else "rejected"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 class TestSyntheticGenerator:

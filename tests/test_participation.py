@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from repacker.instance import NETWORKS, Affiliation
+from repacker.instance import NETWORKS, US_UNIVERSE, Affiliation, Instance, Station
 from repacker.participation import (
     ModelSpec,
     draw_variates,
@@ -183,6 +183,21 @@ class TestRevenueModel:
             probs = revenue_probabilities(inst, beta=beta, gamma=1.0)
             above = sum(1 for p in probs.values() if p > 0.5)
             assert above == round(beta * 10)
+
+    def test_pivot_rank_is_exact_in_beta(self):
+        # The pivot is the revenue of rank max(1, ceil((1 - beta) * n)); with
+        # distinct revenues 0..n-1 it sits at exactly 0.5 and the stations
+        # above it are the top n - rank. Float (1.0 - 0.41) * 100 exceeds 59.
+        for n in (10, 20, 30, 100, 1700):
+            inst = Instance(
+                stations=tuple(Station(f"s{i:04d}", 1, revenue=float(i)) for i in range(n)),
+                universe=US_UNIVERSE, dmas={1: "one"},
+            )
+            for k in range(101):
+                rank = max(1, -(-(100 - k) * n // 100))
+                probs = revenue_probabilities(inst, beta=k / 100, gamma=1.0)
+                assert probs[f"s{rank - 1:04d}"] == 0.5, (k, n)
+                assert sum(p > 0.5 for p in probs.values()) == n - rank, (k, n)
 
     def test_sampling_uses_revenue_probabilities(self):
         inst = build_instance(3, revenues={"a": 0.0, "b": 5.0, "c": 10.0})
