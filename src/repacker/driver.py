@@ -20,7 +20,7 @@ from .encoder import decode, encode
 from .instance import ChannelAssignment, Instance, RepackProblem, validate_assignment
 from .instance_io import load_artifact, save_artifact
 from .solver import EmbeddedSolver, SolveStats, Verdict
-from .util import derive_seed
+from .util import derive_seed, gc_paused
 from . import parallel
 
 log = logging.getLogger(__name__)
@@ -65,17 +65,24 @@ def check_feasibility(
     A satisfiable outcome returns the decoded assignment after it has been
     re-validated against the problem; any validator complaint indicates an
     encoder bug and raises.
+
+    The cyclic garbage collector stays paused from ``encode`` until the
+    formula is dropped: its fresh clause tuple (~900k entries on an FCC-sized
+    draw) holds no reference cycles, so reference counting frees it, where a
+    young collection would first traverse every entry.
     """
     engine = engine or EmbeddedSolver()
-    formula = encode(problem)
-    outcome = engine.solve(formula, seed=seed, time_budget=time_budget)
-    assignment = None
-    if outcome.is_sat:
-        assert outcome.model is not None
-        assignment = decode(formula, outcome.model)
-        violations = validate_assignment(problem, assignment)
-        if violations:
-            raise RuntimeError(f"decoded assignment violates the problem: {violations[:3]}")
+    with gc_paused():
+        formula = encode(problem)
+        outcome = engine.solve(formula, seed=seed, time_budget=time_budget)
+        assignment = None
+        if outcome.is_sat:
+            assert outcome.model is not None
+            assignment = decode(formula, outcome.model)
+            violations = validate_assignment(problem, assignment)
+            if violations:
+                raise RuntimeError(f"decoded assignment violates the problem: {violations[:3]}")
+        del formula
     return FeasibilityResult(outcome.verdict, assignment, outcome.stats, seed)
 
 

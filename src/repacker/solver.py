@@ -11,9 +11,22 @@ clause ``(a, b)``, nearly every clause the encoder emits, is not a clause
 object but two implication entries: the int ``b`` among the watches of ``a``
 and ``a`` among those of ``b``. Longer clauses and every learnt clause are
 lists watched on their first two literals, in the same watch lists, so
-propagation visits entries in the order the clauses were added. The layout
-changes no search: it makes the same decisions, propagations, conflicts and
-learnt clauses as an engine that keeps one clause list per binary clause.
+propagation visits entries in the order the clauses were added.
+
+The hot path follows MiniSat's layout (Een & Sorensson, SAT 2003):
+
+* a binary implication records as its reason the int of the literal whose
+  falsity implied it; a two-literal list is built only for a conflict;
+* each watch list is compacted while it is walked, dropping the clauses whose
+  watch moved and keeping, after a conflict, every entry not yet visited;
+* a VSIDS heap entry is one int packing the activity's IEEE-754 bits, the
+  random tie-breaker and the variable, which sorts exactly like the tuple
+  ``(-activity, r, v)`` (see :func:`_activity_key`).
+
+None of this changes the search: the engine makes the same decisions,
+propagations, conflicts, learnt clauses (literal order included) and rng
+draws, and returns the same models, as an engine that keeps one clause list
+per binary clause and heap entries as tuples.
 """
 
 from __future__ import annotations
@@ -22,13 +35,14 @@ import operator
 import os
 import random
 import shlex
+import struct
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .encoder import CnfFormula, export_dimacs, model_from_literals, parse_dimacs_result
 from .util import gc_paused
@@ -115,6 +129,21 @@ class _Timeout(Exception):
 
 _RESTART_BASE = 64
 _VAR_DECAY = 0.95
+_RANDOM_BITS = 53  # random() returns a multiple of 2**-53 in [0, 1)
+_ACT_TOP = (1 << 63) - 1  # above the bit pattern of any non-negative float
+_float_bytes = struct.Struct("<d").pack
+
+
+def _activity_key(act: float, v: int, var_bits: int) -> int:
+    """The heap key of ``v`` at activity ``act``, without its random part.
+
+    ``key | int(r * 2.0 ** (53 + var_bits))`` sorts exactly like the tuple
+    ``(-act, r, v)`` for any ``0 <= r < 1`` that ``random()`` returns and any
+    ``v < 2 ** var_bits``: the IEEE-754 bit pattern of a non-negative float
+    grows with its value, and the three fields occupy disjoint bit ranges.
+    """
+    bits = int.from_bytes(_float_bytes(act), "little")
+    return ((_ACT_TOP - bits) << (_RANDOM_BITS + var_bits)) | v
 
 
 class _Engine:
@@ -122,10 +151,16 @@ class _Engine:
 
     ``val[lit]`` is True, False or None (free); ``-lit`` indexes from the end
     of the ``2n + 1`` list, as it does in ``watches``, whose list for ``lit``
-    is visited when ``lit`` becomes false. A reason or conflict holds the
-    implied (or first false) literal first; a binary implication's is
-    ``[implied, false_lit]``. ``level`` and ``reason`` are read only while
-    their variable is assigned.
+    is visited when ``lit`` becomes false. A conflict or clause reason holds
+    the implied (or first false) literal first; a binary implication's reason
+    is the int of the literal whose falsity implied it. ``level`` and
+    ``reason`` are read only while their variable is assigned.
+
+    A VSIDS heap entry is one int, ``key[v] | int(r * 2**(53 + var_bits))``,
+    that sorts like ``(-activity, r, v)`` (see :func:`_activity_key`);
+    ``key[v]`` caches the activity and variable bits and is refreshed on every
+    bump. Entries are pushed on every bump and unassignment and never removed;
+    a stale entry keeps the activity it was pushed with.
     """
 
     def __init__(self, var_count: int, clauses: Sequence[Sequence[int]], seed: int) -> None:
@@ -133,12 +168,17 @@ class _Engine:
         self.rng = random.Random(seed)
         self.val: list[Optional[bool]] = [None] * (2 * var_count + 1)
         self.level = [0] * (var_count + 1)
-        self.reason: list[Optional[list[int]]] = [None] * (var_count + 1)
+        self.reason: list[Union[None, int, list[int]]] = [None] * (var_count + 1)
         self.phase = [False] + [self.rng.random() < 0.5 for _ in range(var_count)]
         self.activity = [0.0] * (var_count + 1)
         self.var_inc = 1.0
-        self.heap: list[tuple[float, float, int]] = [
-            (0.0, self.rng.random(), v) for v in range(1, var_count + 1)
+        self.var_bits = var_bits = var_count.bit_length()
+        # int(random() * rand_scale) is the random part of a heap key.
+        self.rand_scale = scale = float(1 << (_RANDOM_BITS + var_bits))
+        zero = _activity_key(0.0, 0, var_bits)
+        self.key = [zero | v for v in range(var_count + 1)]
+        self.heap: list[int] = [
+            self.key[v] | int(self.rng.random() * scale) for v in range(1, var_count + 1)
         ]
         heapify(self.heap)
         self.watches: list[list] = [[] for _ in range(2 * var_count + 1)]
@@ -184,7 +224,13 @@ class _Engine:
                 return
 
     def _propagate(self) -> Optional[list[int]]:
-        """Propagate the trail from ``qhead``; return a conflict clause or None."""
+        """Propagate the trail from ``qhead``; return a conflict clause or None.
+
+        Each watch list is compacted as it is walked (MiniSat's scheme): a
+        clause whose watch moves to another literal is dropped, each kept
+        entry is written ``dropped`` slots down, and after a conflict the
+        entries not yet visited stay, in order.
+        """
         val = self.val
         watches = self.watches
         level = self.level
@@ -203,15 +249,16 @@ class _Engine:
                 if props & 8191 == 0 and time.monotonic() > deadline:
                     raise _Timeout
                 ws = watches[false_lit]
-                moved = False
-                confl = None
-                for c in ws:
+                dropped = 0
+                for i, c in enumerate(ws):
                     if type(c) is not list:  # the other literal of a binary clause
                         first = c
                         v0 = val[first]
                         if v0:
+                            if dropped:
+                                ws[i - dropped] = c
                             continue
-                        c = [first, false_lit]
+                        cause = false_lit
                     else:
                         if c[0] == false_lit:
                             c[0] = c[1]
@@ -219,6 +266,8 @@ class _Engine:
                         first = c[0]
                         v0 = val[first]
                         if v0:
+                            if dropped:
+                                ws[i - dropped] = c
                             continue
                         for k in range(2, len(c)):
                             lk = c[k]
@@ -226,30 +275,27 @@ class _Engine:
                                 c[1] = lk
                                 c[k] = false_lit
                                 watches[lk].append(c)
-                                moved = True
                                 break
                         else:
                             lk = 0  # no free or true literal: c is unit or conflicting
-                        if lk:
+                        if lk:  # c now watches lk, not false_lit: drop it here
+                            dropped += 1
                             continue
+                        cause = c
                     if v0 is False:
-                        confl = c
-                        break
+                        if dropped:
+                            del ws[i - dropped : i]
+                        return c if type(c) is list else [c, false_lit]
                     val[first] = True
                     val[-first] = False
                     v = first if first > 0 else -first
                     level[v] = lvl
-                    reason[v] = c
+                    reason[v] = cause
                     push(first)
-                if moved:
-                    # Drop the clauses whose watch moved off false_lit: every
-                    # clause list still watching it holds it first or second.
-                    ws[:] = [
-                        c for c in ws
-                        if type(c) is not list or c[1] == false_lit or c[0] == false_lit
-                    ]
-                if confl is not None:
-                    return confl
+                    if dropped:
+                        ws[i - dropped] = c
+                if dropped:
+                    del ws[-dropped:]
             return None
         finally:
             self.qhead = qhead
@@ -263,9 +309,12 @@ class _Engine:
         reason = self.reason
         trail = self.trail
         activity = self.activity
+        key = self.key
         heap = self.heap
         rand = self.rng.random
         var_inc = self.var_inc
+        var_bits = self.var_bits
+        scale = self.rand_scale
         cur_level = len(self.trail_lim)
         learnt: list[int] = [0]
         to_clear: list[int] = []
@@ -273,9 +322,10 @@ class _Engine:
         index = len(trail) - 1
         v = 0
         while True:
-            # A reason's first literal is the one it implied; that variable
-            # is still marked seen, so only the other literals are read.
-            for q in confl:
+            # A clause reason's first literal is the one it implied; that
+            # variable is still marked seen, so only the other literals are
+            # read. A binary implication's int reason is the one other literal.
+            for q in (confl,) if type(confl) is int else confl:
                 u = q if q > 0 else -q
                 if not seen[u] and level[u] > 0:
                     seen[u] = True
@@ -283,12 +333,13 @@ class _Engine:
                     act = activity[u] + var_inc
                     activity[u] = act
                     if act > 1e100:
-                        for w in range(1, self.nvars + 1):
-                            activity[w] *= 1e-100
+                        activity[:] = [a * 1e-100 for a in activity]
+                        key[:] = [_activity_key(a, w, var_bits) for w, a in enumerate(activity)]
                         var_inc *= 1e-100
                         self.var_inc = var_inc
                         act = activity[u]
-                    heappush(heap, (-act, rand(), u))
+                    key[u] = k = _activity_key(act, u, var_bits)
+                    heappush(heap, k | int(rand() * scale))
                     if level[u] == cur_level:
                         path += 1
                     else:
@@ -319,9 +370,10 @@ class _Engine:
         trail = self.trail
         val = self.val
         phase = self.phase
-        activity = self.activity
+        key = self.key
         heap = self.heap
         rand = self.rng.random
+        scale = self.rand_scale
         limit = self.trail_lim[target]
         undone = trail[limit:]
         del trail[limit:]
@@ -329,7 +381,7 @@ class _Engine:
             v = lit if lit > 0 else -lit
             phase[v] = lit > 0
             val[lit] = val[-lit] = None
-            heappush(heap, (-activity[v], rand(), v))
+            heappush(heap, key[v] | int(rand() * scale))
         del self.trail_lim[target:]
         self.qhead = limit
 
@@ -356,6 +408,7 @@ class _Engine:
         trail_lim = self.trail_lim
         heap = self.heap
         nvars = self.nvars
+        vmask = (1 << self.var_bits) - 1
         deadline = self.deadline
         restart_round = 1
         conflicts_left = _luby(restart_round) * _RESTART_BASE
@@ -399,7 +452,7 @@ class _Engine:
             # Decide: every free variable has a heap entry (_backjump re-pushes
             # what it unassigns), and this runs only while some variable is free.
             while True:
-                v = heappop(heap)[2]
+                v = heappop(heap) & vmask
                 if val[v] is None:
                     break
             stats.decisions += 1

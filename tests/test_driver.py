@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -53,6 +54,56 @@ class TestCheckFeasibility:
             prob = random_problem(rng, max_n=8, max_c=4)
             res = check_feasibility(prob, seed=5, time_budget=30)
             assert res.feasible == (brute_force_repack(prob) is not None)
+
+
+class TestCheckFeasibilityGcPause:
+    """The cyclic GC is off from ``encode`` through ``validate_assignment``,
+    and the caller's setting comes back, also when the check raises."""
+
+    @staticmethod
+    def traced(monkeypatch, seen, validate=validate_assignment):
+        # Patched where check_feasibility looks them up: the driver module.
+        for name, real in (("encode", driver.encode), ("decode", driver.decode),
+                           ("validate_assignment", validate)):
+            def wrapper(*args, _name=name, _real=real):
+                seen.append((_name, gc.isenabled()))
+                return _real(*args)
+            monkeypatch.setattr(driver, name, wrapper)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_paused_from_encode_to_validate(self, monkeypatch, enabled):
+        inst = build_instance(3, channels=(1, 2, 3, 4))
+        prob = RepackProblem(
+            instance=inst, clearing_target_mhz=6, must_repack=frozenset(inst.station_ids)
+        )
+        seen = []
+        self.traced(monkeypatch, seen)
+        if not enabled:
+            gc.disable()
+        try:
+            assert check_feasibility(prob, seed=0).feasible
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [("encode", False), ("decode", False), ("validate_assignment", False)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_restored_when_the_check_raises(self, monkeypatch, enabled):
+        inst = build_instance(3, channels=(1, 2, 3, 4))
+        prob = RepackProblem(
+            instance=inst, clearing_target_mhz=6, must_repack=frozenset(inst.station_ids)
+        )
+        seen = []
+        self.traced(monkeypatch, seen, validate=lambda problem, assignment: ["bad"])
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="violates the problem"):
+                check_feasibility(prob, seed=0)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert [gc_on for _, gc_on in seen] == [False, False, False]
 
 
 class TestMinNationwideClearings:

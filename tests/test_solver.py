@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import gc
+import itertools
+import math
 import random
 import stat
+import struct
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -17,6 +21,7 @@ from repacker.solver import (
     ExternalSolver,
     SolverError,
     Verdict,
+    _activity_key,
     _Engine,
     check_model,
     solve,
@@ -175,32 +180,67 @@ def reference_engine(var_count, clauses, seed):
     return engine
 
 
-def state(engine, val, watches):
-    """Every field the search reads, with ``val`` and ``watches`` as given."""
+def state(engine, val, watches, heap, reason):
+    """Every field the search reads, with ``val``, ``watches``, ``heap`` and
+    ``reason`` as given."""
     return {
         "ok": engine.ok,
         "val": val,
         "level": engine.level,
-        "reason": engine.reason,
+        "reason": reason,
         "trail": engine.trail,
         "qhead": engine.qhead,
         "phase": engine.phase,
-        "heap": engine.heap,
+        "activity": engine.activity,
+        "var_inc": engine.var_inc,
+        "heap": heap,
         "rng": engine.rng.getstate(),
         "watches": watches,
     }
 
 
+def unpack_key(key, var_bits):
+    """The ``(-activity, r, v)`` tuple that a packed heap key sorts like."""
+    v = key & ((1 << var_bits) - 1)
+    r = ((key >> var_bits) & ((1 << 53) - 1)) / 2.0**53
+    bits = (1 << 63) - 1 - (key >> (53 + var_bits))
+    return (-struct.unpack("<d", struct.pack("<q", bits))[0], r, v)
+
+
 def engine_state(engine):
-    """The engine's state, with clause lists named by first appearance, so two
-    watch lists sharing one clause compare as sharing it. An int watch entry
-    is the other literal of an input binary clause."""
+    """The engine's state in the reference's terms.
+
+    Clause lists are named by first appearance, so two watch lists sharing
+    one clause compare as sharing it; an int watch entry is the other literal
+    of an input binary clause, and a learnt two-literal clause in the watches
+    of ``lit`` reads as its other literal too, as ``reference_state`` reads
+    every two-literal clause. Heap keys are unpacked into the tuples they
+    sort like. An int reason, the false literal behind a binary implication,
+    becomes the reference's clause ``[implied, false_lit]``; a free
+    variable's reason, which the engine leaves stale and never reads, is None
+    as in the reference.
+    """
+    assert engine.key == [
+        _activity_key(act, v, engine.var_bits) for v, act in enumerate(engine.activity)
+    ]
+    n = engine.nvars
     names: dict[int, int] = {}
     watches = [
-        [c if type(c) is not list else (names.setdefault(id(c), len(names)), tuple(c)) for c in ws]
-        for ws in engine.watches
+        [
+            c if type(c) is not list
+            else (c[1] if c[0] == lit else c[0]) if len(c) == 2
+            else (names.setdefault(id(c), len(names)), tuple(c))
+            for c in engine.watches[lit]
+        ]
+        for lit in list(range(n + 1)) + list(range(-n, 0))
     ]
-    return state(engine, engine.val, watches)
+    val = engine.val
+    reason = [
+        None if val[v] is None else [v if val[v] else -v, r] if type(r) is int else r
+        for v, r in enumerate(engine.reason)
+    ]
+    heap = [unpack_key(key, engine.var_bits) for key in engine.heap]
+    return state(engine, val, watches, heap, reason)
 
 
 def reference_state(engine):
@@ -222,7 +262,7 @@ def reference_state(engine):
         ]
         for lit in lits
     ]
-    return state(engine, val, watches)
+    return state(engine, val, watches, engine.heap, engine.reason)
 
 
 def messy_clauses(rng: random.Random, n: int) -> list[tuple[int, ...]]:
@@ -355,6 +395,164 @@ class TestEngineAgreement:
         assert counts == [(0, 0, 8192)] * 2
         formula = CnfFormula(var_count=n, clauses=tuple(clauses))
         assert solve(formula, time_budget=1e-9).stats.propagations == 8192
+
+
+SNAPSHOTS = 40  # conflicts per search whose state is recorded
+
+
+def snapshot(fields):
+    """A copy of a state that later search cannot change: every field's
+    lists are copied two levels deep (clause lists inside ``reason`` and
+    watch lists inside ``watches``); deeper values are immutable."""
+    return {
+        name: [list(x) if type(x) is list else x for x in value] if type(value) is list else value
+        for name, value in fields.items()
+    }
+
+
+class RecordingReference(ReferenceEngine):
+    """The reference engine, noting its state at its first ``SNAPSHOTS``
+    conflicts above level 0 (before each is analyzed) and how many of those
+    left watch-list entries unvisited."""
+
+    def __init__(self, *args) -> None:
+        self.snapshots: list[dict] = []
+        self.partway = 0
+        super().__init__(*args)
+
+    def _analyze(self, confl):
+        if len(self.snapshots) < SNAPSHOTS:
+            self.snapshots.append(snapshot(reference_state(self)))
+            ws = self.watches[self._watch_idx(-self.trail[self.qhead - 1])]
+            self.partway += ws[-1] is not confl
+        return super()._analyze(confl)
+
+
+class RecordingEngine(_Engine):
+    """The engine, noting its state at its first ``SNAPSHOTS`` conflicts
+    above level 0."""
+
+    def __init__(self, *args) -> None:
+        self.snapshots: list[dict] = []
+        super().__init__(*args)
+
+    def _analyze(self, confl):
+        if len(self.snapshots) < SNAPSHOTS:
+            self.snapshots.append(snapshot(engine_state(self)))
+        return super()._analyze(confl)
+
+
+def counting_clock(monkeypatch):
+    """Make ``time.monotonic`` read 0, 1, 2, ... from now on, so a search's
+    deadline falls after a fixed number of clock reads on any machine."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+
+
+class TestEngineStateAgreement:
+    """The engine's whole state agrees with the reference's after a search,
+    whether it ends SAT, UNSAT or at a timeout, and at its conflicts."""
+
+    def test_state_after_search_and_at_conflicts(self):
+        rng = random.Random(5150)
+        shapes = {"sat": 0, "unsat": 0, "conflicts": 0, "partway": 0, "rescale": 0}
+        for case, (var_count, clauses) in enumerate(agreement_corpus(rng)):
+            seed = rng.randrange(1 << 30)
+            reference = RecordingReference(var_count, clauses, seed)
+            engine = RecordingEngine(var_count, clauses, seed)
+            if case % 3 == 0:  # start near the 1e100 limit, so bumps rescale
+                reference.var_inc = engine.var_inc = rng.choice([1e100, 7e99])
+            expected, got = reference.run(60.0), engine.run(60.0)
+            assert (got.verdict, got.model) == (expected.verdict, expected.model), case
+            assert engine.snapshots == reference.snapshots, case
+            assert engine_state(engine) == reference_state(reference), case
+            shapes["sat"] += got.verdict is Verdict.SAT
+            shapes["unsat"] += got.verdict is Verdict.UNSAT
+            shapes["conflicts"] += len(reference.snapshots)
+            shapes["partway"] += reference.partway
+            shapes["rescale"] += case % 3 == 0 and reference.var_inc < 1e50
+        assert min(shapes.values()) >= 5, shapes  # every shape was exercised
+
+    def test_conflict_partway_through_a_list_after_a_dropped_clause(self):
+        # x1 is a unit. Visiting the watches of -1 moves (-1 2 3) to watch 3,
+        # implies 4 through (-1 4) and meets the conflict (-1 -4) with two
+        # entries left unvisited: the list keeps them, in order.
+        clauses = [(1,), (-1, 2, 3), (-1, 4), (-1, -4), (-1, 5), (-1, 5, 6)]
+        reference = ReferenceEngine(6, clauses, 0)
+        engine = _Engine(6, clauses, 0)
+        assert engine.watches[-1][1:4] == [4, -4, 5]
+        assert engine.run(60.0).verdict is reference.run(60.0).verdict is Verdict.UNSAT
+        assert engine.watches[-1] == [4, -4, 5, [-1, 5, 6]]
+        assert engine.watches[3] == [[2, 3, -1]]
+        assert engine.reason[4] == -1
+        assert engine_state(engine) == reference_state(reference)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 13, 40, 120, 400, 1000, 1426])
+    def test_state_at_timeout(self, monkeypatch, budget):
+        # Under the counting clock a search times out at clock read budget + 1.
+        # Reads come before each decision, after each conflict and at every
+        # 8192nd propagation; on this formula and seed read 1427 is the
+        # propagation loop's, so budget 1426 stops the search inside it.
+        formula, seed = pigeonhole(7, 6), 0
+        runs = []
+        for cls, state_of in ((ReferenceEngine, reference_state), (_Engine, engine_state)):
+            counting_clock(monkeypatch)
+            engine = cls(formula.var_count, formula.clauses, seed)
+            outcome = engine.run(budget)
+            stats = outcome.stats
+            runs.append((outcome.verdict, stats.decisions, stats.conflicts,
+                         stats.propagations, state_of(engine)))
+        assert runs[1] == runs[0]
+        assert runs[0][0] is Verdict.TIMEOUT
+        assert (runs[0][3] == 8192) == (budget == 1426)
+
+    def test_state_at_a_timeout_inside_propagation(self):
+        n = 10_000
+        clauses = [(1,)] + [(-v, v + 1) for v in range(1, n)]
+        reference, engine = ReferenceEngine(n, clauses, 0), _Engine(n, clauses, 0)
+        assert engine.run(1e-9).verdict is reference.run(1e-9).verdict is Verdict.TIMEOUT
+        assert engine.qhead == 8192
+        assert engine_state(engine) == reference_state(reference)
+
+
+class TestHeapKeys:
+    """A packed heap key sorts exactly like the ``(-activity, r, v)`` tuple
+    it replaces, and unpacks to that tuple."""
+
+    @staticmethod
+    def activities(rng):
+        tiny = 5e-324  # the smallest subnormal
+        edge = [0.0, tiny, 2 * tiny, 1e-310, 2.2250738585072014e-308, 1.0, 1.0 / 0.95,
+                1e100, math.nextafter(1e100, 0.0), math.nextafter(1e100, math.inf), 1e100 + 1e85]
+        rescaled = [a * 1e-100 for a in edge + [rng.uniform(1e99, 1e100) for _ in range(5)]]
+        spread = [rng.uniform(0, 1e3) for _ in range(10)] + [
+            2.0 ** rng.randint(-1074, 340) * rng.random() for _ in range(20)
+        ]
+        return edge + rescaled + spread
+
+    def test_key_order_is_tuple_order(self):
+        rng = random.Random(777)
+        draws = random.Random(778)  # r values as the engine draws them
+        for nvars in (1, 2, 7, 8, 1000, 42_500):
+            var_bits = nvars.bit_length()
+            scale = 2.0 ** (53 + var_bits)
+            acts = self.activities(rng)
+            rs = [0.0, 1.0 - 2.0**-53, 0.5] + [draws.random() for _ in range(12)]
+            vs = sorted({1, nvars, rng.randint(1, nvars), rng.randint(1, nvars)})
+            # Every activity meets every r and v, so equal activities with
+            # different r and equal (act, r) with different v both occur.
+            triples = [(a, r, v) for a in acts for r in rng.sample(rs, 4) + [0.0] for v in vs]
+            keys = [_activity_key(a, v, var_bits) | int(r * scale) for a, r, v in triples]
+            tuples = [(-a, r, v) for a, r, v in triples]
+            for key, t in zip(keys, tuples):
+                back = unpack_key(key, var_bits)
+                assert back == t
+                assert math.copysign(1.0, back[0]) == math.copysign(1.0, t[0])
+            assert [unpack_key(k, var_bits) for k in sorted(keys)] == sorted(tuples)
+            for _ in range(3000):
+                i, j = rng.randrange(len(keys)), rng.randrange(len(keys))
+                assert (keys[i] < keys[j]) == (tuples[i] < tuples[j])
+                assert (keys[i] == keys[j]) == (tuples[i] == tuples[j])
 
 
 GC_CASES = {
