@@ -39,7 +39,7 @@ from .driver import (
 from .encoder import encode, export_dimacs
 from .instance import RepackProblem, validate_assignment
 from .instance_io import instance_digest, load_instance, save_instance
-from .montecarlo import BACKEND_SAT, BACKENDS, estimate_success, shared_randomness_sweep
+from .montecarlo import estimate_success, shared_randomness_sweep
 from .participation import DEFAULT_TOP_PROB, ModelKind, ModelSpec
 from .solver import ExternalSolver
 from .synthetic import generate_synthetic
@@ -77,18 +77,24 @@ def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     """Make the ``--config`` file's fields the subcommand's defaults, so flags win.
 
     Fields that name no option of the subcommand are ignored. Values pass
-    through the option's type, so a field and the equal flag parse alike.
+    through the option's type and must be among its choices, so a field and
+    the equal flag parse alike.
     """
     with open(args.config, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise CliError(f"{args.config}: config must be a JSON object")
     known = vars(args).keys() - {"command", "config", "fn"}
-    types = {a.dest: a.type for a in sub._actions if a.type is not None}
-    sub.set_defaults(**{
-        k: types[k](v) if k in types and v is not None else v
-        for k, v in data.items() if k in known
-    })
+    actions = {a.dest: a for a in sub._actions}
+    fields = {k: v for k, v in data.items() if k in known}
+    for k, v in fields.items():
+        action = actions[k]
+        if action.type is not None and v is not None:
+            fields[k] = v = action.type(v)
+        if action.choices is not None and v not in action.choices:
+            raise CliError(f"{args.config}: field {k!r}: invalid choice {v!r}"
+                           f" (choose from {', '.join(map(repr, action.choices))})")
+    sub.set_defaults(**fields)
 
 
 def _check_required(args: argparse.Namespace) -> None:
@@ -597,7 +603,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--gamma", type=float)
     p.add_argument("--top-prob", type=float, dest="top_prob", default=DEFAULT_TOP_PROB)
     p.add_argument("--trials", type=int, default=montecarlo.DEFAULT_TRIALS)
-    p.add_argument("--backend", choices=BACKENDS, default=BACKEND_SAT)
+    p.add_argument("--backend", default=montecarlo.DEFAULT_BACKEND,
+                   choices=(montecarlo.BACKEND_CLIQUE_THEN_SAT, montecarlo.BACKEND_CLIQUE_ONLY))
     p.add_argument("--catalog", help="clique catalog JSONL to reuse")
     p.add_argument("--alphas", help="comma-separated grid for a shared-randomness sweep")
     p.set_defaults(fn=_cmd_simulate)

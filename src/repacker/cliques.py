@@ -118,6 +118,8 @@ def enumerate_cliques_greedy(
         raise ValueError("min_size must be at least 1")
     if attempts_per_vertex < 1:
         raise ValueError("attempts_per_vertex must be at least 1")
+    if max_cliques is not None and max_cliques < 0:
+        raise ValueError("max_cliques must be non-negative")
     adj = instance.co_masks
     rng = random.Random(derive_seed(seed, "clique-catalog"))
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))

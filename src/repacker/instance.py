@@ -11,6 +11,7 @@ Instances are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -58,6 +59,8 @@ class Station:
     def __post_init__(self) -> None:
         if not self.id:
             raise InstanceError("station id must be non-empty")
+        if not math.isfinite(self.revenue):
+            raise InstanceError(f"station {self.id}: revenue must be finite")
         if self.revenue < 0:
             raise InstanceError(f"station {self.id}: revenue must be non-negative")
 

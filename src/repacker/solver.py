@@ -502,12 +502,15 @@ class ExternalSolver:
     ``{cnf}`` placeholder the formula path is appended as the last argument.
     An exit code outside {0, 10, 20}, output without a SAT/UNSAT status,
     ``s UNKNOWN``, or a model that fails the clauses raises
-    :class:`SolverError`.
+    :class:`SolverError`. A budget that is not positive raises
+    ``ValueError``, as in :func:`solve`.
     """
 
     command: str
 
     def solve(self, formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:
+        if time_budget <= 0:
+            raise ValueError("time_budget must be positive")
         start = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="repacker-cnf-") as tmp:
             cnf_path = os.path.join(tmp, "problem.cnf")

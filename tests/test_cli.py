@@ -11,6 +11,8 @@ import pytest
 from repacker.cli import main
 from repacker.instance import validate_assignment, RepackProblem, ChannelAssignment
 from repacker.instance_io import load_instance
+from repacker.montecarlo import BACKEND_SAT, estimate_success
+from repacker.participation import ModelSpec
 
 from conftest import build_instance, make_sample_set
 from test_solver import external_cmd  # noqa: F401  (fixture)
@@ -722,3 +724,171 @@ class TestConfigDigest:
         assert external["stats"] == {"decisions": 0, "conflicts": 0, "propagations": 0}
         assert external["verdict"] == embedded["verdict"] == "sat"
         assert external["violations"] == 0
+
+
+class TestProblemFlags:
+    """``--must-repack FILE`` and ``--dma-cap DMA=CAP`` reach the problem."""
+
+    @pytest.fixture
+    def clique_dir(self, tmp_path, capsys) -> Path:
+        # Five pairwise co-channel stations in DMA 1; a 12 MHz target leaves
+        # two channels, so at least three of them must be cleared.
+        d = tmp_path / "clique"
+        run_cli(
+            capsys, "gen", "--n", "5", "--channels", "4", "--co-density", "0",
+            "--clique-size", "5", "--seed", "1", "--out", str(d),
+        )
+        return d
+
+    @staticmethod
+    def verdict(capsys, instance: Path, *extra: str) -> str:
+        return run_cli(
+            capsys, "solve", "--instance", str(instance), "--target", "12", "--seed", "1", *extra
+        )["verdict"]
+
+    def test_must_repack_file(self, clique_dir, tmp_path, capsys):
+        ids = load_instance(clique_dir).station_ids
+        two, three = tmp_path / "two.txt", tmp_path / "three.txt"
+        two.write_text(f" {ids[0]}\n\n{ids[1]}\t\n")
+        three.write_text("\n".join(ids[:3]) + "\n")
+        out = tmp_path / "assignment.json"
+        verdict = self.verdict(capsys, clique_dir, "--must-repack", str(two), "--out", str(out))
+        assert verdict == "sat"
+        channels = json.loads(out.read_text())["assignment"]
+        assert channels[ids[0]] is not None and channels[ids[1]] is not None
+        assert self.verdict(capsys, clique_dir, "--must-repack", str(three)) == "unsat"
+
+    def test_dma_cap(self, clique_dir, capsys):
+        assert self.verdict(capsys, clique_dir, "--dma-cap", "1=3") == "sat"
+        assert self.verdict(capsys, clique_dir, "--dma-cap", "1=2") == "unsat"
+
+    @pytest.mark.parametrize("item", ["1:2", "x=1", "1=", "=2"])
+    def test_bad_dma_cap(self, clique_dir, item, capsys):
+        err = run_cli_error(
+            capsys, "solve", "--instance", str(clique_dir), "--target", "12", "--dma-cap", item,
+        )
+        assert err["error"] == {
+            "type": "CliError", "message": f"bad --dma-cap {item!r}, expected DMA=CAP",
+        }
+
+
+class TestRejectedBeforeWork:
+    """An out-of-range option exits 2 before any output exists, whichever engine runs."""
+
+    @pytest.mark.parametrize("engine", ["embedded", "external"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_timeout(
+        self, instance_dir, external_cmd, engine, budget, tmp_path, capsys
+    ):
+        out = tmp_path / "assignment.json"
+        argv = ["solve", "--instance", str(instance_dir), "--target", "12",
+                "--timeout-secs", budget, "--out", str(out)]
+        if engine == "external":
+            argv += ["--solver-cmd", external_cmd]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "time_budget must be positive",
+        }
+        assert not out.exists()
+
+    def test_negative_max_cliques(self, instance_dir, tmp_path, capsys):
+        out = tmp_path / "cliques" / "c.jsonl"
+        argv = ["cliques", "--instance", str(instance_dir), "--out", str(out)]
+        assert main([*argv, "--max-cliques", "-1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "max_cliques must be non-negative",
+        }
+        assert not out.parent.exists()
+        assert run_cli(capsys, *argv, "--max-cliques", "0")["cliques"] == 0
+
+
+class TestOneSimulatePath:
+    """``simulate`` offers the scan-first backends and defaults to the exact one;
+    ``sat`` is a library reference that trial files may still name."""
+
+    @pytest.fixture
+    def clique_dir(self, tmp_path, capsys) -> Path:
+        d = tmp_path / "inst"
+        run_cli(
+            capsys, "gen", "--n", "10", "--channels", "5", "--co-density", "0.1",
+            "--clique-size", "5", "--seed", "4", "--out", str(d),
+        )
+        return d
+
+    @staticmethod
+    def simulate(instance: Path) -> tuple[str, ...]:
+        return (
+            "simulate", "--instance", str(instance), "--target", "12",
+            "--model", "random-broadcasters", "--alpha", "0.6", "--trials", "20", "--seed", "3",
+            "--workers", "1",
+        )
+
+    def test_default_is_clique_then_sat(self, clique_dir, tmp_path, capsys):
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        a = run_cli(capsys, *self.simulate(clique_dir), "--out", str(default))
+        b = run_cli(
+            capsys, *self.simulate(clique_dir), "--backend", "clique-then-sat",
+            "--out", str(explicit),
+        )
+        assert a == {**b, "out": a["out"]}
+        for name in ("trials.jsonl", "summary.csv"):
+            assert (default / name).read_bytes() == (explicit / name).read_bytes()
+        trials = [json.loads(line) for line in (default / "trials.jsonl").read_text().splitlines()]
+        assert trials[0]["backend"] == "clique-then-sat"
+        assert any(t.get("z") is not None for t in trials[1:])
+
+    def test_sat_flag_is_rejected(self, clique_dir, tmp_path, capsys):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as info:
+            main([*self.simulate(clique_dir), "--backend", "sat", "--out", str(out)])
+        assert info.value.code == 2
+        assert "invalid choice: 'sat'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sat_config_field_is_rejected(self, clique_dir, tmp_path, capsys):
+        config, out = tmp_path / "run.json", tmp_path / "sim"
+        config.write_text(json.dumps({"backend": "sat"}))
+        assert main([*self.simulate(clique_dir), "--config", str(config), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "CliError",
+            "message": f"{config}: field 'backend': invalid choice 'sat'"
+                       " (choose from 'clique-then-sat', 'clique-only')",
+        }
+        assert not out.exists()
+
+    def test_bogus_identity_config_field_is_rejected(self, instance_dir, tmp_path, capsys):
+        samples, config, out = tmp_path / "s.jsonl", tmp_path / "run.json", tmp_path / "tables"
+        run_cli(
+            capsys, "sample", "--instance", str(instance_dir), "--target", "12", "--count", "3",
+            "--workers", "1", "--out", str(samples),
+        )
+        config.write_text(json.dumps({"identity": "bogus"}))
+        argv = ["stats", "--instance", str(instance_dir), "--samples", str(samples),
+                "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+            f"{config}: field 'identity': invalid choice 'bogus'"
+            " (choose from 'assignment', 'cleared-set')"
+        )
+        assert not out.exists()
+
+    def test_stats_reads_a_sat_trial_file(self, clique_dir, tmp_path, capsys):
+        instance = load_instance(clique_dir)
+        est = estimate_success(
+            ModelSpec.random_broadcasters(0.6), instance, 12, trials=20, seed=3,
+            backend=BACKEND_SAT,
+        )
+        trials = tmp_path / "trials.jsonl"
+        est.save_trials_jsonl(trials, instance)
+        payload = run_cli(
+            capsys, "stats", "--instance", str(clique_dir), "--trials-file", str(trials),
+            "--out", str(tmp_path / "tables"),
+        )
+        assert (payload["trials"], payload["p"]) == (20, est.p)
+        with open(tmp_path / "tables" / "trials_summary.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert rows == [{
+            "trials": "20", "infeasible": str(est.infeasible_count),
+            "timeouts": str(est.timeout_count), "p": str(est.p), "mean_z": "",
+            "attribution_fraction": "",
+        }]

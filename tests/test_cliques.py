@@ -69,6 +69,12 @@ class TestEnumeration:
         assert len(enumerate_cliques_greedy(inst, min_size=3)) == 0
         assert len(enumerate_cliques_greedy(inst, min_size=2)) == 1
 
+    def test_max_cliques_must_be_non_negative(self):
+        inst = build_instance(4, co_pairs=(("a", "b"),))
+        with pytest.raises(ValueError, match="^max_cliques must be non-negative$"):
+            enumerate_cliques_greedy(inst, max_cliques=-1)
+        assert len(enumerate_cliques_greedy(inst, max_cliques=0)) == 0
+
     def test_jsonl_round_trip(self, tmp_path):
         inst = generate_synthetic(10, co_density=0.3, seed=6)
         catalog = enumerate_cliques_greedy(inst, seed=9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import pickle
 import random
 import re
@@ -117,6 +118,25 @@ class TestTypes:
         with pytest.raises(InstanceError, match="must_repack"):
             RepackProblem(instance=inst, clearing_target_mhz=6, must_repack=frozenset({"zz"}))
 
+    def test_problem_rejects_a_negative_dma_cap(self):
+        inst = build_instance(2)
+        with pytest.raises(ValueError, match="^cap for DMA 1 must be non-negative$"):
+            RepackProblem(instance=inst, clearing_target_mhz=6, dma_caps={1: -1})
+
+    def test_problem_rejects_a_cap_on_an_unknown_dma(self):
+        inst = build_instance(2)
+        with pytest.raises(InstanceError, match="^dma_caps references unknown DMA 9$"):
+            RepackProblem(instance=inst, clearing_target_mhz=6, dma_caps={9: 1})
+
+    @pytest.mark.parametrize("revenue", [math.nan, math.inf, -math.inf])
+    def test_station_rejects_a_non_finite_revenue(self, revenue):
+        with pytest.raises(InstanceError, match="^station a: revenue must be finite$"):
+            Station("a", 1, revenue=revenue)
+
+    def test_station_negative_revenue_message(self):
+        with pytest.raises(InstanceError, match="^station a: revenue must be non-negative$"):
+            Station("a", 1, revenue=-0.5)
+
 
 class TestPickleState:
     """Pickles carry the dataclass fields only; derived caches are rebuilt."""
@@ -197,6 +217,13 @@ class TestValidateAssignment:
         a = ChannelAssignment(channels={"a": None, "b": 1, "c": None, "d": 2})
         kinds = {v.kind for v in validate_assignment(prob, a)}
         assert kinds == {"nationwide-cap", "dma-cap", "dma-count-cap"}
+
+    def test_channel_outside_the_plan(self):
+        # A 6 MHz target removes channel 4, the top of the band.
+        inst = build_instance(2)
+        prob = RepackProblem(instance=inst, clearing_target_mhz=6)
+        violations = validate_assignment(prob, ChannelAssignment(channels={"a": 4, "b": 1}))
+        assert [(v.kind, v.stations) for v in violations] == [("unavailable-channel", ("a",))]
 
     def test_agrees_with_direct_oracle_on_random_assignments(self, rng: random.Random):
         for _ in range(150):
@@ -374,6 +401,20 @@ class TestSerialization:
         with pytest.raises(InstanceError) as info:
             load_instance(d)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_revenue_reports_row(self, cell, tmp_path):
+        d = tmp_path / "revenue"
+        d.mkdir()
+        (d / "stations.csv").write_text(
+            f"id,dma_id,affiliation,revenue\nKAAA,1,,2.5\nKBBB,1,,{cell}\n"
+        )
+        (d / "interference.csv").write_text("kind,station_a,station_b\n")
+        (d / "dmas.csv").write_text("dma_id,name\n1,Alpha\n")
+        with pytest.raises(InstanceError) as info:
+            load_instance(d)
+        assert str(info.value) == "stations.csv, row 3: station KBBB: revenue must be finite"
+        assert _loaded(reference_load_instance, d) == ("InstanceError", str(info.value))
 
     def test_short_dma_row_has_a_blank_name(self, tmp_path):
         d = tmp_path / "short"

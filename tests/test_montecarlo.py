@@ -14,6 +14,7 @@ from repacker.montecarlo import (
     BACKEND_CLIQUE_THEN_SAT,
     BACKEND_SAT,
     BACKENDS,
+    DEFAULT_BACKEND,
     SuccessEstimate,
     TrialReport,
     estimate_success,
@@ -317,6 +318,19 @@ class TestSharedRandomnessSweep:
             expected = [t.to_json_dict() for t in single.trials]
             assert [t.to_json_dict() for t in point.trials] == expected
             assert [t.to_json_dict() for t in pooled_point.trials] == expected
+
+    def test_default_single_rate_run_equals_default_sweep_point(self):
+        # One default for both entry points, and it is the scan-first path.
+        inst = congested_instance()
+        model = ModelSpec.random_broadcasters(0.5)
+        for alpha in (0.4, 0.7):
+            single = estimate_success(model.with_alpha(alpha), inst, TARGET, trials=30, seed=23)
+            [point] = shared_randomness_sweep(model, [alpha], inst, TARGET, trials=30, seed=23)
+            assert single.backend == point.backend == DEFAULT_BACKEND == BACKEND_CLIQUE_THEN_SAT
+            trials = [t.to_json_dict() for t in single.trials]
+            assert [t.to_json_dict() for t in point.trials] == trials
+            assert any(t["z"] is not None for t in trials)
+            assert any(t["verdict"] == "feasible" for t in trials)
 
     def test_success_non_increasing_along_sweep(self):
         inst = congested_instance()

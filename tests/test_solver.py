@@ -714,3 +714,27 @@ class TestExternalFailures:
         outcome = fake_solver(tmp_path, stdout, exit_code).solve(self.UNIT)
         assert outcome.verdict is verdict
         assert outcome.model is None or outcome.model[1]
+
+
+class TestExternalBudget:
+    """The external engine reads its budget as the embedded one does."""
+
+    UNIT = CnfFormula(var_count=1, clauses=((1,),))
+
+    @pytest.mark.parametrize("budget", [0, 0.0, -1.0])
+    def test_non_positive_budget_raises_like_the_embedded_engine(self, tmp_path, budget):
+        # The fake would answer SAT, so a verdict here would mean it ran.
+        fake = fake_solver(tmp_path, "s SATISFIABLE\nv 1 0\n", 10)
+        with pytest.raises(ValueError, match="^time_budget must be positive$"):
+            fake.solve(self.UNIT, time_budget=budget)
+        with pytest.raises(ValueError, match="^time_budget must be positive$"):
+            solve(self.UNIT, time_budget=budget)
+
+    def test_run_past_the_budget_is_a_timeout(self, tmp_path):
+        script = tmp_path / "slow_solver.py"
+        script.write_text("import time\ntime.sleep(20)\nprint('s SATISFIABLE')\n")
+        start = time.monotonic()
+        outcome = ExternalSolver(f"{sys.executable} {script}").solve(self.UNIT, time_budget=0.5)
+        elapsed = time.monotonic() - start
+        assert outcome.verdict is Verdict.TIMEOUT and outcome.model is None
+        assert 0.5 <= outcome.stats.wall_time <= elapsed < 10
