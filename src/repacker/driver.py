@@ -19,13 +19,12 @@ from typing import Callable, Optional
 from .encoder import decode, encode
 from .instance import ChannelAssignment, Instance, RepackProblem, validate_assignment
 from .instance_io import load_artifact, save_artifact
-from .solver import EmbeddedSolver, SolveStats, Verdict
+from .solver import DEFAULT_TIME_BUDGET, EmbeddedSolver, SolveStats, Verdict
 from .util import derive_seed, gc_paused
 from . import parallel
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TIME_BUDGET = 60.0
 DEFAULT_BUFFER = 10
 DEFAULT_SLACK = 0.05
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
@@ -333,12 +333,12 @@ def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:
         )
     channels: dict[str, Optional[int]] = {}
     per_station: dict[str, list[Optional[int]]] = {sid: [] for sid in vm.cleared}
-    # compress keeps the keys whose variable the model sets, so only the
-    # true slots are unpacked and recorded.
-    for sid in compress(vm.cleared, [model[v] for v in vm.cleared.values()]):
-        per_station[sid].append(None)
-    for sid, ch in compress(vm.assign, [model[v] for v in vm.assign.values()]):
-        per_station[sid].append(ch)
+    for sid, v in vm.cleared.items():
+        if model[v]:
+            per_station[sid].append(None)
+    for (sid, ch), v in vm.assign.items():
+        if model[v]:
+            per_station[sid].append(ch)
     for sid, slots in per_station.items():
         if len(slots) != 1:
             raise EncodingError(f"station {sid} has {len(slots)} true slots in the model")

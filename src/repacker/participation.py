@@ -43,6 +43,15 @@ ALPHA_MODEL_KINDS = (
 DEFAULT_TOP_PROB = 0.9
 
 
+def _check_revenue_params(beta: Optional[float], gamma: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``beta`` lies in [0, 1] and ``gamma`` is
+    finite and non-negative; NaN passes neither."""
+    if beta is None or not 0.0 <= beta <= 1.0:
+        raise ValueError("revenue model: beta must lie in [0, 1]")
+    if gamma is None or not 0.0 <= gamma < math.inf:
+        raise ValueError("revenue model: gamma must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     kind: ModelKind
@@ -64,10 +73,7 @@ class ModelSpec:
                         "the conditional rate alpha/top_prob would exceed 1"
                     )
         else:
-            if self.beta is None or not 0.0 <= self.beta <= 1.0:
-                raise ValueError("revenue model: beta must lie in [0, 1]")
-            if self.gamma is None or self.gamma < 0.0:
-                raise ValueError("revenue model: gamma must be non-negative")
+            _check_revenue_params(self.beta, self.gamma)
 
     @classmethod
     def random_broadcasters(cls, alpha: float) -> "ModelSpec":
@@ -199,10 +205,7 @@ def revenue_probabilities(
     ``gamma``. Missing revenues enter as 0; results are clamped to [0, 1]
     since the gamma amplification is unbounded above.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    _check_revenue_params(beta, gamma)
     stations = instance.stations
     n = len(stations)
     revenues = [s.revenue for s in stations]

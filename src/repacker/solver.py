@@ -31,10 +31,12 @@ per binary clause and heap entries as tuples.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import random
 import shlex
+import signal
 import struct
 import subprocess
 import tempfile
@@ -465,7 +467,21 @@ class _Engine:
             trail.append(lit)
 
 
-def solve(formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:
+#: Wall-time budget of one solve, in seconds, when the caller gives none.
+DEFAULT_TIME_BUDGET = 60.0
+
+
+def _check_time_budget(time_budget: float) -> None:
+    """Raise ``ValueError`` unless the budget is positive (NaN is not) and finite."""
+    if not time_budget > 0:
+        raise ValueError("time_budget must be positive")
+    if not math.isfinite(time_budget):
+        raise ValueError("time_budget must be finite")
+
+
+def solve(
+    formula: CnfFormula, seed: int = 0, time_budget: float = DEFAULT_TIME_BUDGET
+) -> SolveOutcome:
     """Decide satisfiability within a wall-time budget.
 
     SAT outcomes carry a full model, re-checked against every clause before
@@ -476,8 +492,7 @@ def solve(formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> Solv
     clause lists hold no reference cycles, and on large formulas the
     collections their allocation triggers cost as much as the build itself.
     """
-    if time_budget <= 0:
-        raise ValueError("time_budget must be positive")
+    _check_time_budget(time_budget)
     with gc_paused():
         outcome = _Engine(formula.var_count, formula.clauses, seed).run(time_budget)
         if outcome.is_sat:
@@ -490,8 +505,7 @@ def solve(formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> Solv
 class EmbeddedSolver:
     """Engine facade so drivers can swap in an external solver."""
 
-    def solve(self, formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:
-        return solve(formula, seed=seed, time_budget=time_budget)
+    solve = staticmethod(solve)
 
 
 @dataclass
@@ -502,15 +516,21 @@ class ExternalSolver:
     ``{cnf}`` placeholder the formula path is appended as the last argument.
     An exit code outside {0, 10, 20}, output without a SAT/UNSAT status,
     ``s UNKNOWN``, or a model that fails the clauses raises
-    :class:`SolverError`. A budget that is not positive raises
-    ``ValueError``, as in :func:`solve`.
+    :class:`SolverError`. The budget is checked as in :func:`solve`, before
+    the formula is written.
+
+    The command runs in a session of its own, and its process group is
+    killed however the call ends, so nothing it started outlives the solve
+    (POSIX only). After a normal exit the leader is already reaped, but the
+    group's id stays reserved while any member lives.
     """
 
     command: str
 
-    def solve(self, formula: CnfFormula, seed: int = 0, time_budget: float = 60.0) -> SolveOutcome:
-        if time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+    def solve(
+        self, formula: CnfFormula, seed: int = 0, time_budget: float = DEFAULT_TIME_BUDGET
+    ) -> SolveOutcome:
+        _check_time_budget(time_budget)
         start = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="repacker-cnf-") as tmp:
             cnf_path = os.path.join(tmp, "problem.cnf")
@@ -522,19 +542,26 @@ class ExternalSolver:
             ]
             if "{cnf}" not in self.command:
                 argv.append(cnf_path)
-            try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=time_budget
-                )
-            except subprocess.TimeoutExpired:
-                stats = SolveStats(wall_time=time.monotonic() - start)
-                return SolveOutcome(Verdict.TIMEOUT, stats=stats)
+            with subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True,
+            ) as proc:
+                try:
+                    stdout, stderr = proc.communicate(timeout=time_budget)
+                except subprocess.TimeoutExpired:
+                    stats = SolveStats(wall_time=time.monotonic() - start)
+                    return SolveOutcome(Verdict.TIMEOUT, stats=stats)
+                finally:
+                    try:
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
         if proc.returncode not in (0, 10, 20):
             raise SolverError(
-                f"{argv[0]} exited with code {proc.returncode}: {proc.stderr.strip()[-500:]}"
+                f"{argv[0]} exited with code {proc.returncode}: {stderr.strip()[-500:]}"
             )
         try:
-            result = parse_dimacs_result(proc.stdout)
+            result = parse_dimacs_result(stdout)
             model = model_from_literals(result.literals, formula.var_count)
         except ValueError as exc:
             raise SolverError(f"{argv[0]}: {exc}") from None

@@ -503,3 +503,22 @@ class TestConfigDelta:
         sb = analytics.dma_stats(make_sample_set(inst_b, [assignment_with_cleared(inst_b, set())]))
         with pytest.raises(ValueError, match="different DMA sets"):
             analytics.config_delta(sa, sb)
+
+
+class TestCorrelationThresholds:
+    """A pair is dropped above ``p_threshold`` or below ``r_threshold``, kept at each bound."""
+
+    def test_bounds_on_a_moderate_pair(self):
+        inst = build_instance(8, dma_of={s: (1 if s in ids(4) else 2) for s in ids(8)}, n_dmas=2)
+        group1, group2 = ids(4), ids(8)[4:]
+        ss = make_sample_set(inst, [
+            assignment_with_cleared(inst, set(group1[:k]) | set(group2[:m]))
+            for k, m in ((1, 2), (2, 1), (3, 3), (4, 3), (2, 1))
+        ])
+        (pair,) = analytics.dma_correlations(ss, min_mean=1.0, p_threshold=1.0)
+        assert 0.0 < pair.p_value < 1.0 and 0.0 < abs(pair.r) < 1.0
+        assert analytics.dma_correlations(ss, min_mean=1.0, p_threshold=pair.p_value) == [pair]
+        assert analytics.dma_correlations(ss, min_mean=1.0, p_threshold=pair.p_value / 2) == []
+        keep = dict(min_mean=1.0, p_threshold=1.0)
+        assert analytics.dma_correlations(ss, **keep, r_threshold=abs(pair.r)) == [pair]
+        assert analytics.dma_correlations(ss, **keep, r_threshold=abs(pair.r) + 0.01) == []

@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from repacker.cli import main
+from repacker import analytics, solver
+from repacker.cli import _build_parser, main
+from repacker.cliques import enumerate_cliques_greedy
+from repacker.driver import sample_solutions
 from repacker.instance import validate_assignment, RepackProblem, ChannelAssignment
 from repacker.instance_io import load_instance
 from repacker.montecarlo import BACKEND_SAT, estimate_success
 from repacker.participation import ModelSpec
+from repacker.synthetic import generate_synthetic
+from repacker.util import derive_seed
 
 from conftest import build_instance, make_sample_set
 from test_solver import external_cmd  # noqa: F401  (fixture)
@@ -892,3 +900,115 @@ class TestOneSimulatePath:
             "timeouts": str(est.timeout_count), "p": str(est.p), "mean_z": "",
             "attribution_fraction": "",
         }]
+
+
+#: Every float option, by a subcommand that takes it.
+FLOAT_OPTIONS = [
+    ("gen", "--co-density"), ("gen", "--adj-density"), ("gen", "--domain-density"),
+    ("gen", "--affiliate-fraction"), ("solve", "--timeout-secs"),
+    ("min-dma-isolated", "--slack"), ("simulate", "--alpha"), ("simulate", "--beta"),
+    ("simulate", "--gamma"), ("simulate", "--top-prob"), ("stats", "--min-mean"),
+    ("stats", "--p-threshold"), ("stats", "--r-threshold"),
+]
+
+
+class TestFiniteFloats:
+    """A float that is not finite is refused where it enters, by name."""
+
+    def test_every_float_option_shares_one_type(self):
+        _, commands = _build_parser()
+        types = {
+            (name, action.option_strings[-1]): action.type
+            for name, sub in commands.items()
+            for action in sub._actions
+        }
+        (finite,) = {types[key] for key in FLOAT_OPTIONS}
+        assert finite is not float
+        shared = {option for (_, option), t in types.items() if t in (finite, float)}
+        assert shared == {option for _, option in FLOAT_OPTIONS}
+
+    @pytest.mark.parametrize("command, option", FLOAT_OPTIONS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_flag_is_named(self, command, option, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{option}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {option}: not a finite number: {value!r}" in capsys.readouterr().err
+
+    def test_config_field_is_named(self, instance_dir, tmp_path, capsys):
+        config, out = tmp_path / "run.json", tmp_path / "sim"
+        config.write_text(json.dumps({"gamma": math.nan}))
+        argv = ["simulate", "--instance", str(instance_dir), "--target", "12",
+                "--model", "revenue", "--beta", "0.5", "--config", str(config),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "CliError", "message": f"{config}: field 'gamma': not a finite number: nan",
+        }
+        assert not out.exists()
+
+
+class TestDefaultsMatchLibrary:
+    """A default written in ``cli.py`` and in a library signature says one thing."""
+
+    @pytest.mark.parametrize("command, dest, fn, param", [
+        ("gen", "channels", generate_synthetic, "channel_count"),
+        ("gen", "co_density", generate_synthetic, "co_density"),
+        ("gen", "adj_density", generate_synthetic, "adj_density"),
+        ("gen", "domain_density", generate_synthetic, "domain_density"),
+        ("gen", "affiliate_fraction", generate_synthetic, "affiliate_fraction"),
+        ("gen", "clique_size", generate_synthetic, "planted_clique"),
+        ("gen", "first_channel", generate_synthetic, "first_channel"),
+        ("cliques", "min_size", enumerate_cliques_greedy, "min_size"),
+        ("cliques", "attempts", enumerate_cliques_greedy, "attempts_per_vertex"),
+        ("sample", "retry_factor", sample_solutions, "retry_factor"),
+        ("stats", "min_mean", analytics.dma_correlations, "min_mean"),
+        ("stats", "p_threshold", analytics.dma_correlations, "p_threshold"),
+        ("stats", "identity", analytics.missing_mass, "identity"),
+    ])
+    def test_default_equals_signature(self, command, dest, fn, param):
+        _, commands = _build_parser()
+        expected = inspect.signature(fn).parameters[param].default
+        assert commands[command].get_default(dest) == expected
+
+    def test_timeout_default_is_the_solver_default(self):
+        _, commands = _build_parser()
+        with_budget = [sub for sub in commands.values() if "timeout_secs" in
+                       {a.dest for a in sub._actions}]
+        assert len(with_budget) == 6
+        for sub in with_budget:
+            assert sub.get_default("timeout_secs") == solver.DEFAULT_TIME_BUDGET
+
+
+class TestSampleShortfall:
+    def test_payload_then_exit_2(self, instance_dir, external_cmd, tmp_path, capsys):
+        # The external engine, except that odd seeds answer UNSAT.
+        gate = tmp_path / "gate.py"
+        gate.write_text(
+            "import runpy, sys\n"
+            "seed, cnf = sys.argv[1:]\n"
+            "if int(seed) % 2:\n"
+            "    print('s UNSATISFIABLE')\n"
+            "else:\n"
+            f"    sys.argv[1:] = [cnf]\n"
+            f"    runpy.run_path({external_cmd.split()[-1]!r}, run_name='__main__')\n"
+        )
+        seeds = [derive_seed(5, "sample", i) for i in range(4)]
+        kept = sum(1 for s in seeds if s % 2 == 0)
+        assert 0 < kept < 4
+        out = tmp_path / "samples.jsonl"
+        code = main([
+            "sample", "--instance", str(instance_dir), "--target", "12", "--count", "4",
+            "--b-star", "8", "--buffer", "0", "--retry-factor", "1", "--seed", "5",
+            "--workers", "1", "--solver-cmd", f"{sys.executable} {gate} {{seed}} {{cnf}}",
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        payload = json.loads(captured.out)
+        assert (payload["samples"], payload["requested"], payload["shortfall"]) == (
+            kept, 4, 4 - kept)
+        assert json.loads(captured.err)["error"] == {
+            "type": "CliError", "message": f"sampled only {kept} of 4 solutions",
+        }
+        assert len(out.read_text().splitlines()) == 1 + kept

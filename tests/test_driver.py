@@ -22,6 +22,7 @@ from repacker.driver import (
 from repacker.instance import ChannelAssignment, RepackProblem, validate_assignment
 from repacker.solver import SolveStats, Verdict
 from repacker.synthetic import generate_synthetic, planted_clique_ids
+from repacker.util import derive_seed
 
 from conftest import build_instance, random_problem
 from oracles import brute_force_min_cleared, brute_force_repack
@@ -427,3 +428,29 @@ class TestSearchMatchesReference:
             seen["re-probed"] += len(caps) != len(set(caps))
             seen["two-timeouts"] += sum(v is Verdict.TIMEOUT for _, v, _ in probes[1:]) >= 2
         assert min(seen.values()) >= 100, seen
+
+
+class TestPartialSample:
+    def test_shortfall_is_logged_and_recorded(self, caplog):
+        class UnsatOnOddSeeds:
+            """The embedded engine, except that odd seeds answer UNSAT."""
+
+            def solve(self, formula, seed=0, time_budget=60.0):
+                from repacker.solver import SolveOutcome, solve
+
+                if seed % 2:
+                    return SolveOutcome(Verdict.UNSAT, stats=SolveStats())
+                return solve(formula, seed=seed, time_budget=time_budget)
+
+        inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+        seeds = [derive_seed(5, "sample", i) for i in range(4)]
+        expected = sum(1 for s in seeds if s % 2 == 0)
+        assert 0 < expected < 4
+        with caplog.at_level("WARNING", logger="repacker.driver"):
+            ss = sample_solutions(
+                inst, 12, count=4, buffer=0, b_star=inst.n, seed=5, retry_factor=1,
+                engine=UnsatOnOddSeeds(),
+            )
+        assert [s.seed for s in ss.samples] == [s for s in seeds if s % 2 == 0]
+        assert ss.shortfall == 4 - expected
+        assert f"sampled {expected} of 4 requested solutions in 4 attempts" in caplog.text

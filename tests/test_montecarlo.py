@@ -370,3 +370,13 @@ class TestSharedRandomnessSweep:
             inst, 6, trials=15, seed=31, backend=BACKEND_CLIQUE_ONLY,
         )
         assert [pt.model.alpha for pt in sweep] == [0.2, 0.5, 0.8]
+
+
+class TestAllTrialsTimedOut:
+    def test_p_excluding_timeouts_is_undefined(self):
+        est = estimate_of(
+            TrialReport(index=0, seed=0, draw_digest="", verdict="timeout"),
+            TrialReport(index=1, seed=0, draw_digest="", verdict="timeout"),
+        )
+        assert (est.trial_count, est.timeout_count, est.p) == (2, 2, 0.0)
+        assert est.p_excluding_timeouts is None

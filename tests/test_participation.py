@@ -241,3 +241,23 @@ class TestSampleMatchesReference:
                     sample_from_variates(spec, inst, variates).bits
                     == reference_sample_from_variates(spec, inst, variates).bits
                 ), (seed, spec)
+
+
+class TestNonFiniteRevenueParameters:
+    """The model and the probabilities share one check of beta and gamma."""
+
+    @pytest.mark.parametrize(
+        "beta, gamma, message",
+        [
+            (0.5, math.nan, "gamma must be finite and non-negative"),
+            (0.5, math.inf, "gamma must be finite and non-negative"),
+            (0.5, -1.0, "gamma must be finite and non-negative"),
+            (math.nan, 1.0, r"beta must lie in \[0, 1\]"),
+        ],
+    )
+    def test_rejected_by_the_model_and_the_probabilities(self, beta, gamma, message):
+        inst = build_instance(4, revenues={"a": 0, "b": 1, "c": 2, "d": 3})
+        with pytest.raises(ValueError, match=message):
+            ModelSpec.revenue(beta, gamma)
+        with pytest.raises(ValueError, match=message):
+            revenue_probabilities(inst, beta, gamma)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import os
 import random
+import shlex
+import signal
 import stat
 import struct
 import sys
@@ -738,3 +741,97 @@ class TestExternalBudget:
         elapsed = time.monotonic() - start
         assert outcome.verdict is Verdict.TIMEOUT and outcome.model is None
         assert 0.5 <= outcome.stats.wall_time <= elapsed < 10
+
+
+class TestBudgetRule:
+    """One budget check serves both engines, and one default."""
+
+    UNIT = CnfFormula(var_count=1, clauses=((1,),))
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            (math.nan, "time_budget must be positive"),
+            (-math.inf, "time_budget must be positive"),
+            (math.inf, "time_budget must be finite"),
+            (0, "time_budget must be positive"),
+            (-1, "time_budget must be positive"),
+        ],
+    )
+    def test_both_engines_raise_before_any_work(self, tmp_path, monkeypatch, budget, message):
+        def ran(*args, **kwargs):
+            raise AssertionError("the external engine started work")
+
+        # The fake would answer SAT, so a verdict here would mean it ran.
+        fake = fake_solver(tmp_path, "s SATISFIABLE\nv 1 0\n", 10)
+        monkeypatch.setattr(solver, "export_dimacs", ran)
+        monkeypatch.setattr(solver.subprocess, "Popen", ran)
+        for engine in (fake, EmbeddedSolver()):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                engine.solve(self.UNIT, time_budget=budget)
+
+    def test_one_default_and_one_embedded_entry(self):
+        from repacker import driver
+
+        assert driver.DEFAULT_TIME_BUDGET is solver.DEFAULT_TIME_BUDGET
+        assert EmbeddedSolver.solve is solve
+        assert EmbeddedSolver().solve(self.UNIT).is_sat
+
+
+def _pid_alive(pid: int) -> bool:
+    """True while ``pid`` runs; a killed orphan that init has not yet reaped
+    counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _gone_within(pid: int, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while _pid_alive(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(os.name != "posix", reason="process groups are POSIX")
+class TestExternalProcessGroup:
+    """Nothing the external command starts outlives the solve."""
+
+    UNIT = CnfFormula(var_count=1, clauses=((1,),))
+
+    def run_leaving_child(self, tmp_path, script: str, budget: float):
+        pidfile = tmp_path / "child.pid"
+        command = f"sh -c {shlex.quote(script.replace('PIDFILE', str(pidfile)))} x"
+        try:
+            outcome = ExternalSolver(command).solve(self.UNIT, time_budget=budget)
+            return outcome, _gone_within(int(pidfile.read_text()), 2.0)
+        finally:
+            if pidfile.exists():  # leave nothing running, even on failure
+                try:
+                    os.kill(int(pidfile.read_text()), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    def test_timeout_kills_the_background_child(self, tmp_path):
+        outcome, gone = self.run_leaving_child(
+            tmp_path, "sleep 4 & echo $! > PIDFILE; wait; echo s SATISFIABLE", 0.5
+        )
+        assert outcome.verdict is Verdict.TIMEOUT
+        assert gone
+
+    def test_verdict_kills_the_background_child(self, tmp_path):
+        outcome, gone = self.run_leaving_child(
+            tmp_path,
+            "sleep 4 >/dev/null 2>&1 & echo $! > PIDFILE; echo s UNSATISFIABLE; exit 20",
+            10.0,
+        )
+        assert outcome.verdict is Verdict.UNSAT
+        assert gone
