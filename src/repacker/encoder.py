@@ -24,14 +24,25 @@ class EncodingError(ValueError):
 
 
 class VarPool:
-    """Allocates fresh 1-based CNF variable indices."""
+    """Allocates fresh 1-based CNF variable indices.
 
-    def __init__(self, start: int = 1) -> None:
+    ``neg[v]`` is ``-v`` for every index below the next fresh one. Clauses
+    that take their negative literals from it hold one int object per
+    literal, where negating at each occurrence allocates a new one. A caller
+    passing ``neg`` hands over a list holding ``-v`` for each ``v`` below
+    ``start``; the pool appends to it.
+    """
+
+    def __init__(self, start: int = 1, neg: Optional[list[int]] = None) -> None:
+        if neg is not None and len(neg) != start:
+            raise ValueError("neg must hold -v for every v below start")
         self._next = start
+        self.neg = [-v for v in range(start)] if neg is None else neg
 
     def fresh(self) -> int:
         v = self._next
         self._next += 1
+        self.neg.append(-v)
         return v
 
     @property
@@ -134,6 +145,8 @@ def at_most_true(
     j of the first i variables are true". Returns the clause list and the
     fresh auxiliary variables it allocated. Projected onto ``variables``, the
     satisfying assignments are exactly those with at most ``k`` true.
+    ``variables`` must lie below the pool's next index; negative literals
+    come from ``pool.neg``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -142,25 +155,26 @@ def at_most_true(
     n = len(variables)
     if k >= n:
         return [], []
+    neg = pool.neg
     if k == 0:
-        return [(-v,) for v in variables], []
+        return [(neg[v],) for v in variables], []
 
     # s[i][j], 0-based: counter register for prefix i+1 and count j+1.
     s = [[pool.fresh() for _ in range(k)] for _ in range(n - 1)]
     aux = [v for row in s for v in row]
     clauses: list[tuple[int, ...]] = []
-    clauses.append((-variables[0], s[0][0]))
+    clauses.append((neg[variables[0]], s[0][0]))
     for j in range(1, k):
-        clauses.append((-s[0][j],))
+        clauses.append((neg[s[0][j]],))
     for i in range(1, n - 1):
-        xi = variables[i]
-        clauses.append((-xi, s[i][0]))
-        clauses.append((-s[i - 1][0], s[i][0]))
+        nx, prev, row = neg[variables[i]], s[i - 1], s[i]
+        clauses.append((nx, row[0]))
+        clauses.append((neg[prev[0]], row[0]))
         for j in range(1, k):
-            clauses.append((-xi, -s[i - 1][j - 1], s[i][j]))
-            clauses.append((-s[i - 1][j], s[i][j]))
-        clauses.append((-xi, -s[i - 1][k - 1]))
-    clauses.append((-variables[n - 1], -s[n - 2][k - 1]))
+            clauses.append((nx, neg[prev[j - 1]], row[j]))
+            clauses.append((neg[prev[j]], row[j]))
+        clauses.append((nx, neg[prev[k - 1]]))
+    clauses.append((neg[variables[n - 1]], neg[s[n - 2][k - 1]]))
     return clauses, aux
 
 
@@ -170,7 +184,10 @@ class _Base:
 
     ``clauses`` encode every station as free to clear. ``repacked`` maps each
     station to the position of its at-least-one clause and the clauses that
-    take its place when the station must be repacked.
+    take its place when the station must be repacked. Every literal of
+    both is the int object ``neg[v]`` or the one the var map holds for
+    ``v``, so ~1.8M literal slots on an FCC-sized instance share two
+    objects per variable.
     """
 
     instance: Instance
@@ -179,6 +196,7 @@ class _Base:
     var_map: VarMap
     clauses: tuple[tuple[int, ...], ...]
     repacked: dict[str, tuple[int, tuple[tuple[int, ...], ...]]]
+    neg: list[int]
 
 
 # The base of the last encoding in this process. Monte Carlo draws and
@@ -209,11 +227,14 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     ids = inst.station_ids
     # Station i owns the block of variables i*width + 1 (cleared) through
     # i*width + width, and channels[p] is variable i*width + 2 + p.
+    # pos[v] is v and neg[v] is -v: every literal below is taken from these.
     position = {ch: p for p, ch in enumerate(channels)}
+    pos = list(range(len(ids) * width + 1))
+    neg = [-v for v in pos]
     vm = VarMap(
-        assign={(sid, ch): i * width + 2 + p
+        assign={(sid, ch): pos[i * width + 2 + p]
                 for i, sid in enumerate(ids) for p, ch in enumerate(channels)},
-        cleared={sid: i * width + 1 for i, sid in enumerate(ids)},
+        cleared={sid: pos[i * width + 1] for i, sid in enumerate(ids)},
         var_count=len(ids) * width,
     )
 
@@ -225,10 +246,10 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     # placed at all.
     for i, sid in enumerate(ids):
         cleared = i * width + 1
-        slots = tuple(range(cleared + 1, cleared + width))
-        repacked[sid] = (len(clauses), (slots,) if slots else ((cleared,), (-cleared,)))
-        clauses.append((cleared, *slots))
-        clauses.extend(combinations(range(-cleared, -cleared - width, -1), 2))
+        slots = tuple(pos[cleared + 1:cleared + width])
+        repacked[sid] = (len(clauses), (slots,) if slots else ((pos[cleared],), (neg[cleared],)))
+        clauses.append((pos[cleared], *slots))
+        clauses.extend(combinations(neg[cleared:cleared + width], 2))
 
     # Pairwise interference over actual channels, as (position of a's
     # channel, position of b's channel) pairs: ADJ_UP rules out
@@ -244,22 +265,22 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     for ic in inst.sorted_interference:
         a, b = index[ic.a] * width + 2, index[ic.b] * width + 2
         if ic.kind is ConstraintKind.CO:
-            clauses.extend(zip(range(-a, -a - count, -1), range(-b, -b - count, -1)))
+            clauses.extend(zip(neg[a:a + count], neg[b:b + count]))
         else:
-            clauses.extend([(-a - pa, -b - pb) for pa, pb in adjacent[ic.kind]])
+            clauses.extend([(neg[a + pa], neg[b + pb]) for pa, pb in adjacent[ic.kind]])
 
     # Channel prohibitions: reserved channels for everyone, then per-station rows.
     flagged = [p for p, ch in enumerate(channels) if ch in plan.flagged]
     for i in range(len(ids)):
-        clauses.extend((-(i * width + 2 + p),) for p in flagged)
+        clauses.extend((neg[i * width + 2 + p],) for p in flagged)
     if use_domain:
         for dc in inst.sorted_domain:
             if dc.channel in position and dc.channel not in plan.flagged:
-                clauses.append((-(index[dc.station] * width + 2 + position[dc.channel]),))
+                clauses.append((neg[index[dc.station] * width + 2 + position[dc.channel]],))
 
     # The must-repack replacements reuse literals of the at-least-one clauses.
     _check_clauses(clauses, vm.var_count)
-    return _Base(inst, plan, use_domain, vm, tuple(clauses), repacked)
+    return _Base(inst, plan, use_domain, vm, tuple(clauses), repacked, neg)
 
 
 def encode(problem: RepackProblem) -> CnfFormula:
@@ -282,7 +303,7 @@ def encode(problem: RepackProblem) -> CnfFormula:
     for pos, repl in sorted((base.repacked[sid] for sid in problem.must_repack), reverse=True):
         clauses[pos:pos + 1] = repl
     added = len(clauses)
-    pool = VarPool(start=base.var_map.var_count + 1)
+    pool = VarPool(start=base.var_map.var_count + 1, neg=list(base.neg))
     vm = VarMap(assign=dict(base.var_map.assign), cleared=dict(base.var_map.cleared))
 
     # Cardinality caps.
@@ -298,14 +319,15 @@ def encode(problem: RepackProblem) -> CnfFormula:
         clauses.extend(extra)
 
     if problem.max_dmas_with_clearing is not None:
+        neg = pool.neg
         for dma in sorted(inst.dmas):
             vm.dma_any_clearing[dma] = pool.fresh()
         for dma in sorted(inst.dmas):
             y = vm.dma_any_clearing[dma]
             members = inst.dma_members.get(dma, ())
             for sid in members:
-                clauses.append((-vm.cleared[sid], y))
-            clauses.append(tuple(vm.cleared[sid] for sid in members) + (-y,))
+                clauses.append((neg[vm.cleared[sid]], y))
+            clauses.append(tuple(vm.cleared[sid] for sid in members) + (neg[y],))
         extra, _ = at_most_true(
             [vm.dma_any_clearing[dma] for dma in sorted(inst.dmas)],
             problem.max_dmas_with_clearing,

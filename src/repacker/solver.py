@@ -519,7 +519,9 @@ class ExternalSolver:
     :class:`SolverError`. The budget is checked as in :func:`solve`, before
     the formula is written.
 
-    The command runs in a session of its own, and its process group is
+    The command runs in a session of its own, with its output sent to files.
+    The solve ends when the command itself exits, even if something it
+    started still holds those files open, and its process group is then
     killed however the call ends, so nothing it started outlives the solve
     (POSIX only). After a normal exit the leader is already reaped, but the
     group's id stays reserved while any member lives.
@@ -542,20 +544,27 @@ class ExternalSolver:
             ]
             if "{cnf}" not in self.command:
                 argv.append(cnf_path)
-            with subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                start_new_session=True,
-            ) as proc:
-                try:
-                    stdout, stderr = proc.communicate(timeout=time_budget)
-                except subprocess.TimeoutExpired:
-                    stats = SolveStats(wall_time=time.monotonic() - start)
-                    return SolveOutcome(Verdict.TIMEOUT, stats=stats)
-                finally:
+            with (
+                open(os.path.join(tmp, "stdout"), "w+b") as out,
+                open(os.path.join(tmp, "stderr"), "w+b") as err,
+            ):
+                with subprocess.Popen(
+                    argv, stdout=out, stderr=err, start_new_session=True
+                ) as proc:
                     try:
-                        os.killpg(proc.pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
+                        proc.wait(timeout=time_budget)
+                    except subprocess.TimeoutExpired:
+                        stats = SolveStats(wall_time=time.monotonic() - start)
+                        return SolveOutcome(Verdict.TIMEOUT, stats=stats)
+                    finally:
+                        try:
+                            os.killpg(proc.pid, signal.SIGKILL)
+                        except ProcessLookupError:
+                            pass
+                out.seek(0)
+                err.seek(0)
+                stdout = out.read().decode("utf-8", "replace")
+                stderr = err.read().decode("utf-8", "replace")
         if proc.returncode not in (0, 10, 20):
             raise SolverError(
                 f"{argv[0]} exited with code {proc.returncode}: {stderr.strip()[-500:]}"

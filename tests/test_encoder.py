@@ -23,6 +23,7 @@ from repacker.encoder import (
     parse_dimacs_result,
 )
 from repacker.instance import ChannelAssignment, ConstraintKind, RepackProblem, validate_assignment
+from repacker.participation import ModelSpec, sample
 from repacker.solver import solve
 from repacker.synthetic import generate_synthetic
 
@@ -420,6 +421,59 @@ class TestEncodeMatchesReference:
         vm.var_count = 0
         assert_matches_reference(prob)
         assert_matches_reference(dataclasses.replace(prob, must_repack=frozenset(inst.station_ids)))
+
+
+def literal_objects_and_values(formula: CnfFormula) -> tuple[int, int]:
+    literals = [lit for clause in formula.clauses for lit in clause]
+    return len({id(lit) for lit in literals}), len(set(literals))
+
+
+class TestLiteralSharing:
+    """Every literal value of a formula is one int object, however often it occurs."""
+
+    @staticmethod
+    def instance(seed: int):
+        # 150 stations of 11 variables: literals reach far beyond the
+        # interpreter's cached small ints.
+        return generate_synthetic(
+            150, channel_count=10, co_density=0.08, adj_density=0.04, domain_density=0.1,
+            n_dmas=6, forbidden_channels=(17,), seed=seed,
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monte_carlo_draw(self, seed: int):
+        inst = self.instance(seed)
+        draw = sample(ModelSpec.random_broadcasters(0.6), inst, seed)
+        assert draw.non_participants()
+        # The second target clears the whole band, so each must-repack
+        # station gets the two-clause replacement.
+        for target in (18, 54):
+            formula = encode(RepackProblem(
+                instance=inst, clearing_target_mhz=target, must_repack=draw.non_participants()
+            ))
+            objects, values = literal_objects_and_values(formula)
+            assert objects == values
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_nationwide_and_per_dma_caps(self, seed: int):
+        inst = self.instance(seed)
+        formula = encode(RepackProblem(
+            instance=inst, clearing_target_mhz=18, max_cleared_nationwide=40,
+            dma_caps={min(inst.dmas): 3}, must_repack=frozenset(inst.station_ids[::3]),
+        ))
+        assert formula.var_count > len(formula.var_map.names())  # counter registers
+        objects, values = literal_objects_and_values(formula)
+        assert objects == values
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dma_count_cap(self, seed: int):
+        inst = self.instance(seed)
+        formula = encode(RepackProblem(
+            instance=inst, clearing_target_mhz=18, max_dmas_with_clearing=2,
+        ))
+        assert formula.var_map.dma_any_clearing
+        objects, values = literal_objects_and_values(formula)
+        assert objects == values
 
 
 class TestDecode:

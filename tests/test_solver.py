@@ -835,3 +835,13 @@ class TestExternalProcessGroup:
         )
         assert outcome.verdict is Verdict.UNSAT
         assert gone
+
+    def test_verdict_counts_once_the_command_exits(self, tmp_path):
+        # The background child keeps the command's stdout open for 3 s; the
+        # verdict is in as soon as the command itself exits.
+        outcome, gone = self.run_leaving_child(
+            tmp_path, "sleep 3 & echo $! > PIDFILE; echo s UNSATISFIABLE; exit 20", 1.0
+        )
+        assert outcome.verdict is Verdict.UNSAT
+        assert outcome.stats.wall_time < 0.5
+        assert gone
