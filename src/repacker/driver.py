@@ -20,7 +20,7 @@ from .encoder import decode, encode
 from .instance import ChannelAssignment, Instance, RepackProblem, validate_assignment
 from .instance_io import load_artifact, save_artifact
 from .solver import DEFAULT_TIME_BUDGET, EmbeddedSolver, SolveStats, Verdict
-from .util import derive_seed, gc_paused
+from .util import derive_seed, gc_paused, json_field
 from . import parallel
 
 log = logging.getLogger(__name__)
@@ -310,13 +310,13 @@ class SampleSet:
             return {
                 "problem": RepackProblem(
                     instance=instance,
-                    clearing_target_mhz=int(meta["target_mhz"]),
-                    use_domain_constraints=bool(meta["use_domain"]),
-                    max_cleared_nationwide=meta["cap"],
+                    clearing_target_mhz=json_field(meta["target_mhz"], int, "target_mhz"),
+                    use_domain_constraints=json_field(meta["use_domain"], bool, "use_domain"),
+                    max_cleared_nationwide=json_field(meta["cap"], int, "cap", nullable=True),
                 ),
-                "buffer": int(meta.get("buffer") or 0),
-                "b_star": meta.get("b_star"),
-                "requested": meta.get("requested"),
+                "buffer": json_field(meta.get("buffer", 0), int, "buffer"),
+                "b_star": json_field(meta.get("b_star"), int, "b_star", nullable=True),
+                "requested": json_field(meta.get("requested"), int, "requested", nullable=True),
             }
 
         def sample(rec: dict) -> Sample:
@@ -325,7 +325,7 @@ class SampleSet:
             if unknown:
                 raise ValueError(f"unknown station {min(unknown)!r}")
             return Sample(
-                seed=int(rec["seed"]),
+                seed=json_field(rec["seed"], int, "seed"),
                 assignment=assignment,
                 stats=SolveStats(**rec["stats"]) if "stats" in rec else None,
             )

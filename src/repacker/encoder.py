@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from functools import cached_property
+from itertools import chain, combinations, compress
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
@@ -52,21 +53,35 @@ class VarPool:
 
 @dataclass
 class VarMap:
-    """Bidirectional map between semantic variables and CNF indices."""
+    """The CNF variable layout, and the names of its variables.
 
-    assign: dict[tuple[str, int], int] = field(default_factory=dict)
-    cleared: dict[str, int] = field(default_factory=dict)
-    dma_any_clearing: dict[int, int] = field(default_factory=dict)
+    Station ``i`` of ``station_ids`` owns the block ``i*w + 1 .. i*w + w``
+    with ``w = len(channels) + 1``: its cleared variable, then one variable
+    per channel in ``channels`` order. Cap counters and ``dma_any_clearing``
+    indicators follow the blocks. The id-keyed ``assign`` and ``cleared``
+    views are built from the layout on first read, per map.
+    """
+
+    station_ids: tuple[str, ...] = ()
+    channels: tuple[int, ...] = ()
     var_count: int = 0
+    dma_any_clearing: dict[int, int] = field(default_factory=dict)
+
+    @cached_property
+    def assign(self) -> dict[tuple[str, int], int]:
+        w = len(self.channels) + 1
+        return {(sid, ch): i * w + 2 + p
+                for i, sid in enumerate(self.station_ids) for p, ch in enumerate(self.channels)}
+
+    @cached_property
+    def cleared(self) -> dict[str, int]:
+        w = len(self.channels) + 1
+        return {sid: i * w + 1 for i, sid in enumerate(self.station_ids)}
 
     def names(self) -> dict[int, str]:
-        out: dict[int, str] = {}
-        for (sid, ch), v in self.assign.items():
-            out[v] = f"assign:{sid}:{ch}"
-        for sid, v in self.cleared.items():
-            out[v] = f"cleared:{sid}"
-        for dma, v in self.dma_any_clearing.items():
-            out[v] = f"dma_any_clearing:{dma}"
+        out = {v: f"assign:{sid}:{ch}" for (sid, ch), v in self.assign.items()}
+        out.update((v, f"cleared:{sid}") for sid, v in self.cleared.items())
+        out.update((v, f"dma_any_clearing:{dma}") for dma, v in self.dma_any_clearing.items())
         return out
 
     def to_json_dict(self) -> dict:
@@ -75,23 +90,6 @@ class VarMap:
             "var_count": self.var_count,
             "vars": {str(v): named[v] for v in sorted(named)},
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VarMap":
-        vm = cls(var_count=int(data["var_count"]))
-        for idx_text, name in data["vars"].items():
-            idx = int(idx_text)
-            kind, _, rest = name.partition(":")
-            if kind == "assign":
-                sid, _, ch = rest.rpartition(":")
-                vm.assign[(sid, int(ch))] = idx
-            elif kind == "cleared":
-                vm.cleared[rest] = idx
-            elif kind == "dma_any_clearing":
-                vm.dma_any_clearing[int(rest)] = idx
-            else:
-                raise EncodingError(f"unknown variable name {name!r}")
-        return vm
 
 
 @dataclass(frozen=True)
@@ -182,20 +180,18 @@ def at_most_true(
 class _Base:
     """The part of an encoding that depends on neither ``must_repack`` nor the caps.
 
-    ``clauses`` encode every station as free to clear. ``repacked`` maps each
-    station to the position of its at-least-one clause and the clauses that
-    take its place when the station must be repacked. Every literal of
-    both is the int object ``neg[v]`` or the one the var map holds for
-    ``v``, so ~1.8M literal slots on an FCC-sized instance share two
+    ``clauses`` encode every station as free to clear, in :class:`VarMap`'s
+    layout. Station ``i``'s at-least-one clause, whose first literal is its
+    cleared variable, sits at ``i * (1 + w*(w-1)//2)``; its at-most-one pairs
+    follow it. Every literal is the int object ``v`` or ``neg[v]`` the build
+    made for it, so ~1.8M literal slots on an FCC-sized instance share two
     objects per variable.
     """
 
     instance: Instance
     plan: ChannelPlan
     use_domain: bool
-    var_map: VarMap
     clauses: tuple[tuple[int, ...], ...]
-    repacked: dict[str, tuple[int, tuple[tuple[int, ...], ...]]]
     neg: list[int]
 
 
@@ -225,30 +221,16 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     channels = plan.channels
     count, width = len(channels), len(channels) + 1
     ids = inst.station_ids
-    # Station i owns the block of variables i*width + 1 (cleared) through
-    # i*width + width, and channels[p] is variable i*width + 2 + p.
     # pos[v] is v and neg[v] is -v: every literal below is taken from these.
     position = {ch: p for p, ch in enumerate(channels)}
     pos = list(range(len(ids) * width + 1))
     neg = [-v for v in pos]
-    vm = VarMap(
-        assign={(sid, ch): pos[i * width + 2 + p]
-                for i, sid in enumerate(ids) for p, ch in enumerate(channels)},
-        cleared={sid: pos[i * width + 1] for i, sid in enumerate(ids)},
-        var_count=len(ids) * width,
-    )
 
+    # Exactly-one slot per station.
     clauses: list[tuple[int, ...]] = []
-    repacked: dict[str, tuple[int, tuple[tuple[int, ...], ...]]] = {}
-
-    # Exactly-one slot per station. A must-repack station loses the cleared
-    # slot from its at-least-one clause; with no channels left it cannot be
-    # placed at all.
-    for i, sid in enumerate(ids):
+    for i in range(len(ids)):
         cleared = i * width + 1
-        slots = tuple(pos[cleared + 1:cleared + width])
-        repacked[sid] = (len(clauses), (slots,) if slots else ((pos[cleared],), (neg[cleared],)))
-        clauses.append((pos[cleared], *slots))
+        clauses.append(tuple(pos[cleared:cleared + width]))
         clauses.extend(combinations(neg[cleared:cleared + width], 2))
 
     # Pairwise interference over actual channels, as (position of a's
@@ -278,17 +260,17 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
             if dc.channel in position and dc.channel not in plan.flagged:
                 clauses.append((neg[index[dc.station] * width + 2 + position[dc.channel]],))
 
-    # The must-repack replacements reuse literals of the at-least-one clauses.
-    _check_clauses(clauses, vm.var_count)
-    return _Base(inst, plan, use_domain, vm, tuple(clauses), repacked, neg)
+    _check_clauses(clauses, len(ids) * width)
+    return _Base(inst, plan, use_domain, tuple(clauses), neg)
 
 
 def encode(problem: RepackProblem) -> CnfFormula:
     """Encode a repacking problem as CNF.
 
     Per station: exactly one of {cleared, channel...} holds, with the cleared
-    slot ruled out for must-repack stations. Interference clauses range over
-    actual channels only; two cleared stations never conflict. Domain rows are
+    slot ruled out for must-repack stations; with no channels left such a
+    station cannot be placed at all. Interference clauses range over actual
+    channels only; two cleared stations never conflict. Domain rows are
     dropped when the problem ignores domain constraints, but reserved-channel
     prohibitions always apply.
 
@@ -298,45 +280,45 @@ def encode(problem: RepackProblem) -> CnfFormula:
     """
     inst = problem.instance
     base = _base_for(problem)
+    width = len(base.plan.channels) + 1
+    stride = 1 + width * (width - 1) // 2
+    # Each station's at-least-one clause, and so its cleared literal.
+    firsts = base.clauses[:inst.n * stride:stride]
+    cleared = [clause[0] for clause in firsts]
+    index = inst.station_index
+    pool = VarPool(start=len(base.neg), neg=list(base.neg))
+    neg = pool.neg
     clauses = list(base.clauses)
     # From the back, so a two-clause replacement leaves earlier positions put.
-    for pos, repl in sorted((base.repacked[sid] for sid in problem.must_repack), reverse=True):
-        clauses[pos:pos + 1] = repl
+    for i in sorted((index[sid] for sid in problem.must_repack), reverse=True):
+        first = firsts[i]
+        at = i * stride
+        clauses[at:at + 1] = [first[1:]] if width > 1 else [first, (neg[first[0]],)]
     added = len(clauses)
-    pool = VarPool(start=base.var_map.var_count + 1, neg=list(base.neg))
-    vm = VarMap(assign=dict(base.var_map.assign), cleared=dict(base.var_map.cleared))
 
     # Cardinality caps.
-    cleared_vars = [vm.cleared[sid] for sid in inst.station_ids]
     if problem.max_cleared_nationwide is not None:
-        extra, _ = at_most_true(cleared_vars, problem.max_cleared_nationwide, pool)
+        extra, _ = at_most_true(cleared, problem.max_cleared_nationwide, pool)
         clauses.extend(extra)
     for dma in sorted(problem.dma_caps):
         members = inst.dma_members.get(dma, ())
         if not members:
             continue
-        extra, _ = at_most_true([vm.cleared[sid] for sid in members], problem.dma_caps[dma], pool)
+        extra, _ = at_most_true([cleared[index[sid]] for sid in members], problem.dma_caps[dma], pool)
         clauses.extend(extra)
 
+    dma_any_clearing: dict[int, int] = {}
     if problem.max_dmas_with_clearing is not None:
-        neg = pool.neg
-        for dma in sorted(inst.dmas):
-            vm.dma_any_clearing[dma] = pool.fresh()
-        for dma in sorted(inst.dmas):
-            y = vm.dma_any_clearing[dma]
-            members = inst.dma_members.get(dma, ())
-            for sid in members:
-                clauses.append((neg[vm.cleared[sid]], y))
-            clauses.append(tuple(vm.cleared[sid] for sid in members) + (neg[y],))
-        extra, _ = at_most_true(
-            [vm.dma_any_clearing[dma] for dma in sorted(inst.dmas)],
-            problem.max_dmas_with_clearing,
-            pool,
-        )
+        dma_any_clearing = {dma: pool.fresh() for dma in sorted(inst.dmas)}
+        for dma, y in dma_any_clearing.items():
+            members = [cleared[index[sid]] for sid in inst.dma_members.get(dma, ())]
+            clauses.extend((neg[v], y) for v in members)
+            clauses.append((*members, neg[y]))
+        extra, _ = at_most_true(list(dma_any_clearing.values()), problem.max_dmas_with_clearing, pool)
         clauses.extend(extra)
 
-    vm.var_count = pool.count
     _check_clauses(clauses[added:], pool.count)
+    vm = VarMap(inst.station_ids, base.plan.channels, pool.count, dma_any_clearing)
     return CnfFormula._prechecked(pool.count, tuple(clauses), vm)
 
 
@@ -353,18 +335,14 @@ def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:
         raise EncodingError(
             f"model covers {len(model) - 1} variables, formula has {formula.var_count}"
         )
+    width = len(vm.channels) + 1
+    slots = (None, *vm.channels)
     channels: dict[str, Optional[int]] = {}
-    per_station: dict[str, list[Optional[int]]] = {sid: [] for sid in vm.cleared}
-    for sid, v in vm.cleared.items():
-        if model[v]:
-            per_station[sid].append(None)
-    for (sid, ch), v in vm.assign.items():
-        if model[v]:
-            per_station[sid].append(ch)
-    for sid, slots in per_station.items():
-        if len(slots) != 1:
-            raise EncodingError(f"station {sid} has {len(slots)} true slots in the model")
-        channels[sid] = slots[0]
+    for i, sid in enumerate(vm.station_ids):
+        true = list(compress(slots, model[i * width + 1:i * width + 1 + width]))
+        if len(true) != 1:
+            raise EncodingError(f"station {sid} has {len(true)} true slots in the model")
+        channels[sid] = true[0]
     return ChannelAssignment(channels=channels)
 
 

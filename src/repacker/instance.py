@@ -17,6 +17,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Mapping, Optional
 
+from .util import json_field
+
 
 def _fields_state(self) -> dict:
     """Pickle state holding only the dataclass fields: ``cached_property``
@@ -336,7 +338,7 @@ class ChannelAssignment:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Optional[int]]) -> "ChannelAssignment":
-        return cls(channels={k: (None if v is None else int(v)) for k, v in data.items()})
+        return cls(channels={k: json_field(v, int, f"channel of {k}", nullable=True) for k, v in data.items()})
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from .participation import (
     draw_variates,
     sample_from_variates,
 )
-from .solver import Verdict
-from .util import derive_seed
+from .solver import Verdict, _check_time_budget
+from .util import derive_seed, json_field
 from . import parallel
 
 BACKEND_SAT = "sat"
@@ -190,20 +190,20 @@ def _known(value: str, allowed: Collection[str], what: str) -> str:
 def _meta_fields(meta: dict) -> dict:
     return {
         "model": ModelSpec.from_dict(meta["model"]),
-        "target_mhz": meta["target_mhz"],
-        "use_domain": meta["use_domain"],
+        "target_mhz": json_field(meta["target_mhz"], int, "target_mhz"),
+        "use_domain": json_field(meta["use_domain"], bool, "use_domain"),
         "backend": _known(meta["backend"], BACKENDS, "backend"),
     }
 
 
 def _trial_from(rec: dict) -> TrialReport:
     return TrialReport(
-        index=int(rec["index"]),
-        seed=int(rec["seed"]),
-        draw_digest=rec["draw_digest"],
+        index=json_field(rec["index"], int, "index"),
+        seed=json_field(rec["seed"], int, "seed"),
+        draw_digest=json_field(rec["draw_digest"], str, "draw_digest"),
         verdict=_known(rec["verdict"], _TRIAL_VERDICT.values(), "verdict"),
-        z=rec.get("z"),
-        blocking_cliques=rec.get("blocking_cliques"),
+        z=json_field(rec.get("z"), int, "z", nullable=True),
+        blocking_cliques=json_field(rec.get("blocking_cliques"), int, "blocking_cliques", nullable=True),
     )
 
 
@@ -281,6 +281,8 @@ def estimate_success(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    # Before any trial: a clique-blocked draw never reaches the solver's check.
+    _check_time_budget(time_budget)
     catalog = _need_catalog(backend, catalog, instance, seed)
     # Reserved channels inside the retained band cannot hold a station.
     channel_count = len(derive_available_channels(target_mhz, instance.universe).assignable)

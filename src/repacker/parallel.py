@@ -37,8 +37,11 @@ def run_tasks(
 ) -> list[R]:
     """Return ``[fn(context, t) for t in tasks]``, computed by up to ``workers`` processes.
 
-    The pool never starts more processes than there are tasks.
+    The pool never starts more processes than there are tasks. Raises
+    ``ValueError`` when ``workers`` is below 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = list(tasks)
     workers = min(workers, len(tasks))
     if workers <= 1:

@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, canonical hashing, GC pauses."""
+"""Small shared helpers: seed derivation, canonical hashing, JSON field checks, GC pauses."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import gc
 import hashlib
 import json
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Iterator
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -26,6 +26,18 @@ def canonical_json(obj: object) -> str:
 
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def json_field(value: Any, kind: type, what: str, nullable: bool = False) -> Any:
+    """``value`` if its type is exactly ``kind`` (so a bool is no integer), or
+    ``None`` where ``nullable``; anything else raises ``ValueError`` naming ``what``."""
+    if type(value) is kind or (nullable and value is None):
+        return value
+    null = " or null" if nullable else ""
+    raise ValueError(f"{what} must be {_JSON_KINDS[kind]}{null}, got {value!r}")
 
 
 @contextmanager

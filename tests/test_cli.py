@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -84,6 +85,31 @@ class TestEncode:
         vars_doc = json.loads(Path(payload["vars"]).read_text())
         assert vars_doc["var_count"] == payload["var_count"]
         assert "config_digest" in vars_doc
+
+    # 18 MHz clears every usable channel of the 14..17 universe (16 is
+    # reserved), so each station's block is its cleared variable alone.
+    @pytest.mark.parametrize("target, cnf_sha, vars_sha", [
+        (6, "0f03f0a98f8e8164d57328c015d37a3a38d6e6b4277ef15fa510517d2fd24c74",
+         "f5de9f9dfad0c3628de4177404cbff1505c9d495a1ad832dac2a12248bd92ace"),
+        (18, "fc2471e1dac190f6da631eb34e57fd58d646a89a5027f2478d8777a4dc2539cc",
+         "6dd68c9957e35979013a3f712aaae80baa11a1d72a8c17aaa63bf8119f57dce9"),
+    ], ids=["6-mhz", "empty-band"])
+    def test_output_bytes_are_pinned(self, tmp_path, monkeypatch, capsys, target, cnf_sha, vars_sha):
+        # Relative paths, so the config digest written to vars.json is fixed.
+        monkeypatch.chdir(tmp_path)
+        run_cli(
+            capsys, "gen", "--n", "14", "--channels", "4", "--co-density", "0.3",
+            "--adj-density", "0.15", "--domain-density", "0.1", "--dmas", "3",
+            "--forbidden", "16", "--seed", "19", "--out", "inst",
+        )
+        Path("must.txt").write_text("s0001\ns0004\ns0009\n")
+        run_cli(
+            capsys, "encode", "--instance", "inst", "--target", str(target),
+            "--cap-nationwide", "9", "--dma-cap", "1=2", "--dma-cap", "3=1", "--max-dmas", "2",
+            "--must-repack", "must.txt", "--out", "f",
+        )
+        assert hashlib.sha256(Path("f.cnf").read_bytes()).hexdigest() == cnf_sha
+        assert hashlib.sha256(Path("f.vars.json").read_bytes()).hexdigest() == vars_sha
 
 
 class TestSolve:
@@ -560,11 +586,34 @@ class TestMalformedArtifacts:
         ("catalog", lambda r: r.append({"type": "clique"}), None, "missing field 'members'"),
         ("catalog", lambda r: r.append({"type": "clique", "members": ["KZZZ"]}), None,
          "unknown station 'KZZZ'"),
+        ("trials", lambda r: r[1].update(index=1.9), 2, "index must be an integer, got 1.9"),
+        ("trials", lambda r: r[2].update(seed=True), 3, "seed must be an integer, got True"),
+        ("trials", lambda r: r[1].update(z="x"), 2, "z must be an integer or null, got 'x'"),
+        ("trials", lambda r: r[3].update(blocking_cliques=2.0), 4,
+         "blocking_cliques must be an integer or null, got 2.0"),
+        ("trials", lambda r: r[1].update(draw_digest=7), 2, "draw_digest must be a string, got 7"),
+        ("trials", lambda r: r[0].update(target_mhz="12"), 1,
+         "target_mhz must be an integer, got '12'"),
+        ("samples", lambda r: r[1]["assignment"].update(s0000=15.7), 2,
+         "channel of s0000 must be an integer or null, got 15.7"),
+        ("samples", lambda r: r[2]["assignment"].update(s0001=True), 3,
+         "channel of s0001 must be an integer or null, got True"),
+        ("samples", lambda r: r[3]["assignment"].update(s0002="16"), 4,
+         "channel of s0002 must be an integer or null, got '16'"),
+        ("samples", lambda r: r[1].update(seed=4.0), 2, "seed must be an integer, got 4.0"),
+        ("samples", lambda r: r[0].update(cap=2.5), 1, "cap must be an integer or null, got 2.5"),
+        ("samples", lambda r: r[0].update(use_domain="no"), 1,
+         "use_domain must be true or false, got 'no'"),
+        ("trials", lambda r: r[0].update(use_domain=1), 1, "use_domain must be true or false, got 1"),
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
         "sample-unknown-stats-field", "sample-unknown-station", "sample-assignment-not-an-object",
         "catalog-missing-members", "catalog-unknown-station",
+        "trial-float-index", "trial-bool-seed", "trial-string-z", "trial-float-cliques",
+        "trial-int-digest", "trial-set-string-target", "sample-float-channel",
+        "sample-bool-channel", "sample-string-channel", "sample-float-seed", "sample-set-float-cap",
+        "sample-set-string-domain-flag", "trial-set-int-domain-flag",
     ])
     def test_reported_with_its_line(
         self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys
@@ -796,6 +845,34 @@ class TestRejectedBeforeWork:
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["error"] == {
             "type": "ValueError", "message": "time_budget must be positive",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend", ["clique-only", "clique-then-sat"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_simulate_non_positive_timeout(self, backend, budget, tmp_path, capsys):
+        # Five co-channel stations on the two channels a 12 MHz target leaves:
+        # at alpha 1 the clique blocks every draw, so no solve runs.
+        clique_dir, out = tmp_path / "clique", tmp_path / "sim"
+        run_cli(capsys, "gen", "--n", "5", "--channels", "4", "--co-density", "0",
+                "--clique-size", "5", "--seed", "1", "--out", str(clique_dir))
+        assert main(["simulate", "--instance", str(clique_dir), "--target", "12",
+                     "--model", "random-broadcasters", "--alpha", "1", "--trials", "3",
+                     "--backend", backend, "--timeout-secs", budget, "--workers", "1",
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "time_budget must be positive",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_simulate_fewer_than_one_worker(self, instance_dir, workers, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--instance", str(instance_dir), "--target", "12",
+                     "--model", "random-broadcasters", "--alpha", "0.5", "--trials", "3",
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": f"workers must be at least 1, got {workers}",
         }
         assert not out.exists()
 

@@ -599,18 +599,6 @@ class TestDimacs:
         with pytest.raises(ValueError, match="UNKNOWN"):
             parse_dimacs_result("s UNKNOWN\n")
 
-    def test_var_map_round_trip(self):
-        inst = build_instance(2, channels=(1, 2))
-        formula = encode(
-            RepackProblem(instance=inst, clearing_target_mhz=6, max_dmas_with_clearing=1)
-        )
-        vm = formula.var_map
-        back = VarMap.from_json_dict(vm.to_json_dict())
-        assert back.assign == vm.assign
-        assert back.cleared == vm.cleared
-        assert back.dma_any_clearing == vm.dma_any_clearing
-        assert back.var_count == vm.var_count
-
 
 def reference_check_clauses(clauses, var_count: int) -> None:
     for clause in clauses:

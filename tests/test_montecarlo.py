@@ -155,6 +155,17 @@ class TestEstimateSuccess:
         assert est.infeasible_count > 30
         assert est.attribution_fraction >= 0.8
 
+    @pytest.mark.parametrize("budget", [0, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("backend", [BACKEND_CLIQUE_ONLY, BACKEND_CLIQUE_THEN_SAT])
+    def test_budget_checked_before_any_trial(self, monkeypatch, backend, budget):
+        # At alpha 1 every draw is clique-blocked, so no solve would check the budget.
+        monkeypatch.setattr(montecarlo, "_run_trial", pytest.fail)
+        with pytest.raises(ValueError, match="time_budget must be"):
+            estimate_success(
+                ModelSpec.random_broadcasters(1.0), congested_instance(), TARGET, trials=4,
+                backend=backend, time_budget=budget,
+            )
+
     def test_trials_jsonl_round_trip(self, tmp_path):
         inst = congested_instance()
         est = estimate_success(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repacker import parallel
 
 WAIT_S = 120.0
@@ -70,3 +72,10 @@ def test_pool_never_outnumbers_tasks(monkeypatch):
     ]
     assert parallel.run_tasks(offset_square, [4], 8, context=context) == [(4, 16)]
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+@pytest.mark.parametrize("tasks", [[], [1, 2]])
+def test_rejects_fewer_than_one_worker(workers, tasks):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        parallel.run_tasks(offset_square, tasks, workers, context=CountingContext(0))
