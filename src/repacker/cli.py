@@ -126,6 +126,13 @@ def _digest(args: argparse.Namespace) -> str:
     ))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform tells; else all the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _engine_from(args: argparse.Namespace):
     return ExternalSolver(args.solver_cmd) if args.solver_cmd else None
 
@@ -538,8 +545,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                          help="external DIMACS solver command (default: embedded solver)")
 
     pooled = argparse.ArgumentParser(add_help=False)
-    pooled.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers (default: all cores)")
+    pooled.add_argument("--workers", type=int, default=_usable_cpus(),
+                        help="parallel workers (default: the CPUs this process may run on)")
 
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--instance", help="instance CSV directory")

@@ -94,9 +94,18 @@ class VarMap:
 
 @dataclass(frozen=True)
 class CnfFormula:
+    """A CNF formula over variables ``1..var_count``.
+
+    ``base`` is set by :func:`encode` only, to the :class:`_Base` whose
+    clauses the formula copies, and only where stations have a channel to
+    take; the embedded solver then builds its engine from that base's
+    watch lists. It takes no part in equality, and no output writes it.
+    """
+
     var_count: int
     clauses: tuple[tuple[int, ...], ...]
     var_map: Optional[VarMap] = None
+    base: Optional[_Base] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
@@ -104,13 +113,15 @@ class CnfFormula:
 
     @classmethod
     def _prechecked(
-        cls, var_count: int, clauses: tuple[tuple[int, ...], ...], var_map: VarMap
+        cls, var_count: int, clauses: tuple[tuple[int, ...], ...], var_map: VarMap,
+        base: Optional[_Base],
     ) -> "CnfFormula":
         """Wrap clause tuples whose literals the caller has already range-checked."""
         formula = object.__new__(cls)
         object.__setattr__(formula, "var_count", var_count)
         object.__setattr__(formula, "clauses", clauses)
         object.__setattr__(formula, "var_map", var_map)
+        object.__setattr__(formula, "base", base)
         return formula
 
     @property
@@ -182,10 +193,12 @@ class _Base:
 
     ``clauses`` encode every station as free to clear, in :class:`VarMap`'s
     layout. Station ``i``'s at-least-one clause, whose first literal is its
-    cleared variable, sits at ``i * (1 + w*(w-1)//2)``; its at-most-one pairs
-    follow it. Every literal is the int object ``v`` or ``neg[v]`` the build
-    made for it, so ~1.8M literal slots on an FCC-sized instance share two
-    objects per variable.
+    cleared variable, sits at ``i * stride``; its at-most-one pairs follow
+    it. Every other clause is all-negative: those pairs, the interference
+    pairs, and last the unit prohibitions. The solver's skeleton relies on
+    this layout and checks it as it reads the clauses. Every literal is the
+    int object ``v`` or ``neg[v]`` the build made for it, so ~1.8M literal
+    slots on an FCC-sized instance share two objects per variable.
     """
 
     instance: Instance
@@ -193,6 +206,17 @@ class _Base:
     use_domain: bool
     clauses: tuple[tuple[int, ...], ...]
     neg: list[int]
+
+    @property
+    def stride(self) -> int:
+        """Positions from one station's at-least-one clause to the next's."""
+        width = len(self.plan.channels) + 1
+        return 1 + width * (width - 1) // 2
+
+    def firsts(self, clauses: Sequence[tuple[int, ...]]) -> Sequence[tuple[int, ...]]:
+        """Each station's clause at its at-least-one position in ``clauses``,
+        this base's clauses or an encoding that replaced them one for one."""
+        return clauses[:self.instance.n * self.stride:self.stride]
 
 
 # The base of the last encoding in this process. Monte Carlo draws and
@@ -281,9 +305,9 @@ def encode(problem: RepackProblem) -> CnfFormula:
     inst = problem.instance
     base = _base_for(problem)
     width = len(base.plan.channels) + 1
-    stride = 1 + width * (width - 1) // 2
+    stride = base.stride
     # Each station's at-least-one clause, and so its cleared literal.
-    firsts = base.clauses[:inst.n * stride:stride]
+    firsts = base.firsts(base.clauses)
     cleared = [clause[0] for clause in firsts]
     index = inst.station_index
     pool = VarPool(start=len(base.neg), neg=list(base.neg))
@@ -319,7 +343,11 @@ def encode(problem: RepackProblem) -> CnfFormula:
 
     _check_clauses(clauses[added:], pool.count)
     vm = VarMap(inst.station_ids, base.plan.channels, pool.count, dma_any_clearing)
-    return CnfFormula._prechecked(pool.count, tuple(clauses), vm)
+    # A formula is marked with its base where every replacement above was one
+    # for one, so ``base.firsts`` and ``len(base.clauses)`` still find its
+    # at-least-one clauses and its caps; without channels a must-repack
+    # station's clause becomes two.
+    return CnfFormula._prechecked(pool.count, tuple(clauses), vm, base if width > 1 else None)
 
 
 def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:

@@ -214,12 +214,9 @@ def load_trial_set(path: str | os.PathLike, instance: Instance) -> SuccessEstima
     return SuccessEstimate(**head, trials=trials)
 
 
-def _run_trial(context, task: tuple[int, int]) -> TrialReport:
-    (
-        model, instance, target_mhz, use_domain,
-        backend, catalog, channel_count, time_budget, engine,
-    ) = context
-    index, seed = task
+def _run_trial(context, task) -> TrialReport:
+    instance, catalog, engine = context
+    index, seed, (model, target_mhz, use_domain, backend, channel_count, time_budget) = task
     draw = sample_from_variates(model, instance, draw_variates(instance, seed))
     start = time.monotonic()
     non_participants = draw.non_participants()
@@ -251,9 +248,14 @@ def _run_trial(context, task: tuple[int, int]) -> TrialReport:
     )
 
 
+# One object, so that successive estimates with the scan-free backend share
+# a context (see parallel.run_tasks).
+_EMPTY_CATALOG = CliqueCatalog(())
+
+
 def _need_catalog(backend: str, catalog: Optional[CliqueCatalog], instance: Instance, seed: int):
     if _known(backend, BACKENDS, "backend") == BACKEND_SAT:
-        return CliqueCatalog(())
+        return _EMPTY_CATALOG
     if catalog is None:
         catalog = enumerate_cliques_greedy(instance, seed=derive_seed(seed, "catalog"))
     return catalog
@@ -277,7 +279,8 @@ def estimate_success(
 
     Per-trial seeds derive from the master seed by index, so results do not
     depend on worker count or scheduling, and the same draws are generated
-    regardless of backend.
+    regardless of backend. With ``workers > 1``, successive calls on one
+    instance and catalog run in the same warm worker processes.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -286,13 +289,14 @@ def estimate_success(
     catalog = _need_catalog(backend, catalog, instance, seed)
     # Reserved channels inside the retained band cannot hold a station.
     channel_count = len(derive_available_channels(target_mhz, instance.universe).assignable)
-    # Shipped to each worker once; a task is just (index, seed).
-    context = (
-        model, instance, target_mhz, use_domain,
-        backend, catalog, channel_count, time_budget, engine,
+    # The instance, catalog and engine reach each worker once and keep its
+    # pool for later estimates; a task is (index, seed) and this estimate's
+    # settings.
+    settings = (model, target_mhz, use_domain, backend, channel_count, time_budget)
+    tasks = [(i, derive_seed(seed, "trial", i), settings) for i in range(trials)]
+    reports = parallel.run_tasks(
+        _run_trial, tasks, workers=workers, context=(instance, catalog, engine)
     )
-    tasks = [(i, derive_seed(seed, "trial", i)) for i in range(trials)]
-    reports = parallel.run_tasks(_run_trial, tasks, workers=workers, context=context)
     return SuccessEstimate(
         model=model, target_mhz=target_mhz, use_domain=use_domain,
         backend=backend, trials=list(reports),

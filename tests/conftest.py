@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import repacker
+from repacker import parallel
 from repacker.driver import Sample, SampleSet
 from repacker.instance import (
     Affiliation,
@@ -170,3 +171,10 @@ def cyclic_gc_left_enabled():
     if not gc.isenabled():
         gc.enable()  # so the tests after this one run as usual
         pytest.fail("test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture(autouse=True)
+def no_worker_pool_kept():
+    """Retire the worker pool a test kept, so that each test starts without one."""
+    yield
+    parallel.shutdown()

@@ -159,12 +159,9 @@ def reference_sample_from_variates(
     return ParticipationVector(bits)
 
 
-def reference_run_trial(context, task: tuple[int, int]) -> TrialReport:
-    (
-        model, instance, target_mhz, use_domain,
-        backend, catalog, channel_count, time_budget, engine,
-    ) = context
-    index, seed = task
+def reference_run_trial(context, task) -> TrialReport:
+    instance, catalog, engine = context
+    index, seed, (model, target_mhz, use_domain, backend, channel_count, time_budget) = task
     draw = reference_sample_from_variates(
         model, instance, montecarlo.draw_variates(instance, seed)
     )

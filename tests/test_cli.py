@@ -7,6 +7,8 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -352,6 +354,38 @@ class TestCrossProcessReproducibility:
                  (sim / "trials.jsonl").read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["sample", "simulate"])
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch, command):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        _, commands = _build_parser()
+        assert commands[command].get_default("workers") == 2
+
+    def test_default_without_an_affinity_call_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        _, commands = _build_parser()
+        assert commands["simulate"].get_default("workers") == 5
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+    def test_simulate_leaves_no_process_behind(self, instance_dir, tmp_path):
+        # A sweep, so that later estimates run in the kept pool's workers.
+        argv = [
+            sys.executable, "-m", "repacker.cli", "simulate", "--instance", str(instance_dir),
+            "--target", "12", "--model", "random-broadcasters", "--alphas", "0.3,0.6",
+            "--trials", "8", "--workers", "2", "--out", str(tmp_path / "sim"),
+        ]
+        with subprocess.Popen(argv, stdout=subprocess.DEVNULL, start_new_session=True) as proc:
+            try:
+                assert proc.wait(timeout=120) == 0
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, 9)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no member of its session's group is left
 
 
 class TestConfigAndErrors:

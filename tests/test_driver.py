@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repacker import driver
+from repacker import driver, parallel
 from repacker.driver import (
     FeasibilityResult,
     SampleSet,
@@ -20,7 +20,7 @@ from repacker.driver import (
     sample_solutions,
 )
 from repacker.instance import ChannelAssignment, RepackProblem, validate_assignment
-from repacker.solver import SolveStats, Verdict
+from repacker.solver import EmbeddedSolver, SolveOutcome, SolveStats, Verdict
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 from repacker.util import derive_seed
 
@@ -325,6 +325,55 @@ class TestSampling:
         ss.save_jsonl(path)
         with pytest.raises(ValueError, match="different instance"):
             SampleSet.load_jsonl(path, other)
+
+
+class TimesOutOnEveryThirdSeed:
+    """The embedded solver, except that a solve seed divisible by 3 times out."""
+
+    def __init__(self):
+        self.inner = EmbeddedSolver()
+
+    def solve(self, formula, seed=0, time_budget=60.0):
+        if seed % 3 == 0:
+            return SolveOutcome(Verdict.TIMEOUT)
+        return self.inner.solve(formula, seed=seed, time_budget=time_budget)
+
+
+class TestSamplingPool:
+    def test_retry_batches_share_one_pool(self, monkeypatch, tmp_path):
+        inst = generate_synthetic(8, channel_count=5, co_density=0.3, seed=15)
+        engine = TimesOutOnEveryThirdSeed()
+
+        def run(workers):
+            return sample_solutions(
+                inst, 12, count=8, buffer=0, b_star=inst.n, seed=2, workers=workers,
+                engine=engine,
+            )
+
+        serial = run(1)
+        pools, batches = [], []
+        real_pool, real_run = parallel.ProcessPoolExecutor, parallel.run_tasks
+
+        def recording_pool(**kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(**kwargs)
+
+        def recording_run(fn, tasks, **kwargs):
+            batches.append(len(tasks))
+            return real_run(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(parallel, "run_tasks", recording_run)
+        pooled = run(2)
+        assert len(batches) >= 3 and min(batches) == 1  # retries, down to one seed
+        assert pools == [2]
+        files = []
+        for name, sample_set in (("serial", serial), ("pooled", pooled)):
+            path = tmp_path / f"{name}.jsonl"
+            sample_set.save_jsonl(path, config_digest="d")
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+        assert len(pooled.samples) == 8
 
 
 class TestTimeoutFallback:

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repacker import montecarlo
+from repacker import montecarlo, parallel
 from repacker.cliques import CliqueCatalog, enumerate_cliques_greedy
 from repacker.montecarlo import (
     BACKEND_CLIQUE_ONLY,
@@ -232,6 +232,71 @@ class TestTrialMatchesReference:
             BACKEND_CLIQUE_ONLY: {("feasible", False), ("infeasible", True)},
         }[backend]
         assert all(verdicts.get(key, 0) >= 3 for key in required), verdicts
+
+
+class TestWarmPool:
+    """Successive estimates on one instance and catalog run in the same warm
+    workers and give the serial trials, byte for byte in the trial files."""
+
+    @pytest.mark.parametrize("backend", [BACKEND_CLIQUE_THEN_SAT, BACKEND_SAT])
+    def test_two_rates_share_the_workers_and_match_serial(self, backend, tmp_path):
+        inst = congested_instance()
+        catalog = enumerate_cliques_greedy(inst, seed=3)
+
+        def run(alpha, workers):
+            return estimate_success(
+                ModelSpec.random_broadcasters(alpha), inst, TARGET, trials=16, seed=8,
+                backend=backend, catalog=catalog, workers=workers,
+            )
+
+        serial = {alpha: run(alpha, 1) for alpha in (0.4, 0.6)}
+        assert any(not t.blocked for t in serial[0.4].trials)  # some draws reach the solver
+        cold = run(0.4, 2)
+        pool = parallel._pool
+        pids = set(pool._processes)
+        warm = run(0.6, 2)
+        rewarm = run(0.4, 2)
+        assert parallel._pool is pool and set(pool._processes) == pids
+        for est, alpha in ((cold, 0.4), (warm, 0.6), (rewarm, 0.4)):
+            assert [t.to_json_dict() for t in est.trials] == [
+                t.to_json_dict() for t in serial[alpha].trials
+            ]
+        files = []
+        for name, est in (("serial", serial[0.4]), ("cold", cold), ("warm", rewarm)):
+            path = tmp_path / f"{name}.jsonl"
+            est.save_trials_jsonl(path, inst, config_digest="d")
+            files.append(path.read_bytes())
+        assert files[0] == files[1] == files[2]
+
+    def test_an_engine_that_cannot_be_pickled_reaches_the_workers(self):
+        # The engine travels in the context, which workers inherit, not in a task.
+        engine = TestTrialMatchesReference.SometimesTimingOut()
+        engine.unpicklable = lambda: None
+        inst = congested_instance()
+        catalog = enumerate_cliques_greedy(inst, seed=3)
+
+        def run(workers):
+            return estimate_success(
+                ModelSpec.random_broadcasters(0.5), inst, TARGET, trials=12, seed=4,
+                catalog=catalog, engine=engine, workers=workers,
+            )
+
+        trials = [t.to_json_dict() for t in run(2).trials]
+        assert trials == [t.to_json_dict() for t in run(1).trials]
+        assert any(t["verdict"] == "timeout" for t in trials)
+
+    def test_another_instance_or_worker_count_replaces_the_pool(self):
+        inst, twin = congested_instance(), congested_instance()
+        catalog = enumerate_cliques_greedy(inst, seed=3)
+        pools = []
+        for instance, workers in ((inst, 2), (twin, 2), (twin, 3)):
+            estimate_success(
+                ModelSpec.random_broadcasters(0.5), instance, TARGET, trials=6, seed=1,
+                catalog=catalog, workers=workers,
+            )
+            pools.append(set(parallel._pool._processes))
+        assert pools[0].isdisjoint(pools[1]) and pools[1].isdisjoint(pools[2])
+        assert len(pools[2]) == 3
 
 
 def estimate_of(*trials: TrialReport) -> SuccessEstimate:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
+import signal
 import threading
+import time
+import types
 
 import pytest
 
@@ -79,3 +84,158 @@ def test_pool_never_outnumbers_tasks(monkeypatch):
 def test_rejects_fewer_than_one_worker(workers, tasks):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
         parallel.run_tasks(offset_square, tasks, workers, context=CountingContext(0))
+
+
+def worker_pid(context, task: int) -> int:
+    if task < 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    if task == 1000:
+        raise KeyError(task)
+    return os.getpid()
+
+
+def other_worker_pid(context, task: int) -> int:
+    return os.getpid()
+
+
+def serial_inside(context, task: int) -> list:
+    return parallel.run_tasks(offset_square, [task, task + 1], 1, context=CountingContext(task))
+
+
+def pool_pids() -> set[int]:
+    """The processes of the pool ``run_tasks`` keeps."""
+    return set(parallel._pool._processes)
+
+
+def gone(pids, seconds: float = 10.0) -> bool:
+    limit = time.monotonic() + seconds
+    while time.monotonic() < limit:
+        alive = []
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+                alive.append(pid)
+            except ProcessLookupError:
+                pass
+        if not alive:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+class TestKeptPool:
+    """One pool serves every call with the same fn, worker count and context
+    members; anything else, or a dead worker, retires it."""
+
+    def test_same_fn_workers_and_members_reuse_the_workers(self):
+        shared = CountingContext(0)
+        first = bounded(lambda: parallel.run_tasks(worker_pid, range(6), 2, context=("a", shared)))
+        pids = pool_pids()
+        assert len(pids) == 2 and set(first) <= pids
+        # A new tuple of the same members, fewer tasks than workers, no tasks.
+        again = bounded(lambda: parallel.run_tasks(worker_pid, range(6), 2, context=("a", shared)))
+        one = parallel.run_tasks(worker_pid, [7], 2, context=("a", shared))
+        assert parallel.run_tasks(worker_pid, [], 2, context=("a", shared)) == []
+        assert set(again) | set(one) <= pids == pool_pids()
+        assert os.getpid() not in set(one)
+
+    @pytest.mark.parametrize("change", ["member", "workers", "fn"])
+    def test_anything_else_replaces_the_pool(self, change):
+        shared = CountingContext(0)
+        bounded(lambda: parallel.run_tasks(worker_pid, range(4), 2, context=("a", shared)))
+        old = pool_pids()
+        fn, workers, context = worker_pid, 2, ("a", shared)
+        if change == "member":
+            context = ("a", CountingContext(0))
+        elif change == "workers":
+            workers = 3
+        else:
+            fn = other_worker_pid
+        bounded(lambda: parallel.run_tasks(fn, range(4), workers, context=context))
+        assert pool_pids().isdisjoint(old)
+        assert gone(old)
+
+    def test_serial_call_retires_the_pool(self):
+        bounded(lambda: parallel.run_tasks(worker_pid, range(4), 2, context=None))
+        old = pool_pids()
+        assert parallel.run_tasks(worker_pid, [1], 1, context=None) == [os.getpid()]
+        assert parallel._pool is None
+        assert gone(old)
+
+    def test_a_killed_worker_discards_the_pool(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with pytest.raises(BrokenProcessPool):
+            bounded_raise(lambda: parallel.run_tasks(worker_pid, [0, -1, 2, 3], 2, context=None))
+        assert parallel._pool is None
+        pids = bounded(lambda: parallel.run_tasks(worker_pid, range(4), 2, context=None))
+        assert set(pids) <= pool_pids()
+
+    def test_an_exception_from_fn_keeps_the_pool(self):
+        bounded(lambda: parallel.run_tasks(worker_pid, range(4), 2, context=None))
+        pids = pool_pids()
+        with pytest.raises(KeyError):
+            bounded_raise(lambda: parallel.run_tasks(worker_pid, [0, 1000, 2], 2, context=None))
+        assert set(bounded(lambda: parallel.run_tasks(worker_pid, range(4), 2))) <= pids
+        assert pool_pids() == pids
+
+    def test_shutdown_ends_the_workers(self):
+        bounded(lambda: parallel.run_tasks(worker_pid, range(4), 2, context=None))
+        old = pool_pids()
+        parallel.shutdown()
+        assert parallel._pool is None and gone(old)
+        parallel.shutdown()  # with no pool kept, nothing to do
+
+    def test_a_task_may_run_tasks_serially_in_its_worker(self):
+        # The worker is forked while this process holds the pool's lock.
+        result = bounded(lambda: parallel.run_tasks(serial_inside, [1, 5], 2, context=None))
+        assert result == [[(1, 2), (2, 5)], [(5, 30), (6, 41)]]
+
+
+def bounded_raise(call):
+    """Run ``call()`` in a thread within ``WAIT_S`` and re-raise what it raised."""
+    errors = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:  # handed to the test thread below
+            errors.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(WAIT_S)
+    assert not thread.is_alive(), f"run_tasks still running after {WAIT_S} s"
+    assert errors, "run_tasks returned instead of raising"
+    raise errors[0]
+
+
+class TestWorkerMallocThreshold:
+    """Each pool worker pins glibc's mmap threshold where the C library has mallopt."""
+
+    @pytest.fixture(autouse=True)
+    def worker_globals_restored(self, monkeypatch):
+        # _init_worker sets these; this process is no worker.
+        monkeypatch.setattr(parallel, "_worker_fn", None)
+        monkeypatch.setattr(parallel, "_worker_context", None)
+
+    def test_the_initializer_pins_the_threshold(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        parallel._init_worker(offset_square, None)
+        assert calls == [(-3, 128 * 1024)]
+        assert mallopt.restype is ctypes.c_int
+
+    @pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
+    def test_without_mallopt_nothing_is_pinned(self, monkeypatch, error):
+        def no_libc(name):
+            raise error("no mallopt here")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        parallel._init_worker(offset_square, None)

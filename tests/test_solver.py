@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -13,12 +14,15 @@ import stat
 import struct
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
 
 from repacker import solver
 from repacker.encoder import CnfFormula, encode
+from repacker.instance import RepackProblem
+from repacker.participation import ModelSpec, sample
 from repacker.solver import (
     EmbeddedSolver,
     ExternalSolver,
@@ -26,9 +30,11 @@ from repacker.solver import (
     Verdict,
     _activity_key,
     _Engine,
+    _Skeleton,
     check_model,
     solve,
 )
+from repacker.synthetic import generate_synthetic
 
 from conftest import random_problem
 from oracles import dpll_sat
@@ -556,6 +562,209 @@ class TestHeapKeys:
                 i, j = rng.randrange(len(keys)), rng.randrange(len(keys))
                 assert (keys[i] < keys[j]) == (tuples[i] < tuples[j])
                 assert (keys[i] == keys[j]) == (tuples[i] == tuples[j])
+
+
+def skeleton_problems():
+    """Encoded problems of every shape a skeleton solve meets: seeded Monte
+    Carlo draws at several rates, each kind of cap, and plans of one and two
+    channels, where a must-repack station's clause becomes a unit or a binary."""
+    # The first keeps channel 14 alone at target 30 and 14-15 at 24; in the
+    # second, channel 15 is reserved inside the retained band at targets 6-24.
+    instances = [
+        (generate_synthetic(
+            30, channel_count=6, co_density=0.12, adj_density=0.08, domain_density=0.1,
+            n_dmas=4, forbidden_channels=forbidden, seed=seed,
+        ), targets)
+        for seed, forbidden, targets in ((9, (), (6, 18, 24, 30)), (10, (15,), (6, 12, 24)))
+    ]
+    for inst, targets in instances:
+        for target in targets:
+            for alpha in (0.3, 0.6, 0.9):
+                for seed in range(3):
+                    draw = sample(ModelSpec.random_broadcasters(alpha), inst, seed)
+                    yield RepackProblem(inst, target, must_repack=draw.non_participants())
+        must = frozenset(inst.station_ids[::3])
+        dmas = sorted(inst.dmas)
+        for caps in (
+            {"max_cleared_nationwide": 4}, {"max_cleared_nationwide": 0},
+            {"dma_caps": {dmas[0]: 1, dmas[1]: 0}},
+            {"max_dmas_with_clearing": 1}, {"max_dmas_with_clearing": 0},
+            {"max_cleared_nationwide": 6, "dma_caps": {dmas[2]: 2}, "max_dmas_with_clearing": 2},
+        ):
+            for target in (12, targets[-1]):
+                yield RepackProblem(inst, target, must_repack=must, **caps)
+                yield RepackProblem(inst, target, use_domain_constraints=False, **caps)
+
+
+def outcome_key(outcome):
+    s = outcome.stats
+    return (outcome.verdict, outcome.model, s.decisions, s.conflicts, s.propagations,
+            s.restarts, s.learnts)
+
+
+class StateAtRun(_Engine):
+    """The engine, noting its whole state when the search starts."""
+
+    states: list = []
+
+    def run(self, time_budget):
+        StateAtRun.states.append(engine_state(self))
+        return super().run(time_budget)
+
+
+def assert_lent_lists_restored(formula):
+    lent = solver._skeletons[formula.base]
+    built = _Skeleton(formula.base)
+    assert lent.lists == built.lists
+    assert lent.lengths == built.lengths == list(map(len, built.lists))
+
+
+class TestSkeleton:
+    """An encoded formula solved from its base's skeleton starts from the
+    very state of an engine folding all its clauses, and so searches alike;
+    every lent list is cut back to the skeleton however the solve ends."""
+
+    def test_same_state_and_outcome_as_the_plain_engine(self, monkeypatch):
+        rng = random.Random(31)
+        monkeypatch.setattr(solver, "_Engine", StateAtRun)
+        verdicts = set()
+        for case, problem in enumerate(skeleton_problems()):
+            formula = encode(problem)
+            assert formula.base is not None
+            seed = rng.randrange(1 << 30)
+            plain = _Engine(formula.var_count, formula.clauses, seed)
+            plain_state = engine_state(plain)
+            expected = plain.run(60.0)
+            StateAtRun.states.clear()
+            got = solve(formula, seed=seed)
+            assert StateAtRun.states == [plain_state], case
+            assert outcome_key(got) == outcome_key(expected), case
+            assert_lent_lists_restored(formula)
+            verdicts.add(got.verdict)
+        assert verdicts == {Verdict.SAT, Verdict.UNSAT}
+
+    def test_no_channels_solve_from_the_clauses(self):
+        inst = generate_synthetic(6, channel_count=5, seed=2)
+        formula = encode(RepackProblem(inst, 30, must_repack=frozenset(inst.station_ids[:2])))
+        assert formula.base is None
+        assert solve(formula).is_unsat
+
+    @pytest.mark.parametrize("change", ["mixed binary", "long negative", "early unit", "moved first"])
+    def test_a_base_out_of_layout_is_refused(self, change):
+        base = encode(next(iter(skeleton_problems()))).base
+        clauses = list(base.clauses)
+        binary = next(i for i, c in enumerate(clauses) if len(c) == 2 and c[0] < 0)
+        if change == "mixed binary":
+            clauses[binary] = (clauses[binary][0], -clauses[binary][1])
+        elif change == "long negative":
+            clauses[binary] += clauses[binary][:1]
+        elif change == "early unit":
+            clauses[binary] = clauses[binary][:1]
+        else:
+            clauses[0], clauses[1] = clauses[1], clauses[0]
+        with pytest.raises(ValueError, match="layout"):
+            _Skeleton(dataclasses.replace(base, clauses=tuple(clauses)))
+
+    @staticmethod
+    def conflicting_capped_formula():
+        """A capped formula (its cap clauses extend lent lists) whose search
+        meets several conflicts."""
+        for problem in skeleton_problems():
+            formula = encode(problem)
+            if problem.max_cleared_nationwide is None:
+                continue
+            if _Engine(formula.var_count, formula.clauses, 0).run(60.0).stats.conflicts >= 3:
+                return formula
+        raise AssertionError("no capped formula with three conflicts")
+
+    def test_lists_restored_after_timeout(self, monkeypatch):
+        formula = self.conflicting_capped_formula()
+        outcomes = []
+        for build in (lambda: _Engine(formula.var_count, formula.clauses, 0).run(2),
+                      lambda: solve(formula, seed=0, time_budget=2)):
+            counting_clock(monkeypatch)
+            outcomes.append(outcome_key(build()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is Verdict.TIMEOUT
+        assert_lent_lists_restored(formula)
+
+    def test_lists_restored_after_an_exception_in_the_search(self, monkeypatch):
+        formula = self.conflicting_capped_formula()
+        backjump = _Engine._backjump
+        calls = []
+
+        def failing_backjump(engine, target):
+            calls.append(target)
+            if len(calls) == 2:  # after a learnt clause has joined the watches
+                raise RuntimeError("boom")
+            backjump(engine, target)
+
+        monkeypatch.setattr(_Engine, "_backjump", failing_backjump)
+        with pytest.raises(RuntimeError, match="boom"):
+            solve(formula, seed=0)
+        assert len(calls) == 2
+        assert_lent_lists_restored(formula)
+        monkeypatch.setattr(_Engine, "_backjump", backjump)
+        assert outcome_key(solve(formula, seed=0)) == outcome_key(
+            _Engine(formula.var_count, formula.clauses, 0).run(60.0))
+
+    def test_two_threads_get_the_serial_outcomes(self):
+        inst = generate_synthetic(30, channel_count=6, co_density=0.12, seed=9)
+        formulas = [
+            encode(RepackProblem(
+                inst, 12, max_cleared_nationwide=cap,
+                must_repack=sample(ModelSpec.random_broadcasters(alpha), inst, seed).non_participants(),
+            ))
+            for alpha, seed, cap in itertools.product((0.3, 0.6), range(3), (None, 3))
+        ]
+        assert len({id(f.base) for f in formulas}) == 1
+        expected = [outcome_key(solve(f, seed=i)) for i, f in enumerate(formulas)]
+        results: dict[int, list] = {}
+
+        def work(k):
+            order = list(enumerate(formulas))[::1 if k == 0 else -1]
+            results[k] = sorted((i, outcome_key(solve(f, seed=i))) for i, f in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        serial = list(enumerate(expected))
+        assert results == {0: serial, 1: serial}
+        assert_lent_lists_restored(formulas[0])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_while_the_skeleton_is_lent_builds_its_own(self):
+        formula = next(encode(p) for p in skeleton_problems())
+        expected = outcome_key(solve(formula, seed=4))
+        lent = solver._skeletons[formula.base]
+        with lent.lock:  # as while another thread solves
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if outcome_key(solve(formula, seed=4)) == expected else 3
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its solve")
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert solver._skeletons[formula.base] is lent
 
 
 GC_CASES = {
