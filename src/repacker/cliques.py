@@ -5,7 +5,9 @@ participate needs one channel each, so with ``c`` assignable channels, a
 conflict clique of ``c + 1`` or more non-participants certifies infeasibility
 outright — no solver call needed. The catalog of cliques is built once per
 instance by randomized greedy growth; it makes no completeness claim, so the
-absence of a blocking clique never proves feasibility.
+absence of a blocking clique never proves feasibility. The same catalog
+gives the minimum searches sound lower bounds: :func:`clearing_lower_bound`
+and :func:`dma_lower_bound`.
 
 Catalog construction and verification work on the instance's station index
 (a station's position in the id-sorted ``station_ids``) with each station's
@@ -158,6 +160,49 @@ def enumerate_cliques_greedy(
     cliques = (frozenset(ids[i] for i in _bits(mask)) for mask in found)
     ordered = tuple(sorted(cliques, key=lambda c: (-len(c), tuple(sorted(c)))))
     return CliqueCatalog(cliques=ordered, min_size_retained=min_size)
+
+
+def clearing_lower_bound(
+    catalog: CliqueCatalog, channel_count: int, within: Optional[frozenset[str]] = None
+) -> int:
+    """Clearings that every repack into ``channel_count`` channels needs.
+
+    A co-channel clique ``K`` keeps at most ``channel_count`` members on air,
+    so at least ``|K| - channel_count`` of them are cleared, and
+    station-disjoint cliques add up. The packing is greedy, largest clique
+    first: each clique gives up the stations earlier ones took (what remains
+    is still a clique) and counts only if it still exceeds the band. With
+    ``within``, cliques are cut down to those stations first, which bounds the
+    clearings inside that set.
+    """
+    cliques = catalog.cliques if within is None else [k & within for k in catalog.cliques]
+    total, used = 0, set()
+    for clique in sorted(cliques, key=len, reverse=True):
+        rest = clique - used
+        if len(rest) > channel_count:
+            total += len(rest) - channel_count
+            used |= rest
+    return total
+
+
+def dma_lower_bound(catalog: CliqueCatalog, channel_count: int, instance: Instance) -> int:
+    """DMAs in which every repack into ``channel_count`` channels clears a station.
+
+    A clique larger than the band clears a member, so some DMA among its
+    members' DMAs has a clearing; cliques whose DMA sets are pairwise
+    disjoint name that many distinct DMAs. The packing is greedy, fewest
+    DMAs first.
+    """
+    by_id = instance.by_id
+    dma_sets = [
+        {by_id[sid].dma_id for sid in k} for k in catalog.cliques if len(k) > channel_count
+    ]
+    count, used = 0, set()
+    for dmas in sorted(dma_sets, key=len):
+        if used.isdisjoint(dmas):
+            count += 1
+            used |= dmas
+    return count
 
 
 @dataclass(frozen=True)

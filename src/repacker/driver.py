@@ -1,10 +1,14 @@
 """Feasibility checks, minimum-clearing searches, and solution sampling.
 
 Every minimum search runs through one loop, :func:`_min_cap_search`, which
-bisects over the cap and walks down one cap at a time once a probe has timed
-out. Timeouts are interpreted as infeasible (the standing convention for these
-experiments) but always reported distinctly, so a minimum found through a
-timed-out probe is flagged as an upper bound rather than certified.
+bisects over the cap. A timed-out probe is never taken as infeasibility
+evidence by itself. The first timeout makes the search build the instance's
+clique catalog and raise its lower end to the catalog's bound for that
+search: a timed-out cap below the bound is infeasible by the cliques, and
+bisection goes on. A timeout at or above the bound makes the search walk
+down one cap at a time, never below the bound, and a second such timeout
+ends it. A minimum is certified by an UNSAT probe one cap below it or by a
+clique bound equal to it; otherwise it is reported as an upper bound.
 """
 
 from __future__ import annotations
@@ -16,6 +20,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .cliques import (
+    CliqueCatalog,
+    clearing_lower_bound,
+    dma_lower_bound,
+    enumerate_cliques_greedy,
+)
 from .encoder import decode, encode
 from .instance import ChannelAssignment, Instance, RepackProblem, validate_assignment
 from .instance_io import load_artifact, save_artifact
@@ -96,26 +106,43 @@ class ProbeRecord:
 class MinSearchResult:
     """Smallest feasible cap plus the evidence gathered along the way.
 
-    ``certified`` means the bracketing pair (feasible at ``value``, infeasible
-    at ``value - 1``) was established without any timeout; otherwise ``value``
-    is only an upper bound.
+    ``value`` was probed feasible. ``certified_by`` names what proves that no
+    smaller cap is: ``"unsat-probe"`` when a probe at ``value - 1`` came back
+    UNSAT (or ``value`` is 0), ``"clique-bound"`` when ``lower_bound`` equals
+    ``value``, and ``None`` when nothing does, so ``value`` is only an upper
+    bound. ``lower_bound`` is the clique bound the search computed at its
+    first timeout (``None`` when no probe timed out); ``timed_out`` says that
+    some probe timed out.
     """
 
     value: int
     witness: ChannelAssignment
     probes: list[ProbeRecord] = field(default_factory=list)
     timed_out: bool = False
+    lower_bound: Optional[int] = None
+
+    @property
+    def certified_by(self) -> Optional[str]:
+        if not any(p.cap == self.value and p.verdict is Verdict.SAT for p in self.probes):
+            return None
+        if self.value == 0 or any(
+            p.cap == self.value - 1 and p.verdict is Verdict.UNSAT for p in self.probes
+        ):
+            return "unsat-probe"
+        if self.lower_bound == self.value:
+            return "clique-bound"
+        return None
 
     @property
     def certified(self) -> bool:
-        feasible_at = {p.cap for p in self.probes if p.verdict is Verdict.SAT}
-        infeasible_at = {p.cap for p in self.probes if p.verdict is Verdict.UNSAT}
-        return self.value in feasible_at and (self.value == 0 or self.value - 1 in infeasible_at)
+        return self.certified_by is not None
 
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
             "certified": self.certified,
+            "certified_by": self.certified_by,
+            "lower_bound": self.lower_bound,
             "timed_out": self.timed_out,
             "probes": [
                 {"cap": p.cap, "verdict": p.verdict.value, "seed": p.seed} for p in self.probes
@@ -131,15 +158,19 @@ def _min_cap_search(
     time_budget: float,
     engine,
     what: str,
+    lower_bound: Optional[Callable[[], int]] = None,
 ) -> MinSearchResult:
     """Find the smallest cap in [0, hi] whose problem is feasible.
 
     One loop narrows ``lo < high``, where ``high`` is the smallest cap seen
     feasible and every cap below ``lo`` is proven infeasible. It bisects until
-    a probe times out; a timeout is never trusted as infeasibility evidence, so
-    from then on it walks down one cap at a time from ``high`` (a timed-out
-    cap is re-probed with a fresh seed) and a second timeout ends the search,
-    leaving ``high`` as an upper bound rather than a certified minimum.
+    a probe times out. A timeout alone is never trusted as infeasibility
+    evidence: the first one calls ``lower_bound`` (when given) and raises
+    ``lo`` to its value, which settles a timed-out cap below it with no
+    re-probe. A timeout at or above ``lo`` switches the loop to walking down
+    one cap at a time from ``high`` (a timed-out cap is re-probed with a
+    fresh seed), and a second such timeout ends the search, leaving ``high``
+    as an upper bound rather than a certified minimum.
     """
     probes: list[ProbeRecord] = []
     attempts: dict[int, int] = {}
@@ -161,22 +192,37 @@ def _min_cap_search(
         raise SearchError(
             f"{what}: the base case with cap {hi} {detail}; the target cannot be certified"
         )
-    timed_out = False
+    timed_out = walking = False
+    bound = None
     lo, high = 0, hi
     while lo < high:
-        cap = high - 1 if timed_out else (lo + high) // 2
+        cap = high - 1 if walking else (lo + high) // 2
         res = probe(cap)
         if res.feasible:
             high, best = cap, res
         elif not res.infeasible_by_timeout:
             lo = cap + 1
-        elif timed_out:
-            break
         else:
+            if not timed_out and lower_bound is not None:
+                bound = lower_bound()
+                lo = max(lo, bound)
             timed_out = True
+            if cap < lo:  # the bound settles it
+                continue
+            if walking:
+                break
+            walking = True
 
     assert best.assignment is not None
-    return MinSearchResult(value=high, witness=best.assignment, probes=probes, timed_out=timed_out)
+    return MinSearchResult(
+        value=high, witness=best.assignment, probes=probes, timed_out=timed_out,
+        lower_bound=bound,
+    )
+
+
+def _catalog(instance: Instance, seed: int) -> CliqueCatalog:
+    """The instance's clique catalog, seeded as Monte Carlo seeds it."""
+    return enumerate_cliques_greedy(instance, seed=derive_seed(seed, "catalog"))
 
 
 def min_nationwide_clearings(
@@ -190,10 +236,12 @@ def min_nationwide_clearings(
 ) -> MinSearchResult:
     """Smallest number of stations that must be cleared to reach the target."""
     base = RepackProblem(instance, target_mhz, use_domain)
+    c = len(base.channel_plan.assignable)
     return _min_cap_search(
         lambda cap: replace(base, max_cleared_nationwide=cap), instance.n,
         seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-clearings@{target_mhz}MHz",
+        lower_bound=lambda: clearing_lower_bound(_catalog(instance, seed), c),
     )
 
 
@@ -208,10 +256,12 @@ def min_dmas_with_clearing(
 ) -> MinSearchResult:
     """Smallest number of DMAs in which any clearing occurs."""
     base = RepackProblem(instance, target_mhz, use_domain)
+    c = len(base.channel_plan.assignable)
     return _min_cap_search(
         lambda cap: replace(base, max_dmas_with_clearing=cap), len(instance.dmas),
         seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-dmas@{target_mhz}MHz",
+        lower_bound=lambda: dma_lower_bound(_catalog(instance, seed), c, instance),
     )
 
 
@@ -252,11 +302,13 @@ def min_dma_clearings_isolated(
     # Exact in the slack's decimal value: float ceil(50 * 1.1) would give 56.
     nationwide_cap = b_star + math.ceil(b_star * Fraction(str(slack)))
     base = RepackProblem(instance, target_mhz, use_domain, max_cleared_nationwide=nationwide_cap)
+    c = len(base.channel_plan.assignable)
+    members = frozenset(instance.dma_members[dma_id])
     return _min_cap_search(
-        lambda cap: replace(base, dma_caps={dma_id: cap}),
-        len(instance.dma_members.get(dma_id, ())),
+        lambda cap: replace(base, dma_caps={dma_id: cap}), len(members),
         seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-dma-{dma_id}@{target_mhz}MHz",
+        lower_bound=lambda: clearing_lower_bound(_catalog(instance, seed), c, within=members),
     )
 
 

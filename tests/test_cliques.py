@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
@@ -12,12 +13,17 @@ from repacker.cliques import (
     CliqueError,
     _verify_cliques,
     blocking_check,
+    clearing_lower_bound,
+    dma_lower_bound,
     enumerate_cliques_greedy,
 )
+from repacker.instance import RepackProblem
 from repacker.montecarlo import TrialReport
 from repacker.synthetic import generate_synthetic, planted_clique_ids
+from repacker.util import derive_seed
 
 from conftest import build_instance
+from oracles import brute_force_min_cleared
 from reference_paths import (
     reference_co_adjacency,
     reference_enumerate_cliques_greedy,
@@ -250,3 +256,66 @@ class TestAttribution:
 
     def test_no_infeasible_trials_undefined(self):
         assert estimate_of(_trial("feasible")).attribution_fraction is None
+
+
+class TestLowerBounds:
+    def test_disjoint_cliques_add_their_excess(self):
+        catalog = CliqueCatalog(cliques=(
+            frozenset("abcde"), frozenset("fghi"), frozenset("abj"),
+        ))
+        # c = 2: {a..e} clears 3, {f..i} clears 2, {a,b,j} loses a and b.
+        assert clearing_lower_bound(catalog, 2) == 5
+        assert clearing_lower_bound(catalog, 2, within=frozenset("abcfgh")) == 2
+        assert clearing_lower_bound(catalog, 5) == 0
+
+    def test_overlapping_clique_counts_what_it_has_left(self):
+        catalog = CliqueCatalog(cliques=(frozenset("abcdef"), frozenset("efghij")))
+        # {e..j} minus {e, f} is {g, h, i, j}, still a clique above c = 3.
+        assert clearing_lower_bound(catalog, 3) == 3 + 1
+
+    def test_dma_bound_needs_disjoint_dma_sets(self):
+        inst = build_instance(
+            6, dma_of={"a": 1, "b": 1, "c": 2, "d": 2, "e": 3, "f": 3}, n_dmas=3)
+        catalog = CliqueCatalog(cliques=(
+            frozenset("abcd"), frozenset("abe"), frozenset("cd"), frozenset("ef"),
+        ))
+        # Above c = 1: {a,b,c,d} spans DMAs 1-2, so the packing takes
+        # {c,d} (DMA 2) and {e,f} (DMA 3); {a,b,e} (DMAs 1, 3) meets {e,f}.
+        assert dma_lower_bound(catalog, 1, inst) == 2
+        assert dma_lower_bound(catalog, 3, inst) == 1
+        assert dma_lower_bound(catalog, 4, inst) == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bounds_never_exceed_the_brute_force_minima(self, seed):
+        # 5 channels, a 12 MHz target leaves c = 3; the planted clique of
+        # c + 2 sits in DMA 1, with ADJ constraints and domain rows around it.
+        # At this density most catalogs hold overlapping cliques above c,
+        # whose plain sum would exceed the minimum.
+        c, target = 3, 12
+        inst = generate_synthetic(
+            10, channel_count=5, co_density=0.35, adj_density=0.15, domain_density=0.1,
+            n_dmas=4, planted_clique=c + 2, planted_clique_dma=1, seed=seed,
+        )
+        catalog = enumerate_cliques_greedy(inst, seed=derive_seed(seed, "catalog"))
+
+        def problem(**caps):
+            return RepackProblem(inst, target, **caps)
+
+        b_star = brute_force_min_cleared(lambda cap: problem(max_cleared_nationwide=cap), inst.n)
+        min_dmas = brute_force_min_cleared(
+            lambda cap: problem(max_dmas_with_clearing=cap), len(inst.dmas))
+        members = frozenset(inst.dma_members[1])
+        nationwide_cap = b_star + math.ceil(b_star * 0.05)
+        min_dma_1 = brute_force_min_cleared(
+            lambda cap: problem(max_cleared_nationwide=nationwide_cap, dma_caps={1: cap}),
+            len(members),
+        )
+        bounds = (
+            clearing_lower_bound(catalog, c),
+            dma_lower_bound(catalog, c, inst),
+            clearing_lower_bound(catalog, c, within=members),
+        )
+        assert bounds[0] >= 2 and bounds[1] >= 1 and bounds[2] >= 2  # the planted clique
+        assert bounds[0] <= b_star
+        assert bounds[1] <= min_dmas
+        assert bounds[2] <= min_dma_1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
 
@@ -408,6 +409,43 @@ class TestTimeoutFallback:
         assert result.value == 3
         assert result.timed_out  # a probe did time out along the way
         assert engine.timeouts_served == 1
+        # The timed-out cap 3 is the clique bound, so the walk down stops there.
+        assert (result.lower_bound, result.certified_by) == (3, "clique-bound")
+        assert [p.cap for p in result.probes] == [6, 3, 5, 4, 3]
+
+
+class TestPublicSearchesUseTheirBound:
+    """With every UNSAT probe turned into a timeout, each public search still
+    reaches its minimum, certified by its own clique bound."""
+
+    @pytest.mark.parametrize("search, minimum", [
+        (lambda inst: min_nationwide_clearings(inst, 6), 3),
+        (lambda inst: min_dmas_with_clearing(inst, 6), 2),
+        (lambda inst: min_dma_clearings_isolated(inst, 6, dma_id=1), 2),
+    ], ids=["min-clear", "min-dmas", "min-dma-isolated"])
+    def test_bound_certifies_when_refutations_time_out(self, monkeypatch, search, minimum):
+        # On c = 2 channels, a 4-clique in DMA 1 and a 3-clique in DMA 2: each
+        # search's minimum differs from the other two bounds.
+        four, three = "abcd", "efg"
+        inst = build_instance(
+            7, channels=(1, 2, 3),
+            co_pairs=tuple((x, y) for k in (four, three) for x in k for y in k if x < y),
+            dma_of={**dict.fromkeys(four, 1), **dict.fromkeys(three, 2)},
+        )
+        assert search(inst).certified_by == "unsat-probe"
+        real = driver.check_feasibility
+
+        def refutations_time_out(problem, **kwargs):
+            res = real(problem, **kwargs)
+            if res.verdict is Verdict.UNSAT:
+                return FeasibilityResult(Verdict.TIMEOUT, None, res.stats, res.seed)
+            return res
+
+        monkeypatch.setattr(driver, "check_feasibility", refutations_time_out)
+        result = search(inst)
+        assert (result.value, result.lower_bound, result.certified_by) == (
+            minimum, minimum, "clique-bound")
+        assert result.timed_out
 
 
 class TestSearchMatchesReference:
@@ -477,6 +515,112 @@ class TestSearchMatchesReference:
             seen["re-probed"] += len(caps) != len(set(caps))
             seen["two-timeouts"] += sum(v is Verdict.TIMEOUT for _, v, _ in probes[1:]) >= 2
         assert min(seen.values()) >= 100, seen
+
+
+class TestSearchWithCliqueBound:
+    """A clique bound settles a timed-out probe below it and stops the walk
+    down at it; a search with no timeout never asks for it."""
+
+    @staticmethod
+    def _search(monkeypatch, hi, minimum, timeouts, bound):
+        """Search a monotone script (feasible from ``minimum`` up) whose
+        ``timeouts`` are the (cap, attempt) pairs that time out."""
+        attempts: dict[int, int] = {}
+        asked = []
+
+        def scripted_check(cap, *, seed, time_budget, engine):
+            attempt = attempts.get(cap, 0)
+            attempts[cap] = attempt + 1
+            if (cap, attempt) in timeouts:
+                verdict = Verdict.TIMEOUT
+            else:
+                verdict = Verdict.SAT if cap >= minimum else Verdict.UNSAT
+            witness = ChannelAssignment({"cap": cap})
+            return FeasibilityResult(
+                verdict, witness if verdict is Verdict.SAT else None, SolveStats(), seed
+            )
+
+        def lower_bound():
+            asked.append(bound)
+            return bound
+
+        monkeypatch.setattr(driver, "check_feasibility", scripted_check)
+        result = driver._min_cap_search(
+            lambda cap: cap, hi, seed=0, time_budget=1.0, engine=None, what="scripted",
+            lower_bound=lower_bound,
+        )
+        caps = [(p.cap, p.verdict.value) for p in result.probes]
+        return result, caps, asked
+
+    def test_timeout_below_the_bound_is_settled_without_a_re_probe(self, monkeypatch):
+        # pipeline-medium's hard min-clear: cap 1 times out, a 10-clique on 8
+        # channels bounds the minimum at 2.
+        result, caps, asked = self._search(monkeypatch, 100, 2, {(1, 0)}, bound=2)
+        assert caps == [(100, "sat"), (50, "sat"), (25, "sat"), (12, "sat"), (6, "sat"),
+                        (3, "sat"), (1, "timeout"), (2, "sat")]
+        assert (result.value, result.lower_bound, result.certified_by) == (2, 2, "clique-bound")
+        assert result.certified and result.timed_out and asked == [2]
+        assert result.to_json_dict()["certified_by"] == "clique-bound"
+        assert result.to_json_dict()["lower_bound"] == 2
+
+    def test_bisection_goes_on_above_the_bound(self, monkeypatch):
+        result, caps, asked = self._search(monkeypatch, 16, 5, {(4, 0)}, bound=5)
+        assert caps == [(16, "sat"), (8, "sat"), (4, "timeout"), (6, "sat"), (5, "sat")]
+        assert (result.value, result.certified_by) == (5, "clique-bound")
+        assert asked == [5]
+
+    def test_timeout_at_the_bound_walks_down_to_it(self, monkeypatch):
+        result, caps, asked = self._search(monkeypatch, 16, 3, {(4, 0)}, bound=3)
+        # The walk re-probes cap 4 and ends at the bound: cap 2 is never probed.
+        assert caps == [(16, "sat"), (8, "sat"), (4, "timeout"), (7, "sat"), (6, "sat"),
+                        (5, "sat"), (4, "sat"), (3, "sat")]
+        assert (result.value, result.certified_by) == (3, "clique-bound")
+        assert asked == [3]
+
+    def test_walk_below_a_weak_bound_keeps_the_probe_evidence(self, monkeypatch):
+        result, caps, _ = self._search(monkeypatch, 16, 3, {(4, 0)}, bound=1)
+        assert caps[-2:] == [(3, "sat"), (2, "unsat")]
+        assert (result.value, result.lower_bound, result.certified_by) == (3, 1, "unsat-probe")
+
+    def test_second_timeout_above_the_bound_leaves_an_upper_bound(self, monkeypatch):
+        result, caps, asked = self._search(monkeypatch, 16, 3, {(4, 0), (2, 0)}, bound=2)
+        assert caps[-2:] == [(3, "sat"), (2, "timeout")]
+        assert (result.value, result.lower_bound, result.certified_by) == (3, 2, None)
+        assert not result.certified and result.timed_out and asked == [2]
+
+    def test_without_timeouts_the_probes_equal_the_reference(self, monkeypatch):
+        rng = random.Random(12)
+        compared = 0
+        for case in range(1500):
+            hi = rng.randint(0, 40)
+            script = TestSearchMatchesReference._scripted(rng, hi)
+            ref = TestSearchMatchesReference._run(
+                monkeypatch, reference_min_cap_search, script, hi, seed=case)
+            if ref[0] == "error" or any(v is Verdict.TIMEOUT for _, v, _ in ref[0]):
+                continue
+            asked = []
+
+            def bound():
+                asked.append(hi)
+                return hi
+
+            bounded = functools.partial(driver._min_cap_search, lower_bound=bound)
+            new = TestSearchMatchesReference._run(monkeypatch, bounded, script, hi, seed=case)
+            assert new == ref, (case, hi)
+            assert asked == []
+            compared += 1
+        assert compared >= 500, compared
+
+    def test_a_zero_bound_replays_the_reference(self, monkeypatch):
+        rng = random.Random(13)
+        for case in range(1500):
+            hi = rng.randint(0, 40)
+            script = TestSearchMatchesReference._scripted(rng, hi)
+            bounded = functools.partial(driver._min_cap_search, lower_bound=lambda: 0)
+            new = TestSearchMatchesReference._run(monkeypatch, bounded, script, hi, seed=case)
+            ref = TestSearchMatchesReference._run(
+                monkeypatch, reference_min_cap_search, script, hi, seed=case)
+            assert new == ref, (case, hi)
 
 
 class TestPartialSample:
