@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 from .instance import Instance
 from .instance_io import load_artifact, save_artifact
-from .util import derive_seed
+from .util import derive_seed, json_field
 
 
 class CliqueError(ValueError):
@@ -85,18 +85,28 @@ class CliqueCatalog:
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "CliqueCatalog":
         index = instance.station_index
+        min_size = 2  # the meta record's, parsed before any clique
+
+        def meta(rec: dict) -> int:
+            nonlocal min_size
+            min_size = json_field(rec.get("min_size", 2), int, "min_size")
+            if min_size < 1:
+                raise ValueError(f"min_size must be at least 1, got {min_size}")
+            return min_size
 
         def clique(rec: dict) -> frozenset[str]:
-            members = frozenset(rec["members"])
+            listed = rec["members"]
+            if type(listed) is not list or not all(type(sid) is str for sid in listed):
+                raise ValueError(f"members must be a list of strings, got {listed!r}")
+            members = frozenset(listed)
             unknown = members.difference(index)
             if unknown:
                 raise ValueError(f"unknown station {min(unknown)!r}")
+            if len(members) < min_size:
+                raise ValueError(f"a clique of {len(members)} is below min_size {min_size}")
             return members
 
-        min_size, cliques = load_artifact(
-            path, "clique-catalog", instance, "clique",
-            lambda meta: int(meta.get("min_size", 2)), clique,
-        )
+        min_size, cliques = load_artifact(path, "clique-catalog", instance, "clique", meta, clique)
         _verify_cliques((sum(1 << index[sid] for sid in c) for c in cliques), instance)
         return cls(cliques=tuple(cliques), min_size_retained=min_size)
 

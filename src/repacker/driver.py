@@ -292,12 +292,15 @@ def min_dma_clearings_isolated(
 ) -> MinSearchResult:
     """Smallest clearing count for one DMA, holding nationwide near-minimal.
 
-    The nationwide cap is the minimum plus a relative slack. Per-DMA minima
+    The nationwide cap is the minimum plus a relative, non-negative slack
+    (``ValueError`` otherwise, before any probe). Per-DMA minima
     found this way are generally not achievable simultaneously across DMAs;
     each is a statement about that DMA in isolation.
     """
     if dma_id not in instance.dmas:
         raise ValueError(f"unknown DMA {dma_id}")
+    if not slack >= 0:
+        raise ValueError("slack must be non-negative")
     b_star = _b_star(instance, target_mhz, use_domain, b_star, seed, time_budget, engine)
     # Exact in the slack's decimal value: float ceil(50 * 1.1) would give 56.
     nationwide_cap = b_star + math.ceil(b_star * Fraction(str(slack)))
@@ -376,11 +379,13 @@ class SampleSet:
             unknown = assignment.channels.keys() - instance.by_id.keys()
             if unknown:
                 raise ValueError(f"unknown station {min(unknown)!r}")
-            return Sample(
-                seed=json_field(rec["seed"], int, "seed"),
-                assignment=assignment,
-                stats=SolveStats(**rec["stats"]) if "stats" in rec else None,
-            )
+            seed = json_field(rec["seed"], int, "seed")
+            stats = None
+            if "stats" in rec:
+                stats = SolveStats(**rec["stats"])
+                for name in ("decisions", "conflicts", "propagations", "restarts", "learnts"):
+                    json_field(getattr(stats, name), int, name)
+            return Sample(seed=seed, assignment=assignment, stats=stats)
 
         head, samples = load_artifact(path, "sample-set", instance, "sample", fields, sample)
         return cls(samples=samples, **head)

@@ -98,8 +98,9 @@ class CnfFormula:
 
     ``base`` is set by :func:`encode` only, to the :class:`_Base` whose
     clauses the formula copies, and only where stations have a channel to
-    take; the embedded solver then builds its engine from that base's
-    watch lists. It takes no part in equality, and no output writes it.
+    take; the embedded solver then reads that base's binary clauses from
+    its implication table (see :meth:`_Base.split`). It takes no part in
+    equality, and no output writes it.
     """
 
     var_count: int
@@ -195,10 +196,10 @@ class _Base:
     layout. Station ``i``'s at-least-one clause, whose first literal is its
     cleared variable, sits at ``i * stride``; its at-most-one pairs follow
     it. Every other clause is all-negative: those pairs, the interference
-    pairs, and last the unit prohibitions. The solver's skeleton relies on
-    this layout and checks it as it reads the clauses. Every literal is the
-    int object ``v`` or ``neg[v]`` the build made for it, so ~1.8M literal
-    slots on an FCC-sized instance share two objects per variable.
+    pairs, and last the unit prohibitions. :meth:`split` relies on this
+    layout and checks it as it builds the implication table. Every literal
+    is the int object ``v`` or ``neg[v]`` the build made for it, so ~1.8M
+    literal slots on an FCC-sized instance share two objects per variable.
     """
 
     instance: Instance
@@ -206,6 +207,8 @@ class _Base:
     use_domain: bool
     clauses: tuple[tuple[int, ...], ...]
     neg: list[int]
+    # The implication table and the units, built by the first split.
+    _folded: Optional[tuple[tuple, tuple]] = field(default=None, init=False, repr=False)
 
     @property
     def stride(self) -> int:
@@ -217,6 +220,68 @@ class _Base:
         """Each station's clause at its at-least-one position in ``clauses``,
         this base's clauses or an encoding that replaced them one for one."""
         return clauses[:self.instance.n * self.stride:self.stride]
+
+    def split(
+        self, clauses: Sequence[tuple[int, ...]]
+    ) -> tuple[tuple[tuple[int, ...], ...], Iterable[tuple[int, ...]]]:
+        """``clauses``, a formula :func:`encode` marked with this base, as the
+        embedded solver folds it: this base's implication table, and the
+        clauses outside it.
+
+        ``table[-v]``, for each station variable ``v``, holds in base order
+        the literals that ``-v`` implies through the base's binary clauses,
+        all of them negative. The other clauses follow in the order a fold of
+        the whole formula meets them: its at-least-one clauses, which only
+        reach positive literals, the base's units, then the clauses
+        :func:`encode` appended, whose entries in a negative station
+        literal's watch list follow the table's. The table is built on the
+        first call, raising ``ValueError`` for a base out of this layout, and
+        never changes after; threads that race build equal tables.
+        """
+        folded = self._folded
+        if folded is None:
+            folded = _implications(self)
+            object.__setattr__(self, "_folded", folded)
+        table, units = folded
+        return table, chain(self.firsts(clauses), units, clauses[len(self.clauses):])
+
+
+def _implications(base: _Base) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The implication table and the unit clauses of ``base`` (see :meth:`_Base.split`)."""
+    # Indexed by negative literals only: lists[-v] is lists[n - v].
+    lists: list = [[] for _ in range(len(base.neg) - 1)]
+    units = []
+    positive_first = 0
+    for clause in base.clauses:
+        if clause[0] > 0:
+            positive_first += 1
+        elif len(clause) == 2:
+            a, b = clause
+            if b > 0:
+                raise _layout_error(clause)
+            lists[a].append(b)
+            lists[b].append(a)
+        elif len(clause) == 1:
+            units.append(clause)
+        else:
+            raise _layout_error(clause)
+    # The at-least-one clauses are the positive ones, all-positive, and the
+    # units come last.
+    firsts = base.firsts(base.clauses)
+    for clause in firsts:
+        if min(clause) < 0:
+            raise _layout_error(clause)
+    if positive_first != len(firsts):
+        raise _layout_error("a positive literal outside the at-least-one clauses")
+    if any(len(c) != 1 for c in base.clauses[len(base.clauses) - len(units):]):
+        raise _layout_error("a unit clause before the last binary")
+    for i, ws in enumerate(lists):  # one at a time, so each list goes as its tuple comes
+        lists[i] = tuple(ws)
+    return tuple(lists), tuple(units)
+
+
+def _layout_error(what) -> ValueError:
+    return ValueError(f"encoder base out of the implication table's layout: {what}")
 
 
 # The base of the last encoding in this process. Monte Carlo draws and

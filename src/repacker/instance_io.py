@@ -299,7 +299,7 @@ def load_artifact(
     """Read a JSON-lines artifact written by :func:`save_artifact`.
 
     Returns ``parse_meta`` of the meta record and ``parse_record`` of each
-    record of ``record_type``. Raises ``ValueError`` when the file is not a
+    record of ``record_type``, parsed in that order. Raises ``ValueError`` when the file is not a
     ``kind`` artifact, was derived from a different instance, or holds a
     line that is not JSON, a record that is not a JSON object or one whose
     fields its parser rejects, naming the line.

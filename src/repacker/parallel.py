@@ -12,7 +12,7 @@ own small part, such as a trial index, a seed and an estimate's settings.
 The pool outlives the call. While the function, the worker count and each
 member of the context (compared by identity) stay the same, later calls run
 in the same worker processes, which keep what they built for earlier tasks:
-the encoder's base and the solver's skeleton for the instance. A call with
+the encoder's base for the instance and that base's implication table. A call with
 anything else shuts the pool down first; :func:`shutdown` ends it on
 request, and it is shut down at the latest when the interpreter exits.
 """

@@ -28,12 +28,14 @@ propagations, conflicts, learnt clauses (literal order included) and rng
 draws, and returns the same models, as an engine that keeps one clause list
 per binary clause and heap entries as tuples.
 
-Nearly all of an encoded formula's clauses are the draw-independent base the
-encoder builds once per process. For a formula that :func:`encode` marks with
-that base, :func:`solve` builds the engine from a :class:`_Skeleton`, the
-base's all-negative binary clauses folded once into watch lists, and folds
-only the rest of the formula; the engine ends up with the same watch lists,
-in the same order, as a fold of every clause.
+Nearly all of an encoded formula's clauses are the all-negative binary
+clauses of the draw-independent base the encoder builds once per process.
+For a formula that :func:`encode` marks with that base, the engine reads them
+from the base's implication table (see :meth:`repacker.encoder._Base.split`),
+built once and never written: when a literal becomes false, its table entries
+are visited first, then its watch list. A fold of the whole formula puts those
+same entries at the head of the same lists, in the same order, where the
+search never drops or moves them, so the search is the same.
 """
 
 from __future__ import annotations
@@ -47,16 +49,13 @@ import signal
 import struct
 import subprocess
 import tempfile
-import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
-from .encoder import CnfFormula, _Base, export_dimacs, model_from_literals, parse_dimacs_result
+from .encoder import CnfFormula, export_dimacs, model_from_literals, parse_dimacs_result
 from .util import gc_paused
 
 
@@ -174,14 +173,15 @@ class _Engine:
     bump. Entries are pushed on every bump and unassignment and never removed;
     a stale entry keeps the activity it was pushed with.
 
-    ``watches``, when given, is the ``2n + 1`` watch lists to fold the
-    clauses into, some of them already holding entries (see
-    :class:`_Skeleton`); by default every list starts empty.
+    ``table``, when given, is an encoder base's implication table: for each
+    negative literal ``-v`` of its ``len(table)`` variables, the negative
+    literals that ``-v`` implies, read before ``watches[-v]`` and never
+    written (see :meth:`repacker.encoder._Base.split`).
     """
 
     def __init__(
         self, var_count: int, clauses: Iterable[Sequence[int]], seed: int,
-        watches: Optional[list[list]] = None,
+        table: Sequence[tuple[int, ...]] = (),
     ) -> None:
         self.nvars = var_count
         self.rng = random.Random(seed)
@@ -200,9 +200,8 @@ class _Engine:
             self.key[v] | int(self.rng.random() * scale) for v in range(1, var_count + 1)
         ]
         heapify(self.heap)
-        if watches is None:
-            watches = [[] for _ in range(2 * var_count + 1)]
-        self.watches = watches
+        self.watches = watches = [[] for _ in range(2 * var_count + 1)]
+        self.table = table
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -248,13 +247,16 @@ class _Engine:
     def _propagate(self) -> Optional[list[int]]:
         """Propagate the trail from ``qhead``; return a conflict clause or None.
 
-        Each watch list is compacted as it is walked (MiniSat's scheme): a
-        clause whose watch moves to another literal is dropped, each kept
-        entry is written ``dropped`` slots down, and after a conflict the
-        entries not yet visited stay, in order.
+        A false literal's implication table entries come first. Each watch
+        list is compacted as it is walked (MiniSat's scheme): a clause whose
+        watch moves to another literal is dropped, each kept entry is written
+        ``dropped`` slots down, and after a conflict the entries not yet
+        visited stay, in order.
         """
         val = self.val
         watches = self.watches
+        table = self.table
+        low = -len(table)
         level = self.level
         reason = self.reason
         trail = self.trail
@@ -270,6 +272,19 @@ class _Engine:
                 props += 1
                 if props & 8191 == 0 and time.monotonic() > deadline:
                     raise _Timeout
+                if low <= false_lit < 0:
+                    for first in table[false_lit]:
+                        v0 = val[first]
+                        if v0:
+                            continue
+                        if v0 is False:
+                            return [first, false_lit]
+                        v = -first  # every entry is a negative literal
+                        val[first] = True
+                        val[v] = False
+                        level[v] = lvl
+                        reason[v] = false_lit
+                        push(first)
                 ws = watches[false_lit]
                 dropped = 0
                 for i, c in enumerate(ws):
@@ -487,111 +502,6 @@ class _Engine:
             trail.append(lit)
 
 
-class _Skeleton:
-    """An encoder base's all-negative binary clauses as watch lists, lent to
-    one engine at a time.
-
-    Every clause of a base (see :class:`repacker.encoder._Base`) is one
-    station's all-positive at-least-one clause, at the positions
-    ``base.firsts`` reads, or an all-negative binary or, last, unit; the
-    constructor checks this and raises ``ValueError`` otherwise. An
-    encoded formula copies the base, with a must-repack station's
-    at-least-one clause replaced in place, then appends the cap and DMA
-    clauses. So a fold of the whole formula leaves in the watch list of each
-    negative station literal the base's binary entries, in base order, then
-    the appended clauses' entries; the at-least-one clauses only reach
-    positive literals' lists, and only units reach the trail.
-    :meth:`solve` lends the first part, built once, and folds the rest in
-    the order of a whole fold: the formula's at-least-one clauses, the
-    base's units, then the appended clauses. The search only appends to a
-    list or compacts it past that all-int prefix, so cutting each lent list
-    back to its built length afterwards leaves the skeleton as built.
-    """
-
-    def __init__(self, base: _Base) -> None:
-        n = len(base.neg) - 1
-        # Indexed by negative literals only: watches[-v] is watches[n + 1 - v].
-        watches: list[list[int]] = [[] for _ in range(n + 1)]
-        units = []
-        positive_first = 0
-        for clause in base.clauses:
-            if clause[0] > 0:
-                positive_first += 1
-            elif len(clause) == 2:
-                a, b = clause
-                if b > 0:
-                    raise _layout_error(clause)
-                watches[a].append(b)
-                watches[b].append(a)
-            elif len(clause) == 1:
-                units.append(clause)
-            else:
-                raise _layout_error(clause)
-        # The at-least-one clauses are the positive ones, all-positive, and
-        # the units come last.
-        firsts = base.firsts(base.clauses)
-        for clause in firsts:
-            if min(clause) < 0:
-                raise _layout_error(clause)
-        if positive_first != len(firsts):
-            raise _layout_error("a positive literal outside the at-least-one clauses")
-        if any(len(c) != 1 for c in base.clauses[len(base.clauses) - len(units):]):
-            raise _layout_error("a unit clause before the last binary")
-        self.var_count = n
-        self.lists = watches[1:]  # those of literals -n .. -1
-        self.lengths = list(map(len, self.lists))
-        self.units = units
-        self.lock = threading.Lock()
-
-    def solve(self, formula: CnfFormula, seed: int, time_budget: float) -> SolveOutcome:
-        """Solve ``formula``, which :func:`encode` marked with this skeleton's base."""
-        base = formula.base
-        assert base is not None
-        clauses = formula.clauses
-        lent = self.lists
-        with self.lock:
-            watches = [[] for _ in range(2 * formula.var_count + 1 - self.var_count)]
-            watches += lent
-            try:
-                folded = chain(base.firsts(clauses), self.units, clauses[len(base.clauses):])
-                return _Engine(formula.var_count, folded, seed, watches).run(time_budget)
-            finally:
-                for ws, length in zip(lent, self.lengths):
-                    del ws[length:]
-
-
-def _layout_error(what) -> ValueError:
-    return ValueError(f"encoder base out of the skeleton's layout: {what}")
-
-
-# Each process builds a base's skeleton on the first solve of a formula marked
-# with that base; it goes when the base does.
-_skeletons: "weakref.WeakKeyDictionary[_Base, _Skeleton]" = weakref.WeakKeyDictionary()
-_skeletons_lock = threading.Lock()
-
-
-def _skeleton_for(base: _Base) -> _Skeleton:
-    with _skeletons_lock:
-        skeleton = _skeletons.get(base)
-        if skeleton is None:
-            skeleton = _skeletons[base] = _Skeleton(base)
-    return skeleton
-
-
-def _after_fork_in_child() -> None:
-    """Drop the skeletons another thread had lent when the process forked:
-    their lists hold that solve's entries and their lock stays taken."""
-    global _skeletons_lock
-    _skeletons_lock = threading.Lock()
-    for base, skeleton in list(_skeletons.items()):
-        if skeleton.lock.locked():
-            del _skeletons[base]
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_after_fork_in_child)
-
-
 #: Wall-time budget of one solve, in seconds, when the caller gives none.
 DEFAULT_TIME_BUDGET = 60.0
 
@@ -613,8 +523,8 @@ def solve(
     being returned. UNSAT means the conflict analysis derived the empty
     clause; TIMEOUT is a verdict, not an error.
 
-    A formula that :func:`encode` marked with its base is solved from that
-    base's :class:`_Skeleton`, with the same search as from its clauses.
+    A formula that :func:`encode` marked with its base is solved with that
+    base's implication table, with the same search as from its clauses.
 
     The cyclic garbage collector is paused while the engine exists: its
     clause lists hold no reference cycles, and on large formulas the
@@ -623,9 +533,10 @@ def solve(
     _check_time_budget(time_budget)
     with gc_paused():
         if formula.base is None:
-            outcome = _Engine(formula.var_count, formula.clauses, seed).run(time_budget)
+            table, clauses = (), formula.clauses
         else:
-            outcome = _skeleton_for(formula.base).solve(formula, seed, time_budget)
+            table, clauses = formula.base.split(formula.clauses)
+        outcome = _Engine(formula.var_count, clauses, seed, table).run(time_budget)
         if outcome.is_sat:
             assert outcome.model is not None
             if not check_model(formula.clauses, outcome.model):

@@ -178,6 +178,15 @@ class TestMinSearches:
         )
         assert payload["value"] >= 0
 
+    def test_min_dma_isolated_refuses_a_negative_slack(self, instance_dir, capsys):
+        code = main([
+            "min-dma-isolated", "--instance", str(instance_dir), "--target", "6", "--dma", "1",
+            "--slack", "-0.5",
+        ])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 2
+        assert err["error"] == {"type": "ValueError", "message": "slack must be non-negative"}
+
 
 class TestSampleAndStats:
     def test_sample_then_stats(self, instance_dir, tmp_path, capsys):
@@ -639,6 +648,22 @@ class TestMalformedArtifacts:
         ("samples", lambda r: r[0].update(use_domain="no"), 1,
          "use_domain must be true or false, got 'no'"),
         ("trials", lambda r: r[0].update(use_domain=1), 1, "use_domain must be true or false, got 1"),
+        ("catalog", lambda r: r[0].update(min_size=2.9), 1, "min_size must be an integer, got 2.9"),
+        ("catalog", lambda r: r[0].update(min_size=True), 1, "min_size must be an integer, got True"),
+        ("catalog", lambda r: r[0].update(min_size="3"), 1, "min_size must be an integer, got '3'"),
+        ("catalog", lambda r: r[0].update(min_size=0), 1, "min_size must be at least 1, got 0"),
+        ("catalog", lambda r: r.append({"type": "clique", "members": "s0003"}), None,
+         "members must be a list of strings, got 's0003'"),
+        ("catalog", lambda r: r.append({"type": "clique", "members": ["s0003", 4]}), None,
+         "members must be a list of strings, got ['s0003', 4]"),
+        ("catalog", lambda r: r.append({"type": "clique", "members": ["s0003"]}), None,
+         "a clique of 1 is below min_size 2"),
+        ("samples", lambda r: r[1]["stats"].update(decisions="many"), 2,
+         "decisions must be an integer, got 'many'"),
+        ("samples", lambda r: r[2]["stats"].update(conflicts=2.5), 3,
+         "conflicts must be an integer, got 2.5"),
+        ("samples", lambda r: r[3]["stats"].update(propagations=True), 4,
+         "propagations must be an integer, got True"),
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
@@ -648,6 +673,10 @@ class TestMalformedArtifacts:
         "trial-int-digest", "trial-set-string-target", "sample-float-channel",
         "sample-bool-channel", "sample-string-channel", "sample-float-seed", "sample-set-float-cap",
         "sample-set-string-domain-flag", "trial-set-int-domain-flag",
+        "catalog-float-min-size", "catalog-bool-min-size", "catalog-string-min-size",
+        "catalog-zero-min-size", "catalog-string-members", "catalog-int-member",
+        "catalog-clique-below-min-size", "sample-string-decisions", "sample-float-conflicts",
+        "sample-bool-propagations",
     ])
     def test_reported_with_its_line(
         self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys

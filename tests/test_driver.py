@@ -239,6 +239,17 @@ class TestMinDmaIsolated:
         min_dma_clearings_isolated(inst, 6, dma_id=1, b_star=b_star, slack=slack)
         assert caps and set(caps) == {cap}
 
+    @pytest.mark.parametrize("slack", [-0.5, -1e-9, float("nan")])
+    def test_negative_slack_is_refused_before_any_probe(self, monkeypatch, slack):
+        # A negative slack would put the nationwide cap below b* > 0, so the
+        # base probe would fail as if the target could not be certified.
+        inst = build_instance(4, channels=(1, 2, 3, 4), dma_of={"a": 1, "b": 1, "c": 2, "d": 2})
+        probes = []
+        monkeypatch.setattr(driver, "check_feasibility", lambda problem, **kw: probes.append(problem))
+        with pytest.raises(ValueError, match="^slack must be non-negative$"):
+            min_dma_clearings_isolated(inst, 6, dma_id=1, slack=slack)
+        assert probes == []
+
 
 class TestSearchErrors:
     def test_impossible_target_raises(self):

@@ -16,6 +16,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -30,7 +31,6 @@ from repacker.solver import (
     Verdict,
     _activity_key,
     _Engine,
-    _Skeleton,
     check_model,
     solve,
 )
@@ -216,6 +216,13 @@ def unpack_key(key, var_bits):
     return (-struct.unpack("<d", struct.pack("<q", bits))[0], r, v)
 
 
+def folded_watches(engine, lit):
+    """What the engine visits when ``lit`` becomes false: the entries of
+    ``lit`` in its implication table, then its watch list."""
+    table = engine.table
+    return [*table[lit], *engine.watches[lit]] if -len(table) <= lit < 0 else engine.watches[lit]
+
+
 def engine_state(engine):
     """The engine's state in the reference's terms.
 
@@ -227,7 +234,8 @@ def engine_state(engine):
     sort like. An int reason, the false literal behind a binary implication,
     becomes the reference's clause ``[implied, false_lit]``; a free
     variable's reason, which the engine leaves stale and never reads, is None
-    as in the reference.
+    as in the reference. A literal's implication table entries head its
+    watch list, as a fold of every clause puts them.
     """
     assert engine.key == [
         _activity_key(act, v, engine.var_bits) for v, act in enumerate(engine.activity)
@@ -239,7 +247,7 @@ def engine_state(engine):
             c if type(c) is not list
             else (c[1] if c[0] == lit else c[0]) if len(c) == 2
             else (names.setdefault(id(c), len(names)), tuple(c))
-            for c in engine.watches[lit]
+            for c in folded_watches(engine, lit)
         ]
         for lit in list(range(n + 1)) + list(range(-n, 0))
     ]
@@ -565,9 +573,10 @@ class TestHeapKeys:
 
 
 def skeleton_problems():
-    """Encoded problems of every shape a skeleton solve meets: seeded Monte
-    Carlo draws at several rates, each kind of cap, and plans of one and two
-    channels, where a must-repack station's clause becomes a unit or a binary."""
+    """Encoded problems of every shape a solve from a base's implication
+    table meets: seeded Monte Carlo draws at several rates, each kind of cap,
+    and plans of one and two channels, where a must-repack station's clause
+    becomes a unit or a binary."""
     # The first keeps channel 14 alone at target 30 and 14-15 at 24; in the
     # second, channel 15 is reserved inside the retained band at targets 6-24.
     instances = [
@@ -603,45 +612,87 @@ def outcome_key(outcome):
 
 
 class StateAtRun(_Engine):
-    """The engine, noting its whole state when the search starts."""
+    """The engine, noting its whole state when the search starts and ends."""
 
     states: list = []
 
     def run(self, time_budget):
         StateAtRun.states.append(engine_state(self))
-        return super().run(time_budget)
+        try:
+            return super().run(time_budget)
+        finally:
+            StateAtRun.states.append(engine_state(self))
 
 
-def assert_lent_lists_restored(formula):
-    lent = solver._skeletons[formula.base]
-    built = _Skeleton(formula.base)
-    assert lent.lists == built.lists
-    assert lent.lengths == built.lengths == list(map(len, built.lists))
+def whole_fold(formula, seed, time_budget=60.0):
+    """The engine state at construction, the outcome and the state at the end
+    of a search that folds every clause of ``formula``."""
+    engine = _Engine(formula.var_count, formula.clauses, seed)
+    start = engine_state(engine)
+    outcome = engine.run(time_budget)
+    return [start, engine_state(engine)], outcome_key(outcome)
+
+
+def table_copy(base):
+    """A copy of ``base``'s implication table and units that no solve can share."""
+    table, units = base._folded
+    return [list(t) for t in table], [list(u) for u in units]
+
+
+def conflicting_capped_formula():
+    """A capped formula (its cap clauses extend negative station literals'
+    watch lists past their table entries) whose search meets several conflicts."""
+    for problem in skeleton_problems():
+        formula = encode(problem)
+        if problem.max_cleared_nationwide is None:
+            continue
+        if _Engine(formula.var_count, formula.clauses, 0).run(60.0).stats.conflicts >= 3:
+            return formula
+    raise AssertionError("no capped formula with three conflicts")
+
+
+def one_base_formulas():
+    """Formulas of one fresh base, so its implication table is not built yet."""
+    inst = generate_synthetic(30, channel_count=6, co_density=0.12, seed=9)
+    formulas = [
+        encode(RepackProblem(
+            inst, 12, max_cleared_nationwide=cap,
+            must_repack=sample(ModelSpec.random_broadcasters(alpha), inst, seed).non_participants(),
+        ))
+        for alpha, seed, cap in itertools.product((0.3, 0.6), range(3), (None, 3))
+    ]
+    assert len({id(f.base) for f in formulas}) == 1
+    assert formulas[0].base._folded is None
+    return formulas
 
 
 class TestSkeleton:
-    """An encoded formula solved from its base's skeleton starts from the
-    very state of an engine folding all its clauses, and so searches alike;
-    every lent list is cut back to the skeleton however the solve ends."""
+    """An encoded formula solved with its base's implication table, the
+    read-only skeleton every engine of that base starts from, searches as an
+    engine folding all its clauses does; no solve writes the table, so
+    threads share it and a forked child inherits it."""
 
     def test_same_state_and_outcome_as_the_plain_engine(self, monkeypatch):
         rng = random.Random(31)
         monkeypatch.setattr(solver, "_Engine", StateAtRun)
         verdicts = set()
-        for case, problem in enumerate(skeleton_problems()):
-            formula = encode(problem)
+        cases = [(encode(p), rng.randrange(1 << 30), 60.0) for p in skeleton_problems()]
+        cases.append((conflicting_capped_formula(), 0, 2.0))
+        for case, (formula, seed, budget) in enumerate(cases):
             assert formula.base is not None
-            seed = rng.randrange(1 << 30)
-            plain = _Engine(formula.var_count, formula.clauses, seed)
-            plain_state = engine_state(plain)
-            expected = plain.run(60.0)
+            timeout = budget == 2.0
+            if timeout:
+                counting_clock(monkeypatch)
+            expected_states, expected = whole_fold(formula, seed, budget)
+            if timeout:
+                counting_clock(monkeypatch)
             StateAtRun.states.clear()
-            got = solve(formula, seed=seed)
-            assert StateAtRun.states == [plain_state], case
-            assert outcome_key(got) == outcome_key(expected), case
-            assert_lent_lists_restored(formula)
+            got = solve(formula, seed=seed, time_budget=budget)
+            # The learnt clauses are in the final watch lists, beside the trail.
+            assert StateAtRun.states == expected_states, case
+            assert outcome_key(got) == expected, case
             verdicts.add(got.verdict)
-        assert verdicts == {Verdict.SAT, Verdict.UNSAT}
+        assert verdicts == {Verdict.SAT, Verdict.UNSAT, Verdict.TIMEOUT}
 
     def test_no_channels_solve_from_the_clauses(self):
         inst = generate_synthetic(6, channel_count=5, seed=2)
@@ -662,34 +713,15 @@ class TestSkeleton:
             clauses[binary] = clauses[binary][:1]
         else:
             clauses[0], clauses[1] = clauses[1], clauses[0]
+        changed = dataclasses.replace(base, clauses=tuple(clauses))
         with pytest.raises(ValueError, match="layout"):
-            _Skeleton(dataclasses.replace(base, clauses=tuple(clauses)))
+            changed.split(changed.clauses)
 
-    @staticmethod
-    def conflicting_capped_formula():
-        """A capped formula (its cap clauses extend lent lists) whose search
-        meets several conflicts."""
+    def test_the_table_is_never_written(self, monkeypatch):
+        by_verdict = {}
         for problem in skeleton_problems():
             formula = encode(problem)
-            if problem.max_cleared_nationwide is None:
-                continue
-            if _Engine(formula.var_count, formula.clauses, 0).run(60.0).stats.conflicts >= 3:
-                return formula
-        raise AssertionError("no capped formula with three conflicts")
-
-    def test_lists_restored_after_timeout(self, monkeypatch):
-        formula = self.conflicting_capped_formula()
-        outcomes = []
-        for build in (lambda: _Engine(formula.var_count, formula.clauses, 0).run(2),
-                      lambda: solve(formula, seed=0, time_budget=2)):
-            counting_clock(monkeypatch)
-            outcomes.append(outcome_key(build()))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] is Verdict.TIMEOUT
-        assert_lent_lists_restored(formula)
-
-    def test_lists_restored_after_an_exception_in_the_search(self, monkeypatch):
-        formula = self.conflicting_capped_formula()
+            by_verdict.setdefault(solve(formula, seed=1).verdict, formula)
         backjump = _Engine._backjump
         calls = []
 
@@ -699,36 +731,46 @@ class TestSkeleton:
                 raise RuntimeError("boom")
             backjump(engine, target)
 
-        monkeypatch.setattr(_Engine, "_backjump", failing_backjump)
-        with pytest.raises(RuntimeError, match="boom"):
-            solve(formula, seed=0)
-        assert len(calls) == 2
-        assert_lent_lists_restored(formula)
-        monkeypatch.setattr(_Engine, "_backjump", backjump)
-        assert outcome_key(solve(formula, seed=0)) == outcome_key(
-            _Engine(formula.var_count, formula.clauses, 0).run(60.0))
+        def raising(formula):
+            monkeypatch.setattr(_Engine, "_backjump", failing_backjump)
+            with pytest.raises(RuntimeError, match="boom"):
+                solve(formula, seed=0)
+            monkeypatch.setattr(_Engine, "_backjump", backjump)
+            return len(calls) == 2
 
-    def test_two_threads_get_the_serial_outcomes(self):
-        inst = generate_synthetic(30, channel_count=6, co_density=0.12, seed=9)
-        formulas = [
-            encode(RepackProblem(
-                inst, 12, max_cleared_nationwide=cap,
-                must_repack=sample(ModelSpec.random_broadcasters(alpha), inst, seed).non_participants(),
-            ))
-            for alpha, seed, cap in itertools.product((0.3, 0.6), range(3), (None, 3))
-        ]
-        assert len({id(f.base) for f in formulas}) == 1
-        expected = [outcome_key(solve(f, seed=i)) for i, f in enumerate(formulas)]
+        def timing_out(formula):
+            counting_clock(monkeypatch)
+            return solve(formula, seed=0, time_budget=2).timed_out
+
+        capped = conflicting_capped_formula()
+        for formula, run in (
+            (by_verdict[Verdict.SAT], lambda f: solve(f, seed=2).is_sat),
+            (by_verdict[Verdict.UNSAT], lambda f: solve(f, seed=2).is_unsat),
+            (capped, raising),
+            (capped, timing_out),
+        ):
+            formula.base.split(formula.clauses)
+            table = formula.base._folded
+            expected = table_copy(formula.base)
+            assert run(formula)
+            assert formula.base._folded is table and table_copy(formula.base) == expected
+
+    def test_more_threads_than_cpus_get_the_serial_outcomes(self):
+        formulas = one_base_formulas()
+        # Folding every clause leaves the table unbuilt, so the threads race to build it.
+        expected = [whole_fold(f, seed=i)[1] for i, f in enumerate(formulas)]
         results: dict[int, list] = {}
 
         def work(k):
-            order = list(enumerate(formulas))[::1 if k == 0 else -1]
+            order = list(enumerate(formulas))
+            order = order[k % len(order):] + order[:k % len(order)]
             results[k] = sorted((i, outcome_key(solve(f, seed=i))) for i, f in order)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(2)]
+            threads = [threading.Thread(target=work, args=(k,), daemon=True)
+                       for k in range((os.cpu_count() or 1) + 2)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -737,22 +779,45 @@ class TestSkeleton:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         serial = list(enumerate(expected))
-        assert results == {0: serial, 1: serial}
-        assert_lent_lists_restored(formulas[0])
+        assert results == {k: serial for k in range(len(threads))}
+        built = dataclasses.replace(formulas[0].base)
+        built.split(built.clauses)
+        assert table_copy(formulas[0].base) == table_copy(built)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_child_forked_while_the_skeleton_is_lent_builds_its_own(self):
-        formula = next(encode(p) for p in skeleton_problems())
+    def test_a_child_forked_mid_solve_solves_from_the_inherited_table(self, monkeypatch):
+        formula = conflicting_capped_formula()
         expected = outcome_key(solve(formula, seed=4))
-        lent = solver._skeletons[formula.base]
-        with lent.lock:  # as while another thread solves
-            pid = os.fork()
+        table = formula.base._folded
+        mid_search, forked = threading.Event(), threading.Event()
+        backjump = _Engine._backjump
+
+        def pausing_backjump(engine, target):
+            if threading.current_thread() is not threading.main_thread() and not forked.is_set():
+                mid_search.set()
+                forked.wait(60)
+            backjump(engine, target)
+
+        monkeypatch.setattr(_Engine, "_backjump", pausing_backjump)
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(outcome_key(solve(formula, seed=4))), daemon=True)
+        worker.start()
+        try:
+            assert mid_search.wait(60)
+            with warnings.catch_warnings():  # newer Pythons warn on fork with threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    code = 0 if outcome_key(solve(formula, seed=4)) == expected else 3
+                    same = outcome_key(solve(formula, seed=4)) == expected
+                    code = 0 if same and formula.base._folded is table else 3
                 finally:
                     os._exit(code)
+        finally:
+            forked.set()
+            worker.join(60)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             done, status = os.waitpid(pid, os.WNOHANG)
@@ -764,7 +829,8 @@ class TestSkeleton:
             os.waitpid(pid, 0)
             pytest.fail("the forked child did not finish its solve")
         assert os.waitstatus_to_exitcode(status) == 0
-        assert solver._skeletons[formula.base] is lent
+        assert not worker.is_alive() and results == [expected]
+        assert formula.base._folded is table
 
 
 GC_CASES = {
