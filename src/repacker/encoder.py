@@ -248,7 +248,7 @@ class _Base:
 
 def _implications(base: _Base) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The implication table and the unit clauses of ``base`` (see :meth:`_Base.split`)."""
-    # Indexed by negative literals only: lists[-v] is lists[n - v].
+    # Indexed by negative literals only: lists[-v] is lists[len(lists) - v].
     lists: list = [[] for _ in range(len(base.neg) - 1)]
     units = []
     positive_first = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -47,11 +48,14 @@ def gc_paused() -> Iterator[None]:
     For building and using large structures free of reference cycles (clause
     lists, solver engines): each full collection would scan every object they
     allocate and free none of them, while reference counting still frees them.
+    Only the main thread (a pool worker's too) flips this process-wide switch:
+    threads that paused it at once could otherwise leave it off.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
+    paused = gc.isenabled() and threading.current_thread() is threading.main_thread()
+    if paused:
+        gc.disable()
     try:
         yield
     finally:
-        if was_enabled:
+        if paused:
             gc.enable()

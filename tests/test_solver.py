@@ -35,6 +35,7 @@ from repacker.solver import (
     solve,
 )
 from repacker.synthetic import generate_synthetic
+from repacker.util import gc_paused
 
 from conftest import random_problem
 from oracles import dpll_sat
@@ -889,6 +890,46 @@ class TestGcPause:
         assert solve(GC_CASES["sat"][0]).is_sat
         assert seen == [("build", False), ("search", False), ("check", False)]
         assert gc.isenabled()
+
+    def test_pauses_in_threads_never_leave_the_collector_off(self):
+        # Each round many threads pause and restore the collector at once; a
+        # pause that read it off while another held it paused would restore
+        # it off, after the other had turned it back on.
+        def work():
+            for _ in range(200):
+                with gc_paused():
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                threads = [threading.Thread(target=work, daemon=True)
+                           for _ in range((os.cpu_count() or 1) + 2)]
+                for t in threads:
+                    t.start()
+                with gc_paused():  # the main thread pausing meanwhile
+                    for t in threads:
+                        t.join(60)
+                assert not any(t.is_alive() for t in threads)
+                assert gc.isenabled()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_thread_solves_with_the_main_threads_setting(self):
+        seen = []
+        search = _Engine._search
+
+        def traced_search(engine):
+            seen.append(gc.isenabled())
+            return search(engine)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Engine, "_search", traced_search)
+            worker = threading.Thread(target=lambda: solve(GC_CASES["sat"][0]), daemon=True)
+            worker.start()
+            worker.join(60)
+        assert not worker.is_alive() and seen == [True]
 
 
 SCRIPT = textwrap.dedent(
