@@ -718,11 +718,36 @@ class TestSkeleton:
         with pytest.raises(ValueError, match="layout"):
             changed.split(changed.clauses)
 
-    def test_the_table_is_never_written(self, monkeypatch):
+    def test_the_table_is_never_written(self):
         by_verdict = {}
         for problem in skeleton_problems():
             formula = encode(problem)
             by_verdict.setdefault(solve(formula, seed=1).verdict, formula)
+        for verdict in (Verdict.SAT, Verdict.UNSAT):
+            formula = by_verdict[verdict]
+            formula.base.split(formula.clauses)
+            table = formula.base._folded
+            expected = table_copy(formula.base)
+            assert solve(formula, seed=2).verdict is verdict
+            assert formula.base._folded is table and table_copy(formula.base) == expected
+
+    def test_lists_restored_after_timeout(self, monkeypatch):
+        formula = conflicting_capped_formula()
+        formula.base.split(formula.clauses)
+        table = formula.base._folded
+        expected_table = table_copy(formula.base)
+        counting_clock(monkeypatch)
+        expected = whole_fold(formula, 0, 2)[1]
+        counting_clock(monkeypatch)
+        got = outcome_key(solve(formula, seed=0, time_budget=2))
+        assert got == expected and got[0] is Verdict.TIMEOUT
+        assert formula.base._folded is table and table_copy(formula.base) == expected_table
+
+    def test_lists_restored_after_an_exception_in_the_search(self, monkeypatch):
+        formula = conflicting_capped_formula()
+        formula.base.split(formula.clauses)
+        table = formula.base._folded
+        expected_table = table_copy(formula.base)
         backjump = _Engine._backjump
         calls = []
 
@@ -732,29 +757,13 @@ class TestSkeleton:
                 raise RuntimeError("boom")
             backjump(engine, target)
 
-        def raising(formula):
-            monkeypatch.setattr(_Engine, "_backjump", failing_backjump)
-            with pytest.raises(RuntimeError, match="boom"):
-                solve(formula, seed=0)
-            monkeypatch.setattr(_Engine, "_backjump", backjump)
-            return len(calls) == 2
-
-        def timing_out(formula):
-            counting_clock(monkeypatch)
-            return solve(formula, seed=0, time_budget=2).timed_out
-
-        capped = conflicting_capped_formula()
-        for formula, run in (
-            (by_verdict[Verdict.SAT], lambda f: solve(f, seed=2).is_sat),
-            (by_verdict[Verdict.UNSAT], lambda f: solve(f, seed=2).is_unsat),
-            (capped, raising),
-            (capped, timing_out),
-        ):
-            formula.base.split(formula.clauses)
-            table = formula.base._folded
-            expected = table_copy(formula.base)
-            assert run(formula)
-            assert formula.base._folded is table and table_copy(formula.base) == expected
+        monkeypatch.setattr(_Engine, "_backjump", failing_backjump)
+        with pytest.raises(RuntimeError, match="boom"):
+            solve(formula, seed=0)
+        assert len(calls) == 2
+        assert formula.base._folded is table and table_copy(formula.base) == expected_table
+        monkeypatch.setattr(_Engine, "_backjump", backjump)
+        assert outcome_key(solve(formula, seed=0)) == whole_fold(formula, 0)[1]
 
     def test_more_threads_than_cpus_get_the_serial_outcomes(self):
         formulas = one_base_formulas()
