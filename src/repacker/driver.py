@@ -76,9 +76,11 @@ def check_feasibility(
     encoder bug and raises.
 
     The cyclic garbage collector stays paused from ``encode`` until the
-    formula is dropped: its fresh clause tuple (~900k entries on an FCC-sized
-    draw) holds no reference cycles, so reference counting frees it, where a
-    young collection would first traverse every entry.
+    formula is dropped: what a draw allocates (the formula's own clauses,
+    the engine, the model and the assignment) holds no reference cycles, so
+    reference counting frees it without a collection traversing it first.
+    An encoded formula shares the rest of its clauses with the encoder's
+    base, which every draw of that instance reads.
     """
     engine = engine or EmbeddedSolver()
     with gc_paused():

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
 from .util import gc_paused
@@ -96,11 +96,9 @@ class VarMap:
 class CnfFormula:
     """A CNF formula over variables ``1..var_count``.
 
-    ``base`` is set by :func:`encode` only, to the :class:`_Base` whose
-    clauses the formula copies, and only where stations have a channel to
-    take; the embedded solver then reads that base's binary clauses from
-    its implication table (see :meth:`_Base.split`). It takes no part in
-    equality, and no output writes it.
+    ``base`` is set only on the formulas :func:`encode` builds on an encoder
+    base (see :class:`_EncodedFormula`). It takes no part in equality, and
+    no output writes it.
     """
 
     var_count: int
@@ -113,21 +111,60 @@ class CnfFormula:
         _check_clauses(self.clauses, self.var_count)
 
     @classmethod
-    def _prechecked(
-        cls, var_count: int, clauses: tuple[tuple[int, ...], ...], var_map: VarMap,
-        base: Optional[_Base],
-    ) -> "CnfFormula":
-        """Wrap clause tuples whose literals the caller has already range-checked."""
+    def _prechecked(cls, var_count: int, var_map: VarMap, **attrs) -> "CnfFormula":
+        """A formula whose literals the caller has already range-checked,
+        with ``attrs`` set as they are."""
         formula = object.__new__(cls)
         object.__setattr__(formula, "var_count", var_count)
-        object.__setattr__(formula, "clauses", clauses)
         object.__setattr__(formula, "var_map", var_map)
-        object.__setattr__(formula, "base", base)
+        for name, value in attrs.items():
+            object.__setattr__(formula, name, value)
         return formula
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
+
+    def folded(self) -> tuple[Sequence[tuple[int, ...]], Iterable[tuple[int, ...]]]:
+        """The formula as the embedded solver folds it: an encoder base's
+        implication table (none here), then the clauses outside it, in the
+        order a fold of all of :attr:`clauses` meets them."""
+        return (), self.clauses
+
+
+class _EncodedFormula(CnfFormula):
+    """A formula :func:`encode` built on a :class:`_Base` whose stations have
+    channels to take.
+
+    It holds only its own clauses: ``firsts``, each station's at-least-one
+    clause after the must-repack replacement (one for one), and ``tail``,
+    the clauses of its caps. ``clauses``, the whole formula in base order,
+    is built from :func:`_base_clauses` on first read and kept on this
+    formula only; the solver and the model check never read it.
+    """
+
+    firsts: tuple[tuple[int, ...], ...]
+    tail: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def clauses(self) -> tuple[tuple[int, ...], ...]:  # type: ignore[override]
+        base = self.base
+        return tuple(chain(
+            _base_clauses(base.instance, base.plan, base.use_domain, base.neg, self.firsts),
+            self.tail,
+        ))
+
+    @property
+    def clause_count(self) -> int:
+        return self.base.clause_count + len(self.tail)
+
+    def folded(self) -> tuple[Sequence[tuple[int, ...]], Iterable[tuple[int, ...]]]:
+        """The base's implication table, then this formula's at-least-one
+        clauses, the base's units and the tail. In a fold of all of
+        :attr:`clauses`, a negative station literal's watch list holds its
+        table entries first, then what the tail adds."""
+        base = self.base
+        return base.table, chain(self.firsts, base.units, self.tail)
 
 
 def _check_clauses(clauses: Sequence[Sequence[int]], var_count: int) -> None:
@@ -188,100 +225,78 @@ def at_most_true(
     return clauses, aux
 
 
+def _base_clauses(
+    inst: Instance, plan: ChannelPlan, use_domain: bool, neg: list[int],
+    firsts: Optional[Sequence[tuple[int, ...]]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """The clauses of a :class:`_Base`, in its order: each station's
+    at-least-one clause (``firsts[i]``, or all of station ``i``'s variables)
+    then its at-most-one pairs, the interference pairs, and last the unit
+    prohibitions. Every clause but the at-least-one clauses is all-negative,
+    with each literal taken from ``neg``."""
+    channels = plan.channels
+    count, width = len(channels), len(channels) + 1
+    position = {ch: p for p, ch in enumerate(channels)}
+
+    # Exactly-one slot per station.
+    for i in range(inst.n):
+        cleared = i * width + 1
+        yield tuple(range(cleared, cleared + width)) if firsts is None else firsts[i]
+        yield from combinations(neg[cleared:cleared + width], 2)
+
+    # Pairwise interference over actual channels, as (position of a's
+    # channel, position of b's channel) pairs: ADJ_UP rules out
+    # channel(a) == channel(b) + 1 and ADJ_DOWN channel(a) == channel(b) - 1,
+    # each vacuous where the neighbouring channel is not retained.
+    adjacent = {
+        ConstraintKind.ADJ_UP: [(position[ch + 1], p) for p, ch in enumerate(channels)
+                                if ch + 1 in position],
+        ConstraintKind.ADJ_DOWN: [(position[ch - 1], p) for p, ch in enumerate(channels)
+                                  if ch - 1 in position],
+    }
+    index = inst.station_index
+    for ic in inst.sorted_interference:
+        a, b = index[ic.a] * width + 2, index[ic.b] * width + 2
+        if ic.kind is ConstraintKind.CO:
+            yield from zip(neg[a:a + count], neg[b:b + count])
+        else:
+            yield from [(neg[a + pa], neg[b + pb]) for pa, pb in adjacent[ic.kind]]
+
+    # Channel prohibitions: reserved channels for everyone, then per-station rows.
+    flagged = [p for p, ch in enumerate(channels) if ch in plan.flagged]
+    for i in range(inst.n):
+        for p in flagged:
+            yield (neg[i * width + 2 + p],)
+    if use_domain:
+        for dc in inst.sorted_domain:
+            if dc.channel in position and dc.channel not in plan.flagged:
+                yield (neg[index[dc.station] * width + 2 + position[dc.channel]],)
+
+
 @dataclass(frozen=True, eq=False)
 class _Base:
-    """The part of an encoding that depends on neither ``must_repack`` nor the caps.
+    """The part of an encoding that depends on neither ``must_repack`` nor the
+    caps, kept as the embedded solver reads it.
 
-    ``clauses`` encode every station as free to clear, in :class:`VarMap`'s
-    layout. Station ``i``'s at-least-one clause, whose first literal is its
-    cleared variable, sits at ``i * stride``; its at-most-one pairs follow
-    it. Every other clause is all-negative: those pairs, the interference
-    pairs, and last the unit prohibitions. :meth:`split` relies on this
-    layout and checks it as it builds the implication table. Every literal
-    is the int object ``v`` or ``neg[v]`` the build made for it, so ~1.8M
-    literal slots on an FCC-sized instance share two objects per variable.
+    Its clauses (:func:`_base_clauses`) encode every station as free to
+    clear, in :class:`VarMap`'s layout, and are not stored. ``table[-v]``
+    holds, for each station variable ``v``, the negative literals that
+    ``-v`` implies through the base's binary clauses, all of them negative,
+    in base order; ``units`` are its unit prohibitions, ``firsts`` each
+    station's at-least-one clause, which starts with its cleared literal,
+    and ``clause_count`` counts all of them. Nothing writes the table after
+    its build, so threads share it and a forked child inherits it. Every
+    negative literal is the int object ``neg[v]``.
     """
 
     instance: Instance
     plan: ChannelPlan
     use_domain: bool
-    clauses: tuple[tuple[int, ...], ...]
     neg: list[int]
-    # The implication table and the units, built by the first split.
-    _folded: Optional[tuple[tuple, tuple]] = field(default=None, init=False, repr=False)
-
-    @property
-    def stride(self) -> int:
-        """Positions from one station's at-least-one clause to the next's."""
-        width = len(self.plan.channels) + 1
-        return 1 + width * (width - 1) // 2
-
-    def firsts(self, clauses: Sequence[tuple[int, ...]]) -> Sequence[tuple[int, ...]]:
-        """Each station's clause at its at-least-one position in ``clauses``,
-        this base's clauses or an encoding that replaced them one for one."""
-        return clauses[:self.instance.n * self.stride:self.stride]
-
-    def split(
-        self, clauses: Sequence[tuple[int, ...]]
-    ) -> tuple[tuple[tuple[int, ...], ...], Iterable[tuple[int, ...]]]:
-        """``clauses``, a formula :func:`encode` marked with this base, as the
-        embedded solver folds it: this base's implication table, and the
-        clauses outside it.
-
-        ``table[-v]``, for each station variable ``v``, holds in base order
-        the literals that ``-v`` implies through the base's binary clauses,
-        all of them negative. The other clauses follow in the order a fold of
-        the whole formula meets them: its at-least-one clauses, which only
-        reach positive literals, the base's units, then the clauses
-        :func:`encode` appended, whose entries in a negative station
-        literal's watch list follow the table's. The table is built on the
-        first call, raising ``ValueError`` for a base out of this layout, and
-        never changes after; threads that race build equal tables.
-        """
-        folded = self._folded
-        if folded is None:
-            folded = _implications(self)
-            object.__setattr__(self, "_folded", folded)
-        table, units = folded
-        return table, chain(self.firsts(clauses), units, clauses[len(self.clauses):])
-
-
-def _implications(base: _Base) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The implication table and the unit clauses of ``base`` (see :meth:`_Base.split`)."""
-    # Indexed by negative literals only: lists[-v] is lists[len(lists) - v].
-    lists: list = [[] for _ in range(len(base.neg) - 1)]
-    units = []
-    positive_first = 0
-    for clause in base.clauses:
-        if clause[0] > 0:
-            positive_first += 1
-        elif len(clause) == 2:
-            a, b = clause
-            if b > 0:
-                raise _layout_error(clause)
-            lists[a].append(b)
-            lists[b].append(a)
-        elif len(clause) == 1:
-            units.append(clause)
-        else:
-            raise _layout_error(clause)
-    # The at-least-one clauses are the positive ones, all-positive, and the
-    # units come last.
-    firsts = base.firsts(base.clauses)
-    for clause in firsts:
-        if min(clause) < 0:
-            raise _layout_error(clause)
-    if positive_first != len(firsts):
-        raise _layout_error("a positive literal outside the at-least-one clauses")
-    if any(len(c) != 1 for c in base.clauses[len(base.clauses) - len(units):]):
-        raise _layout_error("a unit clause before the last binary")
-    for i, ws in enumerate(lists):  # one at a time, so each list goes as its tuple comes
-        lists[i] = tuple(ws)
-    return tuple(lists), tuple(units)
-
-
-def _layout_error(what) -> ValueError:
-    return ValueError(f"encoder base out of the implication table's layout: {what}")
+    table: tuple[tuple[int, ...], ...]
+    firsts: tuple[tuple[int, ...], ...]
+    units: tuple[tuple[int, ...], ...]
+    clause_count: int
 
 
 # The base of the last encoding in this process. Monte Carlo draws and
@@ -299,7 +314,7 @@ def _base_for(problem: RepackProblem) -> _Base:
         and base.plan == problem.channel_plan
         and base.use_domain == problem.use_domain_constraints
     ):
-        _last_base = None  # free the old clauses before building the new ones
+        _last_base = None  # free the old table before building the new one
         with gc_paused():
             base = _build_base(problem.instance, problem.channel_plan, problem.use_domain_constraints)
         _last_base = base
@@ -307,50 +322,25 @@ def _base_for(problem: RepackProblem) -> _Base:
 
 
 def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
-    channels = plan.channels
-    count, width = len(channels), len(channels) + 1
-    ids = inst.station_ids
-    # pos[v] is v and neg[v] is -v: every literal below is taken from these.
-    position = {ch: p for p, ch in enumerate(channels)}
-    pos = list(range(len(ids) * width + 1))
-    neg = [-v for v in pos]
-
-    # Exactly-one slot per station.
-    clauses: list[tuple[int, ...]] = []
-    for i in range(len(ids)):
-        cleared = i * width + 1
-        clauses.append(tuple(pos[cleared:cleared + width]))
-        clauses.extend(combinations(neg[cleared:cleared + width], 2))
-
-    # Pairwise interference over actual channels, as (position of a's
-    # channel, position of b's channel) pairs: ADJ_UP rules out
-    # channel(a) == channel(b) + 1 and ADJ_DOWN channel(a) == channel(b) - 1,
-    # each vacuous where the neighbouring channel is not retained.
-    adjacent = {
-        ConstraintKind.ADJ_UP: [(position[ch + 1], p) for p, ch in enumerate(channels)
-                                if ch + 1 in position],
-        ConstraintKind.ADJ_DOWN: [(position[ch - 1], p) for p, ch in enumerate(channels)
-                                  if ch - 1 in position],
-    }
-    index = inst.station_index
-    for ic in inst.sorted_interference:
-        a, b = index[ic.a] * width + 2, index[ic.b] * width + 2
-        if ic.kind is ConstraintKind.CO:
-            clauses.extend(zip(neg[a:a + count], neg[b:b + count]))
+    """Stream :func:`_base_clauses` once into a :class:`_Base`."""
+    var_count = inst.n * (len(plan.channels) + 1)
+    neg = [-v for v in range(var_count + 1)]
+    # Indexed by negative literals only: lists[-v] is lists[var_count - v].
+    lists: list = [[] for _ in range(var_count)]
+    firsts, units = [], []
+    clause_count = 0
+    for clause_count, clause in enumerate(_base_clauses(inst, plan, use_domain, neg), 1):
+        if clause[0] > 0:
+            firsts.append(clause)
+        elif len(clause) == 2:
+            a, b = clause
+            lists[a].append(b)
+            lists[b].append(a)
         else:
-            clauses.extend([(neg[a + pa], neg[b + pb]) for pa, pb in adjacent[ic.kind]])
-
-    # Channel prohibitions: reserved channels for everyone, then per-station rows.
-    flagged = [p for p, ch in enumerate(channels) if ch in plan.flagged]
-    for i in range(len(ids)):
-        clauses.extend((neg[i * width + 2 + p],) for p in flagged)
-    if use_domain:
-        for dc in inst.sorted_domain:
-            if dc.channel in position and dc.channel not in plan.flagged:
-                clauses.append((neg[index[dc.station] * width + 2 + position[dc.channel]],))
-
-    _check_clauses(clauses, len(ids) * width)
-    return _Base(inst, plan, use_domain, tuple(clauses), neg)
+            units.append(clause)
+    for i, ws in enumerate(lists):  # one at a time, so each list goes as its tuple comes
+        lists[i] = tuple(ws)
+    return _Base(inst, plan, use_domain, neg, tuple(lists), tuple(firsts), tuple(units), clause_count)
 
 
 def encode(problem: RepackProblem) -> CnfFormula:
@@ -365,54 +355,54 @@ def encode(problem: RepackProblem) -> CnfFormula:
 
     Everything but the must-repack clauses and the caps is built once for the
     last (instance, channel plan, domain flag) encoded in this process, and
-    copied on each later call with the same three.
+    read from there by each later call with the same three: the formula holds
+    only its at-least-one clauses and its caps' clauses.
     """
     inst = problem.instance
     base = _base_for(problem)
-    width = len(base.plan.channels) + 1
-    stride = base.stride
-    # Each station's at-least-one clause, and so its cleared literal.
-    firsts = base.firsts(base.clauses)
-    cleared = [clause[0] for clause in firsts]
+    # Each station's cleared literal starts its at-least-one clause.
+    cleared = [first[0] for first in base.firsts]
     index = inst.station_index
     pool = VarPool(start=len(base.neg), neg=list(base.neg))
     neg = pool.neg
-    clauses = list(base.clauses)
-    # From the back, so a two-clause replacement leaves earlier positions put.
-    for i in sorted((index[sid] for sid in problem.must_repack), reverse=True):
-        first = firsts[i]
-        at = i * stride
-        clauses[at:at + 1] = [first[1:]] if width > 1 else [first, (neg[first[0]],)]
-    added = len(clauses)
+    tail: list[tuple[int, ...]] = []
 
     # Cardinality caps.
     if problem.max_cleared_nationwide is not None:
         extra, _ = at_most_true(cleared, problem.max_cleared_nationwide, pool)
-        clauses.extend(extra)
+        tail.extend(extra)
     for dma in sorted(problem.dma_caps):
         members = inst.dma_members.get(dma, ())
         if not members:
             continue
         extra, _ = at_most_true([cleared[index[sid]] for sid in members], problem.dma_caps[dma], pool)
-        clauses.extend(extra)
+        tail.extend(extra)
 
     dma_any_clearing: dict[int, int] = {}
     if problem.max_dmas_with_clearing is not None:
         dma_any_clearing = {dma: pool.fresh() for dma in sorted(inst.dmas)}
         for dma, y in dma_any_clearing.items():
             members = [cleared[index[sid]] for sid in inst.dma_members.get(dma, ())]
-            clauses.extend((neg[v], y) for v in members)
-            clauses.append((*members, neg[y]))
+            tail.extend((neg[v], y) for v in members)
+            tail.append((*members, neg[y]))
         extra, _ = at_most_true(list(dma_any_clearing.values()), problem.max_dmas_with_clearing, pool)
-        clauses.extend(extra)
+        tail.extend(extra)
 
-    _check_clauses(clauses[added:], pool.count)
+    _check_clauses(tail, pool.count)
     vm = VarMap(inst.station_ids, base.plan.channels, pool.count, dma_any_clearing)
-    # A formula is marked with its base where every replacement above was one
-    # for one, so ``base.firsts`` and ``len(base.clauses)`` still find its
-    # at-least-one clauses and its caps; without channels a must-repack
-    # station's clause becomes two.
-    return CnfFormula._prechecked(pool.count, tuple(clauses), vm, base if width > 1 else None)
+    firsts = list(base.firsts)
+    # From the back, so a two-clause replacement leaves earlier positions put.
+    must = sorted((index[sid] for sid in problem.must_repack), reverse=True)
+    if base.plan.channels:
+        for i in must:  # the cleared slot is ruled out
+            firsts[i] = firsts[i][1:]
+        return _EncodedFormula._prechecked(
+            pool.count, vm, base=base, firsts=tuple(firsts), tail=tuple(tail))
+    # Without channels the base is its at-least-one clauses, each the unit
+    # of a cleared literal, and a must-repack station's gains its negation.
+    for i in must:
+        firsts.insert(i + 1, (neg[cleared[i]],))
+    return CnfFormula._prechecked(pool.count, vm, clauses=(*firsts, *tail))
 
 
 def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:
@@ -490,11 +480,16 @@ def parse_dimacs_result(text: str) -> ExternalResult:
 
 
 def model_from_literals(literals: Iterable[int], var_count: int) -> tuple[bool, ...]:
-    """Build a full model vector; unmentioned variables default to false."""
-    model = [False] * (var_count + 1)
+    """Build a full model vector; unmentioned variables default to false.
+
+    Raises ``ValueError`` for a literal outside ``±1..var_count`` and for a
+    variable given both polarities."""
+    model: list[Optional[bool]] = [None] * (var_count + 1)
     for lit in literals:
         v = abs(lit)
         if v == 0 or v > var_count:
             raise ValueError(f"literal {lit} outside 1..{var_count}")
+        if model[v] is (lit < 0):
+            raise ValueError(f"variable {v} given both polarities")
         model[v] = lit > 0
-    return tuple(model)
+    return tuple(value is True for value in model)

@@ -12,7 +12,7 @@ own small part, such as a trial index, a seed and an estimate's settings.
 The pool outlives the call. While the function, the worker count and each
 member of the context (compared by identity) stay the same, later calls run
 in the same worker processes, which keep what they built for earlier tasks:
-the encoder's base for the instance and that base's implication table. A call with
+the encoder's base for the instance, held as its implication table. A call with
 anything else shuts the pool down first; :func:`shutdown` ends it on
 request, and it is shut down at the latest when the interpreter exits.
 """
@@ -42,33 +42,6 @@ _pool_lock = threading.Lock()
 def _init_worker(fn: Callable[[Any, T], R], context: Any) -> None:
     global _worker_fn, _worker_context
     _worker_fn, _worker_context = fn, context
-    _pin_mmap_threshold()
-
-
-# glibc's mallopt parameter for the size from which blocks are mmapped.
-_M_MMAP_THRESHOLD = -3
-
-
-def _pin_mmap_threshold() -> None:
-    """Keep glibc handing large blocks back to the system when they are freed.
-
-    glibc raises its mmap threshold to the size of each mmapped block freed,
-    so in a worker that outlives many tasks the large per-task blocks (a
-    ~7 MB clause tuple per draw on an FCC-sized instance) come from the heap
-    after the first and stay resident: over five passes of the ``mc-fcc``
-    benchmark one worker's peak grew from 145 to 153 MB, and with the
-    threshold pinned at glibc's default of 128 KiB it stayed at 142 MB.
-    Where the C library has no ``mallopt``, nothing is pinned.
-    """
-    import ctypes  # here, so that a process that starts no pool never loads it (~0.4 MB)
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
 
 
 def _call_in_worker(task: T) -> R:
@@ -97,7 +70,7 @@ def shutdown() -> None:
     """Shut down the pool that :func:`run_tasks` keeps, if any, and wait for
     its workers to exit.
 
-    Idle workers keep what they built for earlier tasks (~90 MB each on an
+    Idle workers keep what they built for earlier tasks (~60 MB each on an
     FCC-sized instance); the next call with more than one worker starts a
     new pool.
     """

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .instance import NETWORKS, Affiliation, Instance
+from .util import json_field
 
 
 class ModelKind(str, Enum):
@@ -109,13 +110,14 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelSpec":
-        kind = ModelKind(data["kind"])
+        """The model :meth:`to_dict` wrote. Each parameter must be a number
+        (an int or a float, never a bool); all but ``top_prob`` may be null."""
         return cls(
-            kind=kind,
-            alpha=data.get("alpha"),
-            top_prob=data.get("top_prob", DEFAULT_TOP_PROB),
-            beta=data.get("beta"),
-            gamma=data.get("gamma"),
+            kind=ModelKind(data["kind"]),
+            alpha=json_field(data.get("alpha"), float, "alpha", nullable=True),
+            top_prob=json_field(data.get("top_prob", DEFAULT_TOP_PROB), float, "top_prob"),
+            beta=json_field(data.get("beta"), float, "beta", nullable=True),
+            gamma=json_field(data.get("gamma"), float, "gamma", nullable=True),
         )
 
 

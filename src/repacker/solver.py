@@ -30,8 +30,8 @@ per binary clause and heap entries as tuples.
 
 Nearly all of an encoded formula's clauses are the all-negative binary
 clauses of the draw-independent base the encoder builds once per process.
-For a formula that :func:`encode` marks with that base, the engine reads them
-from the base's implication table (see :meth:`repacker.encoder._Base.split`),
+For a formula :func:`encode` builds on that base, the engine reads them from
+the base's implication table (see :meth:`repacker.encoder.CnfFormula.folded`),
 built once and never written: when a literal becomes false, its table entries
 are visited first, then its watch list. A fold of the whole formula puts those
 same entries at the head of the same lists, in the same order, where the
@@ -120,6 +120,23 @@ def check_model(clauses: Sequence[Sequence[int]], model: Sequence[bool]) -> bool
     return True
 
 
+def check_formula(formula: CnfFormula, model: Sequence[bool]) -> bool:
+    """``check_model(formula.clauses, model)``, read as the embedded solver
+    folds the formula, so an encoded formula's clauses are never built.
+
+    Every implication table entry of a true variable must be a true literal,
+    which checks each of the table's binary clauses from both of its ends;
+    the clauses outside the table go through :func:`check_model`.
+    """
+    table, clauses = formula.folded()
+    for v in range(1, len(table) + 1):
+        if model[v]:
+            for lit in table[-v]:
+                if model[-lit]:  # every entry is a negative literal
+                    return False
+    return check_model(clauses, model)
+
+
 def _luby(i: int) -> int:
     """Luby restart sequence 1,1,2,1,1,2,4,... (1-indexed)."""
     x = i - 1
@@ -176,7 +193,7 @@ class _Engine:
     ``table``, when given, is an encoder base's implication table: for each
     negative literal ``-v`` of its ``len(table)`` variables, the negative
     literals that ``-v`` implies, read before ``watches[-v]`` and never
-    written (see :meth:`repacker.encoder._Base.split`).
+    written (see :meth:`repacker.encoder.CnfFormula.folded`).
     """
 
     def __init__(
@@ -523,8 +540,9 @@ def solve(
     being returned. UNSAT means the conflict analysis derived the empty
     clause; TIMEOUT is a verdict, not an error.
 
-    A formula that :func:`encode` marked with its base is solved with that
-    base's implication table, with the same search as from its clauses.
+    The engine is built from :meth:`CnfFormula.folded`: a formula that
+    :func:`encode` built on its base is solved with that base's implication
+    table, with the same search as from its clauses.
 
     The cyclic garbage collector is paused while the engine exists: its
     clause lists hold no reference cycles, and on large formulas the
@@ -532,14 +550,11 @@ def solve(
     """
     _check_time_budget(time_budget)
     with gc_paused():
-        if formula.base is None:
-            table, clauses = (), formula.clauses
-        else:
-            table, clauses = formula.base.split(formula.clauses)
+        table, clauses = formula.folded()
         outcome = _Engine(formula.var_count, clauses, seed, table).run(time_budget)
         if outcome.is_sat:
             assert outcome.model is not None
-            if not check_model(formula.clauses, outcome.model):
+            if not check_formula(formula, outcome.model):
                 raise RuntimeError("internal error: SAT model fails the clause check")
     return outcome
 
@@ -557,9 +572,9 @@ class ExternalSolver:
     The command may use ``{cnf}`` and ``{seed}`` placeholders; without a
     ``{cnf}`` placeholder the formula path is appended as the last argument.
     An exit code outside {0, 10, 20}, output without a SAT/UNSAT status,
-    ``s UNKNOWN``, or a model that fails the clauses raises
-    :class:`SolverError`. The budget is checked as in :func:`solve`, before
-    the formula is written.
+    ``s UNKNOWN``, a model that gives a variable both polarities, or one that
+    fails the clauses raises :class:`SolverError`. The budget is checked as
+    in :func:`solve`, before the formula is written.
 
     The command runs in a session of its own, with its output sent to files.
     The solve ends when the command itself exits, even if something it
@@ -619,6 +634,6 @@ class ExternalSolver:
         stats = SolveStats(wall_time=time.monotonic() - start)
         if not result.satisfiable:
             return SolveOutcome(Verdict.UNSAT, stats=stats)
-        if not check_model(formula.clauses, model):
+        if not check_formula(formula, model):
             raise SolverError(f"{argv[0]} returned a non-satisfying model")
         return SolveOutcome(Verdict.SAT, model=model, stats=stats)

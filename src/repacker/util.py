@@ -29,13 +29,14 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 def json_field(value: Any, kind: type, what: str, nullable: bool = False) -> Any:
-    """``value`` if its type is exactly ``kind`` (so a bool is no integer), or
-    ``None`` where ``nullable``; anything else raises ``ValueError`` naming ``what``."""
-    if type(value) is kind or (nullable and value is None):
+    """``value`` if its type is exactly ``kind`` (so a bool is no integer), an
+    int where ``kind`` is ``float``, or ``None`` where ``nullable``; anything
+    else raises ``ValueError`` naming ``what``."""
+    if type(value) is kind or (kind is float and type(value) is int) or (nullable and value is None):
         return value
     null = " or null" if nullable else ""
     raise ValueError(f"{what} must be {_JSON_KINDS[kind]}{null}, got {value!r}")

@@ -13,6 +13,8 @@ replaces ``driver.check_feasibility`` scripts both.
 from the id-keyed adjacency map ``reference_co_adjacency`` and rescores
 candidates by set intersection. ``reference_load_instance`` reads each CSV
 row through ``csv.DictReader`` and each enum cell through its enum class.
+``reference_implications`` folds an encoder base's stored clauses into its
+implication table, units and at-least-one clauses, checking their layout.
 """
 
 from __future__ import annotations
@@ -350,3 +352,42 @@ def reference_load_instance(directory) -> Instance:
         domain=frozenset(domain),
         dmas=dmas,
     )
+
+
+def reference_implications(
+    clauses: tuple[tuple[int, ...], ...], n: int, width: int,
+) -> tuple[tuple, tuple, tuple, int]:
+    """The implication table, unit clauses, at-least-one clauses and clause
+    count of an encoder base, folded from all of its clauses (``n`` stations
+    of ``width`` variables) as the base did while it stored them.
+
+    ``table[-v]`` holds, in clause order, the literals each all-negative
+    binary clause with ``-v`` pairs it with. Station ``i``'s at-least-one
+    clause sits at ``i * (1 + width * (width - 1) // 2)``. Raises
+    ``ValueError`` for clauses out of that layout: a binary clause with a
+    positive literal, a longer all-negative clause, a positive clause away
+    from those positions, or a unit before the last binary clause.
+    """
+    stride = 1 + width * (width - 1) // 2
+    lists: list = [[] for _ in range(n * width)]
+    units = []
+    positive_first = 0
+    for clause in clauses:
+        if clause[0] > 0:
+            positive_first += 1
+        elif len(clause) == 2:
+            a, b = clause
+            if b > 0:
+                raise ValueError(f"a binary clause with a positive literal: {clause}")
+            lists[a].append(b)
+            lists[b].append(a)
+        elif len(clause) == 1:
+            units.append(clause)
+        else:
+            raise ValueError(f"a long all-negative clause: {clause}")
+    firsts = clauses[:n * stride:stride]
+    if any(min(clause) < 0 for clause in firsts) or positive_first != len(firsts):
+        raise ValueError("a positive clause outside the at-least-one positions")
+    if any(len(c) != 1 for c in clauses[len(clauses) - len(units):]):
+        raise ValueError("a unit clause before the last binary")
+    return tuple(map(tuple, lists)), tuple(units), tuple(firsts), len(clauses)

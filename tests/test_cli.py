@@ -664,6 +664,17 @@ class TestMalformedArtifacts:
          "conflicts must be an integer, got 2.5"),
         ("samples", lambda r: r[3]["stats"].update(propagations=True), 4,
          "propagations must be an integer, got True"),
+        ("trials", lambda r: r[0]["model"].update(alpha=True), 1,
+         "alpha must be a number or null, got True"),
+        ("trials", lambda r: r[0]["model"].update(alpha="x"), 1,
+         "alpha must be a number or null, got 'x'"),
+        ("trials", lambda r: r[0].update(model={"kind": "correlated-affiliates", "alpha": 0.5,
+                                                "top_prob": "0.9"}), 1,
+         "top_prob must be a number, got '0.9'"),
+        ("trials", lambda r: r[0].update(model={"kind": "revenue", "beta": [0.5], "gamma": 1}), 1,
+         "beta must be a number or null, got [0.5]"),
+        ("trials", lambda r: r[0].update(model={"kind": "revenue", "beta": 0.5, "gamma": False}), 1,
+         "gamma must be a number or null, got False"),
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
@@ -676,7 +687,8 @@ class TestMalformedArtifacts:
         "catalog-float-min-size", "catalog-bool-min-size", "catalog-string-min-size",
         "catalog-zero-min-size", "catalog-string-members", "catalog-int-member",
         "catalog-clique-below-min-size", "sample-string-decisions", "sample-float-conflicts",
-        "sample-bool-propagations",
+        "sample-bool-propagations", "trial-set-bool-alpha", "trial-set-string-alpha",
+        "trial-set-string-top-prob", "trial-set-list-beta", "trial-set-bool-gamma",
     ])
     def test_reported_with_its_line(
         self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys

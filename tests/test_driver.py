@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repacker import driver, parallel
+from repacker import driver, encoder, parallel
 from repacker.driver import (
     FeasibilityResult,
     SampleSet,
@@ -21,6 +21,8 @@ from repacker.driver import (
     sample_solutions,
 )
 from repacker.instance import ChannelAssignment, RepackProblem, validate_assignment
+from repacker.montecarlo import estimate_success
+from repacker.participation import ModelSpec
 from repacker.solver import EmbeddedSolver, SolveOutcome, SolveStats, Verdict
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 from repacker.util import derive_seed
@@ -106,6 +108,32 @@ class TestCheckFeasibilityGcPause:
         finally:
             gc.enable()
         assert [gc_on for _, gc_on in seen] == [False, False, False]
+
+
+class TestEncodedClausesNeverBuilt:
+    """A Monte Carlo estimate and a minimum search encode, solve, check and
+    decode their formulas without building an encoded formula's clauses."""
+
+    @pytest.fixture(autouse=True)
+    def clauses_refused(self, monkeypatch):
+        def refused(formula):
+            raise AssertionError("an encoded formula's clauses were built")
+
+        monkeypatch.setattr(encoder._EncodedFormula, "clauses", property(refused))
+
+    def test_estimate_success(self):
+        inst = generate_synthetic(
+            30, channel_count=6, co_density=0.4, adj_density=0.05, domain_density=0.1, seed=9)
+        estimate = estimate_success(
+            ModelSpec.random_broadcasters(0.5), inst, 12, trials=12, seed=4, backend="sat")
+        assert {t.verdict for t in estimate.trials} == {"feasible", "infeasible"}
+
+    def test_min_nationwide_clearings(self):
+        inst = generate_synthetic(
+            9, channel_count=5, co_density=0.2, adj_density=0.1, planted_clique=5, seed=2)
+        result = min_nationwide_clearings(inst, 12, seed=2)
+        assert result.certified and result.value >= 2
+        assert {p.verdict for p in result.probes} == {Verdict.SAT, Verdict.UNSAT}
 
 
 class TestMinNationwideClearings:

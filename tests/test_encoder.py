@@ -29,6 +29,7 @@ from repacker.synthetic import generate_synthetic
 
 from conftest import build_instance, random_problem
 from oracles import brute_force_repack
+from reference_paths import reference_implications
 
 
 def project_satisfiable(variables: list[int], k: int, var_count_hint: int = 0) -> set[tuple[bool, ...]]:
@@ -423,6 +424,45 @@ class TestEncodeMatchesReference:
         assert_matches_reference(dataclasses.replace(prob, must_repack=frozenset(inst.station_ids)))
 
 
+class TestStreamedBase:
+    """The base streamed once from ``_base_clauses`` holds what a fold of its
+    materialized clauses gives, and a formula built on it hands the solver
+    the rest of its clauses in the order a fold of all of them meets them."""
+
+    def test_table_units_and_firsts_match_the_fold_of_the_clauses(self):
+        rng = random.Random(515)
+        shapes = dict.fromkeys(("adj", "domain", "reserved", "must-repack", "caps", "no-channel"), 0)
+        for case in range(240):
+            prob = random_problem(rng, max_n=10, max_c=5) if case % 2 else gapped_problem(rng)
+            bare = dataclasses.replace(
+                prob, must_repack=frozenset(), max_cleared_nationwide=None, dma_caps={},
+                max_dmas_with_clearing=None,
+            )
+            formula, base_only = encode(prob), encode(bare)
+            inst, width = prob.instance, len(prob.channel_plan.channels) + 1
+            if width == 1:
+                assert formula.base is None and base_only.base is None
+                shapes["no-channel"] += 1
+                continue
+            base = formula.base
+            assert base_only.base is base
+            expected = reference_implications(base_only.clauses, inst.n, width)
+            assert (base.table, base.units, base.firsts, base.clause_count) == expected, case
+            clauses, stride = formula.clauses, 1 + width * (width - 1) // 2
+            table, rest = formula.folded()
+            assert table is base.table
+            assert list(rest) == [
+                *clauses[:inst.n * stride:stride], *base.units, *clauses[base.clause_count:]
+            ]
+            assert formula.clause_count == len(clauses)
+            shapes["adj"] += any(ic.kind is not ConstraintKind.CO for ic in inst.interference)
+            shapes["domain"] += prob.use_domain_constraints and bool(inst.domain)
+            shapes["reserved"] += bool(prob.channel_plan.flagged)
+            shapes["must-repack"] += bool(prob.must_repack)
+            shapes["caps"] += len(clauses) > base.clause_count
+        assert min(shapes.values()) >= 10, shapes
+
+
 def literal_objects_and_values(formula: CnfFormula) -> tuple[int, int]:
     literals = [lit for clause in formula.clauses for lit in clause]
     return len({id(lit) for lit in literals}), len(set(literals))
@@ -582,6 +622,12 @@ class TestDimacs:
         assert result.literals == (1, -2, 3)
         model = model_from_literals(result.literals, 3)
         assert model == (False, True, False, True)
+
+    def test_a_variable_given_both_polarities_is_refused(self):
+        for literals in ((1, -2, 3, -3), (-3, 3), (2, 2, -2)):
+            with pytest.raises(ValueError, match="given both polarities"):
+                model_from_literals(literals, 3)
+        assert model_from_literals((1, 1, -2, -2), 3) == (False, True, False, False)
 
     def test_parse_multiline_values(self):
         text = "s SATISFIABLE\nv 1 -2\nv 3\nv 0\n"

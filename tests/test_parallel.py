@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import ctypes
 import os
 import signal
 import threading
 import time
-import types
 
 import pytest
 
@@ -208,34 +206,3 @@ def bounded_raise(call):
     assert not thread.is_alive(), f"run_tasks still running after {WAIT_S} s"
     assert errors, "run_tasks returned instead of raising"
     raise errors[0]
-
-
-class TestWorkerMallocThreshold:
-    """Each pool worker pins glibc's mmap threshold where the C library has mallopt."""
-
-    @pytest.fixture(autouse=True)
-    def worker_globals_restored(self, monkeypatch):
-        # _init_worker sets these; this process is no worker.
-        monkeypatch.setattr(parallel, "_worker_fn", None)
-        monkeypatch.setattr(parallel, "_worker_context", None)
-
-    def test_the_initializer_pins_the_threshold(self, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        libc = types.SimpleNamespace(mallopt=mallopt)
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-        parallel._init_worker(offset_square, None)
-        assert calls == [(-3, 128 * 1024)]
-        assert mallopt.restype is ctypes.c_int
-
-    @pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
-    def test_without_mallopt_nothing_is_pinned(self, monkeypatch, error):
-        def no_libc(name):
-            raise error("no mallopt here")
-
-        monkeypatch.setattr(ctypes, "CDLL", no_libc)
-        parallel._init_worker(offset_square, None)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import math
@@ -20,9 +19,9 @@ import warnings
 
 import pytest
 
-from repacker import solver
+from repacker import encoder, solver
 from repacker.encoder import CnfFormula, encode
-from repacker.instance import RepackProblem
+from repacker.instance import ConstraintKind, RepackProblem
 from repacker.participation import ModelSpec, sample
 from repacker.solver import (
     EmbeddedSolver,
@@ -31,6 +30,7 @@ from repacker.solver import (
     Verdict,
     _activity_key,
     _Engine,
+    check_formula,
     check_model,
     solve,
 )
@@ -636,8 +636,7 @@ def whole_fold(formula, seed, time_budget=60.0):
 
 def table_copy(base):
     """A copy of ``base``'s implication table and units that no solve can share."""
-    table, units = base._folded
-    return [list(t) for t in table], [list(u) for u in units]
+    return [list(t) for t in base.table], [list(u) for u in base.units]
 
 
 def conflicting_capped_formula():
@@ -653,7 +652,7 @@ def conflicting_capped_formula():
 
 
 def one_base_formulas():
-    """Formulas of one fresh base, so its implication table is not built yet."""
+    """Formulas encoded on one base."""
     inst = generate_synthetic(30, channel_count=6, co_density=0.12, seed=9)
     formulas = [
         encode(RepackProblem(
@@ -663,7 +662,6 @@ def one_base_formulas():
         for alpha, seed, cap in itertools.product((0.3, 0.6), range(3), (None, 3))
     ]
     assert len({id(f.base) for f in formulas}) == 1
-    assert formulas[0].base._folded is None
     return formulas
 
 
@@ -701,23 +699,6 @@ class TestSkeleton:
         assert formula.base is None
         assert solve(formula).is_unsat
 
-    @pytest.mark.parametrize("change", ["mixed binary", "long negative", "early unit", "moved first"])
-    def test_a_base_out_of_layout_is_refused(self, change):
-        base = encode(next(iter(skeleton_problems()))).base
-        clauses = list(base.clauses)
-        binary = next(i for i, c in enumerate(clauses) if len(c) == 2 and c[0] < 0)
-        if change == "mixed binary":
-            clauses[binary] = (clauses[binary][0], -clauses[binary][1])
-        elif change == "long negative":
-            clauses[binary] += clauses[binary][:1]
-        elif change == "early unit":
-            clauses[binary] = clauses[binary][:1]
-        else:
-            clauses[0], clauses[1] = clauses[1], clauses[0]
-        changed = dataclasses.replace(base, clauses=tuple(clauses))
-        with pytest.raises(ValueError, match="layout"):
-            changed.split(changed.clauses)
-
     def test_the_table_is_never_written(self):
         by_verdict = {}
         for problem in skeleton_problems():
@@ -725,28 +706,25 @@ class TestSkeleton:
             by_verdict.setdefault(solve(formula, seed=1).verdict, formula)
         for verdict in (Verdict.SAT, Verdict.UNSAT):
             formula = by_verdict[verdict]
-            formula.base.split(formula.clauses)
-            table = formula.base._folded
+            table = formula.base.table
             expected = table_copy(formula.base)
             assert solve(formula, seed=2).verdict is verdict
-            assert formula.base._folded is table and table_copy(formula.base) == expected
+            assert formula.base.table is table and table_copy(formula.base) == expected
 
     def test_lists_restored_after_timeout(self, monkeypatch):
         formula = conflicting_capped_formula()
-        formula.base.split(formula.clauses)
-        table = formula.base._folded
+        table = formula.base.table
         expected_table = table_copy(formula.base)
         counting_clock(monkeypatch)
         expected = whole_fold(formula, 0, 2)[1]
         counting_clock(monkeypatch)
         got = outcome_key(solve(formula, seed=0, time_budget=2))
         assert got == expected and got[0] is Verdict.TIMEOUT
-        assert formula.base._folded is table and table_copy(formula.base) == expected_table
+        assert formula.base.table is table and table_copy(formula.base) == expected_table
 
     def test_lists_restored_after_an_exception_in_the_search(self, monkeypatch):
         formula = conflicting_capped_formula()
-        formula.base.split(formula.clauses)
-        table = formula.base._folded
+        table = formula.base.table
         expected_table = table_copy(formula.base)
         backjump = _Engine._backjump
         calls = []
@@ -761,13 +739,12 @@ class TestSkeleton:
         with pytest.raises(RuntimeError, match="boom"):
             solve(formula, seed=0)
         assert len(calls) == 2
-        assert formula.base._folded is table and table_copy(formula.base) == expected_table
+        assert formula.base.table is table and table_copy(formula.base) == expected_table
         monkeypatch.setattr(_Engine, "_backjump", backjump)
         assert outcome_key(solve(formula, seed=0)) == whole_fold(formula, 0)[1]
 
     def test_more_threads_than_cpus_get_the_serial_outcomes(self):
         formulas = one_base_formulas()
-        # Folding every clause leaves the table unbuilt, so the threads race to build it.
         expected = [whole_fold(f, seed=i)[1] for i, f in enumerate(formulas)]
         results: dict[int, list] = {}
 
@@ -790,15 +767,15 @@ class TestSkeleton:
         assert not any(t.is_alive() for t in threads)
         serial = list(enumerate(expected))
         assert results == {k: serial for k in range(len(threads))}
-        built = dataclasses.replace(formulas[0].base)
-        built.split(built.clauses)
-        assert table_copy(formulas[0].base) == table_copy(built)
+        base = formulas[0].base
+        built = encoder._build_base(base.instance, base.plan, base.use_domain)
+        assert table_copy(base) == table_copy(built)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_child_forked_mid_solve_solves_from_the_inherited_table(self, monkeypatch):
         formula = conflicting_capped_formula()
         expected = outcome_key(solve(formula, seed=4))
-        table = formula.base._folded
+        table = formula.base.table
         mid_search, forked = threading.Event(), threading.Event()
         backjump = _Engine._backjump
 
@@ -822,7 +799,7 @@ class TestSkeleton:
                 code = 1
                 try:
                     same = outcome_key(solve(formula, seed=4)) == expected
-                    code = 0 if same and formula.base._folded is table else 3
+                    code = 0 if same and formula.base.table is table else 3
                 finally:
                     os._exit(code)
         finally:
@@ -840,7 +817,46 @@ class TestSkeleton:
             pytest.fail("the forked child did not finish its solve")
         assert os.waitstatus_to_exitcode(status) == 0
         assert not worker.is_alive() and results == [expected]
-        assert formula.base._folded is table
+        assert formula.base.table is table
+
+
+class TestFormulaCheck:
+    """``check_formula`` returns what ``check_model`` returns on all of a
+    formula's clauses, reading an encoded formula's base through its table."""
+
+    def test_agrees_with_the_clause_loop(self):
+        rng = random.Random(47)
+        shapes = dict.fromkeys(
+            ("adj", "domain", "reserved", "must-repack", "nationwide", "dma", "dma-count"), 0)
+        verdicts = {"holds": 0, "table-only": 0, "outside-table": 0}
+        for case in range(160):
+            problem = random_problem(rng, max_n=10, max_c=5)
+            formula = encode(problem)
+            base = set() if formula.base is None else set(formula.clauses[:formula.base.clause_count])
+            n = formula.var_count
+            models = [(False, *(rng.random() < p for _ in range(n))) for p in (0.1, 0.3, 0.6)]
+            outcome = solve(formula, seed=case)
+            if outcome.is_sat:
+                models.append(outcome.model)
+                for v in rng.sample(range(1, n + 1), min(6, n)):
+                    models.append(tuple(not x if i == v else x for i, x in enumerate(outcome.model)))
+            for model in models:
+                expected = check_model(formula.clauses, model)
+                assert check_formula(formula, model) is expected, case
+                broken = [c for c in formula.clauses if not check_model((c,), model)]
+                in_table = [len(c) == 2 and c[1] < 0 and c in base for c in broken]
+                verdicts["holds" if expected else "table-only" if all(in_table)
+                         else "outside-table"] += 1
+            inst = problem.instance
+            shapes["adj"] += any(ic.kind is not ConstraintKind.CO for ic in inst.interference)
+            shapes["domain"] += problem.use_domain_constraints and bool(inst.domain)
+            shapes["reserved"] += bool(problem.channel_plan.flagged)
+            shapes["must-repack"] += bool(problem.must_repack)
+            shapes["nationwide"] += problem.max_cleared_nationwide is not None
+            shapes["dma"] += bool(problem.dma_caps)
+            shapes["dma-count"] += problem.max_dmas_with_clearing is not None
+        assert min(shapes.values()) >= 10, shapes
+        assert min(verdicts.values()) >= 50, verdicts
 
 
 GC_CASES = {
@@ -1020,6 +1036,7 @@ class TestExternalFailures:
             ("c out of memory\n", 0, "no status line"),
             ("s UNKNOWN\n", 0, "UNKNOWN"),
             ("s UNKNOWN\n", 10, "UNKNOWN"),
+            ("s SATISFIABLE\nv 1 -1 0\n", 10, "variable 1 given both polarities"),
         ],
     )
     def test_failure_raises_solver_error(self, tmp_path, stdout, exit_code, message):
