@@ -225,6 +225,22 @@ def at_most_true(
     return clauses, aux
 
 
+def _position_pairs(channels: Sequence[int]) -> dict[ConstraintKind, list[tuple[int, int]]]:
+    """Each interference kind's clauses between stations ``a`` and ``b``, as
+    (position of a's channel, position of b's channel) pairs over the
+    retained ``channels``: CO rules out a shared channel, ADJ_UP
+    channel(a) == channel(b) + 1 and ADJ_DOWN channel(a) == channel(b) - 1,
+    each vacuous where the neighbouring channel is not retained."""
+    position = {ch: p for p, ch in enumerate(channels)}
+    return {
+        ConstraintKind.CO: [(p, p) for p in range(len(channels))],
+        ConstraintKind.ADJ_UP: [(position[ch + 1], p) for p, ch in enumerate(channels)
+                                if ch + 1 in position],
+        ConstraintKind.ADJ_DOWN: [(position[ch - 1], p) for p, ch in enumerate(channels)
+                                  if ch - 1 in position],
+    }
+
+
 def _base_clauses(
     inst: Instance, plan: ChannelPlan, use_domain: bool, neg: list[int],
     firsts: Optional[Sequence[tuple[int, ...]]] = None,
@@ -234,9 +250,7 @@ def _base_clauses(
     then its at-most-one pairs, the interference pairs, and last the unit
     prohibitions. Every clause but the at-least-one clauses is all-negative,
     with each literal taken from ``neg``."""
-    channels = plan.channels
-    count, width = len(channels), len(channels) + 1
-    position = {ch: p for p, ch in enumerate(channels)}
+    width = len(plan.channels) + 1
 
     # Exactly-one slot per station.
     for i in range(inst.n):
@@ -244,30 +258,30 @@ def _base_clauses(
         yield tuple(range(cleared, cleared + width)) if firsts is None else firsts[i]
         yield from combinations(neg[cleared:cleared + width], 2)
 
-    # Pairwise interference over actual channels, as (position of a's
-    # channel, position of b's channel) pairs: ADJ_UP rules out
-    # channel(a) == channel(b) + 1 and ADJ_DOWN channel(a) == channel(b) - 1,
-    # each vacuous where the neighbouring channel is not retained.
-    adjacent = {
-        ConstraintKind.ADJ_UP: [(position[ch + 1], p) for p, ch in enumerate(channels)
-                                if ch + 1 in position],
-        ConstraintKind.ADJ_DOWN: [(position[ch - 1], p) for p, ch in enumerate(channels)
-                                  if ch - 1 in position],
-    }
+    # Pairwise interference over actual channels.
+    pairs = _position_pairs(plan.channels)
     index = inst.station_index
     for ic in inst.sorted_interference:
         a, b = index[ic.a] * width + 2, index[ic.b] * width + 2
-        if ic.kind is ConstraintKind.CO:
-            yield from zip(neg[a:a + count], neg[b:b + count])
-        else:
-            yield from [(neg[a + pa], neg[b + pb]) for pa, pb in adjacent[ic.kind]]
+        yield from [(neg[a + pa], neg[b + pb]) for pa, pb in pairs[ic.kind]]
 
-    # Channel prohibitions: reserved channels for everyone, then per-station rows.
+    yield from _prohibitions(inst, plan, use_domain, neg)
+
+
+def _prohibitions(
+    inst: Instance, plan: ChannelPlan, use_domain: bool, neg: list[int],
+) -> Iterator[tuple[int, ...]]:
+    """A base's unit clauses: reserved channels for everyone, then the
+    per-station domain rows on the other retained channels."""
+    channels = plan.channels
+    width = len(channels) + 1
+    position = {ch: p for p, ch in enumerate(channels)}
     flagged = [p for p, ch in enumerate(channels) if ch in plan.flagged]
     for i in range(inst.n):
         for p in flagged:
             yield (neg[i * width + 2 + p],)
     if use_domain:
+        index = inst.station_index
         for dc in inst.sorted_domain:
             if dc.channel in position and dc.channel not in plan.flagged:
                 yield (neg[index[dc.station] * width + 2 + position[dc.channel]],)
@@ -279,14 +293,15 @@ class _Base:
     caps, kept as the embedded solver reads it.
 
     Its clauses (:func:`_base_clauses`) encode every station as free to
-    clear, in :class:`VarMap`'s layout, and are not stored. ``table[-v]``
-    holds, for each station variable ``v``, the negative literals that
-    ``-v`` implies through the base's binary clauses, all of them negative,
-    in base order; ``units`` are its unit prohibitions, ``firsts`` each
-    station's at-least-one clause, which starts with its cleared literal,
-    and ``clause_count`` counts all of them. Nothing writes the table after
-    its build, so threads share it and a forked child inherits it. Every
-    negative literal is the int object ``neg[v]``.
+    clear, in :class:`VarMap`'s layout; :func:`_build_base` writes what a
+    fold of them gives straight from the instance's rows, and no clause is
+    made or stored. ``table[-v]`` holds, for each station variable ``v``,
+    the negative literals that ``-v`` implies through the base's binary
+    clauses, in base order; ``units`` are its unit prohibitions, ``firsts``
+    each station's at-least-one clause, which starts with its cleared
+    literal, and ``clause_count`` counts all of them. Nothing writes the
+    table after its build, so threads share it and a forked child inherits
+    it. Every negative literal is the int object ``neg[v]``.
     """
 
     instance: Instance
@@ -322,25 +337,46 @@ def _base_for(problem: RepackProblem) -> _Base:
 
 
 def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
-    """Stream :func:`_base_clauses` once into a :class:`_Base`."""
-    var_count = inst.n * (len(plan.channels) + 1)
+    """Build a :class:`_Base` from the instance's rows, equal to a fold of
+    :func:`_base_clauses` without making any of its clauses.
+
+    A fold meets all of a station's at-most-one pairs before any interference
+    pair, and each interference row pairs a literal with at most one partner.
+    So a station literal's table entry is its block's other literals in block
+    order, then its partners in the rows' sorted order."""
+    channels = plan.channels
+    count, width = len(channels), len(channels) + 1
+    var_count = inst.n * width
     neg = [-v for v in range(var_count + 1)]
-    # Indexed by negative literals only: lists[-v] is lists[var_count - v].
-    lists: list = [[] for _ in range(var_count)]
-    firsts, units = [], []
-    clause_count = 0
-    for clause_count, clause in enumerate(_base_clauses(inst, plan, use_domain, neg), 1):
-        if clause[0] > 0:
-            firsts.append(clause)
-        elif len(clause) == 2:
-            a, b = clause
-            lists[a].append(b)
-            lists[b].append(a)
-        else:
-            units.append(clause)
-    for i, ws in enumerate(lists):  # one at a time, so each list goes as its tuple comes
-        lists[i] = tuple(ws)
-    return _Base(inst, plan, use_domain, neg, tuple(lists), tuple(firsts), tuple(units), clause_count)
+
+    # Each row's partner literals, grouped by station and channel position.
+    pairs = _position_pairs(channels)
+    partners = [[[] for _ in range(count)] for _ in range(inst.n)]
+    index = inst.station_index
+    binary = 0
+    for ic in inst.sorted_interference:
+        i, j = index[ic.a], index[ic.b]
+        a, b, at, bt = i * width + 2, j * width + 2, partners[i], partners[j]
+        row = pairs[ic.kind]
+        for pa, pb in row:
+            at[pa].append(neg[b + pb])
+            bt[pb].append(neg[a + pa])
+        binary += len(row)
+
+    table, firsts = [], []
+    for i in range(inst.n):
+        cleared = i * width + 1
+        block = neg[cleared:cleared + width]
+        firsts.append(tuple(range(cleared, cleared + width)))
+        table.append(tuple(block[1:]))
+        for p, extra in enumerate(partners[i], 1):
+            table.append((*block[:p], *block[p + 1:], *extra))
+        partners[i] = None  # each station's lists go as its entries come
+    table.reverse()  # indexed by negative literals: table[-v] is table[var_count - v]
+
+    units = tuple(_prohibitions(inst, plan, use_domain, neg))
+    clause_count = inst.n * (1 + width * (width - 1) // 2) + binary + len(units)
+    return _Base(inst, plan, use_domain, neg, tuple(table), tuple(firsts), units, clause_count)
 
 
 def encode(problem: RepackProblem) -> CnfFormula:

@@ -424,14 +424,18 @@ class TestEncodeMatchesReference:
         assert_matches_reference(dataclasses.replace(prob, must_repack=frozenset(inst.station_ids)))
 
 
-class TestStreamedBase:
-    """The base streamed once from ``_base_clauses`` holds what a fold of its
-    materialized clauses gives, and a formula built on it hands the solver
-    the rest of its clauses in the order a fold of all of them meets them."""
+class TestBaseBuiltFromRows:
+    """The base built from the instance's rows holds what
+    ``reference_implications`` folds from the clauses of ``_base_clauses``,
+    its table literals are the ``neg`` int objects, and a formula built on
+    it hands the solver the rest of its clauses in the order a fold of all
+    of them meets them."""
 
     def test_table_units_and_firsts_match_the_fold_of_the_clauses(self):
         rng = random.Random(515)
-        shapes = dict.fromkeys(("adj", "domain", "reserved", "must-repack", "caps", "no-channel"), 0)
+        shapes = dict.fromkeys(
+            ("adj-up", "adj-down", "domain", "reserved", "domain-on-reserved", "must-repack",
+             "caps", "no-channel"), 0)
         for case in range(240):
             prob = random_problem(rng, max_n=10, max_c=5) if case % 2 else gapped_problem(rng)
             bare = dataclasses.replace(
@@ -439,7 +443,8 @@ class TestStreamedBase:
                 max_dmas_with_clearing=None,
             )
             formula, base_only = encode(prob), encode(bare)
-            inst, width = prob.instance, len(prob.channel_plan.channels) + 1
+            inst, plan = prob.instance, prob.channel_plan
+            width = len(plan.channels) + 1
             if width == 1:
                 assert formula.base is None and base_only.base is None
                 shapes["no-channel"] += 1
@@ -448,6 +453,7 @@ class TestStreamedBase:
             assert base_only.base is base
             expected = reference_implications(base_only.clauses, inst.n, width)
             assert (base.table, base.units, base.firsts, base.clause_count) == expected, case
+            assert all(lit is base.neg[-lit] for entry in base.table for lit in entry), case
             clauses, stride = formula.clauses, 1 + width * (width - 1) // 2
             table, rest = formula.folded()
             assert table is base.table
@@ -455,9 +461,13 @@ class TestStreamedBase:
                 *clauses[:inst.n * stride:stride], *base.units, *clauses[base.clause_count:]
             ]
             assert formula.clause_count == len(clauses)
-            shapes["adj"] += any(ic.kind is not ConstraintKind.CO for ic in inst.interference)
+            kinds = {ic.kind for ic in inst.interference}
+            shapes["adj-up"] += ConstraintKind.ADJ_UP in kinds
+            shapes["adj-down"] += ConstraintKind.ADJ_DOWN in kinds
             shapes["domain"] += prob.use_domain_constraints and bool(inst.domain)
-            shapes["reserved"] += bool(prob.channel_plan.flagged)
+            shapes["reserved"] += bool(plan.flagged)
+            shapes["domain-on-reserved"] += prob.use_domain_constraints and any(
+                dc.channel in plan.flagged for dc in inst.domain)
             shapes["must-repack"] += bool(prob.must_repack)
             shapes["caps"] += len(clauses) > base.clause_count
         assert min(shapes.values()) >= 10, shapes
