@@ -413,6 +413,8 @@ def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
 def _cmd_stats(args: argparse.Namespace, digest: str) -> None:
     if not args.samples and not args.trials_file:
         raise CliError("stats needs --samples and/or --trials-file")
+    if args.samples_b and not args.samples:
+        raise CliError("--samples-b needs --samples")
     instance = load_instance(args.instance)
     # Every input is loaded and checked against the instance before any output is written.
     try:

@@ -172,6 +172,11 @@ def enumerate_cliques_greedy(
     return CliqueCatalog(cliques=ordered, min_size_retained=min_size)
 
 
+def default_catalog(instance: Instance, seed: int) -> CliqueCatalog:
+    """The catalog that the minimum searches and Monte Carlo build from their master seed."""
+    return enumerate_cliques_greedy(instance, seed=derive_seed(seed, "catalog"))
+
+
 def clearing_lower_bound(
     catalog: CliqueCatalog, channel_count: int, within: Optional[frozenset[str]] = None
 ) -> int:

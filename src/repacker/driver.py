@@ -20,12 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cliques import (
-    CliqueCatalog,
-    clearing_lower_bound,
-    dma_lower_bound,
-    enumerate_cliques_greedy,
-)
+from .cliques import clearing_lower_bound, default_catalog, dma_lower_bound
 from .encoder import decode, encode
 from .instance import ChannelAssignment, Instance, RepackProblem, validate_assignment
 from .instance_io import load_artifact, save_artifact
@@ -222,11 +217,6 @@ def _min_cap_search(
     )
 
 
-def _catalog(instance: Instance, seed: int) -> CliqueCatalog:
-    """The instance's clique catalog, seeded as Monte Carlo seeds it."""
-    return enumerate_cliques_greedy(instance, seed=derive_seed(seed, "catalog"))
-
-
 def min_nationwide_clearings(
     instance: Instance,
     target_mhz: int,
@@ -243,7 +233,7 @@ def min_nationwide_clearings(
         lambda cap: replace(base, max_cleared_nationwide=cap), instance.n,
         seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-clearings@{target_mhz}MHz",
-        lower_bound=lambda: clearing_lower_bound(_catalog(instance, seed), c),
+        lower_bound=lambda: clearing_lower_bound(default_catalog(instance, seed), c),
     )
 
 
@@ -263,7 +253,7 @@ def min_dmas_with_clearing(
         lambda cap: replace(base, max_dmas_with_clearing=cap), len(instance.dmas),
         seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-dmas@{target_mhz}MHz",
-        lower_bound=lambda: dma_lower_bound(_catalog(instance, seed), c, instance),
+        lower_bound=lambda: dma_lower_bound(default_catalog(instance, seed), c, instance),
     )
 
 
@@ -313,7 +303,7 @@ def min_dma_clearings_isolated(
         lambda cap: replace(base, dma_caps={dma_id: cap}), len(members),
         seed=seed, time_budget=time_budget, engine=engine,
         what=f"min-dma-{dma_id}@{target_mhz}MHz",
-        lower_bound=lambda: clearing_lower_bound(_catalog(instance, seed), c, within=members),
+        lower_bound=lambda: clearing_lower_bound(default_catalog(instance, seed), c, within=members),
     )
 
 
@@ -378,15 +368,13 @@ class SampleSet:
 
         def sample(rec: dict) -> Sample:
             assignment = ChannelAssignment.from_json_dict(rec["assignment"])
-            unknown = assignment.channels.keys() - instance.by_id.keys()
-            if unknown:
-                raise ValueError(f"unknown station {min(unknown)!r}")
+            stations = assignment.channels.keys()
+            for what, extra in (("unknown", stations - instance.by_id.keys()),
+                                ("missing", instance.by_id.keys() - stations)):
+                if extra:
+                    raise ValueError(f"{what} station {min(extra)!r}")
             seed = json_field(rec["seed"], int, "seed")
-            stats = None
-            if "stats" in rec:
-                stats = SolveStats(**rec["stats"])
-                for name in ("decisions", "conflicts", "propagations", "restarts", "learnts"):
-                    json_field(getattr(stats, name), int, name)
+            stats = SolveStats.from_json_dict(rec["stats"]) if "stats" in rec else None
             return Sample(seed=seed, assignment=assignment, stats=stats)
 
         head, samples = load_artifact(path, "sample-set", instance, "sample", fields, sample)

@@ -225,19 +225,21 @@ def at_most_true(
     return clauses, aux
 
 
+# The channel difference channel(a) - channel(b) that each interference kind
+# rules out. validate_assignment and the test oracles state the rule again on
+# their own, so that a wrong sign here fails their checks.
+_FORBIDDEN_OFFSET = {ConstraintKind.CO: 0, ConstraintKind.ADJ_UP: 1, ConstraintKind.ADJ_DOWN: -1}
+
+
 def _position_pairs(channels: Sequence[int]) -> dict[ConstraintKind, list[tuple[int, int]]]:
     """Each interference kind's clauses between stations ``a`` and ``b``, as
     (position of a's channel, position of b's channel) pairs over the
-    retained ``channels``: CO rules out a shared channel, ADJ_UP
-    channel(a) == channel(b) + 1 and ADJ_DOWN channel(a) == channel(b) - 1,
-    each vacuous where the neighbouring channel is not retained."""
+    retained ``channels``, in b's channel order; a pair whose channel for a is
+    not retained is vacuous and left out."""
     position = {ch: p for p, ch in enumerate(channels)}
     return {
-        ConstraintKind.CO: [(p, p) for p in range(len(channels))],
-        ConstraintKind.ADJ_UP: [(position[ch + 1], p) for p, ch in enumerate(channels)
-                                if ch + 1 in position],
-        ConstraintKind.ADJ_DOWN: [(position[ch - 1], p) for p, ch in enumerate(channels)
-                                  if ch - 1 in position],
+        kind: [(position[ch + d], p) for p, ch in enumerate(channels) if ch + d in position]
+        for kind, d in _FORBIDDEN_OFFSET.items()
     }
 
 

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
-from .cliques import CliqueCatalog, blocking_check, enumerate_cliques_greedy
+from .cliques import CliqueCatalog, blocking_check, default_catalog
 from .driver import DEFAULT_TIME_BUDGET, check_feasibility
 from .instance import Instance, RepackProblem, derive_available_channels
 from .instance_io import load_artifact, save_artifact
@@ -256,9 +256,7 @@ _EMPTY_CATALOG = CliqueCatalog(())
 def _need_catalog(backend: str, catalog: Optional[CliqueCatalog], instance: Instance, seed: int):
     if _known(backend, BACKENDS, "backend") == BACKEND_SAT:
         return _EMPTY_CATALOG
-    if catalog is None:
-        catalog = enumerate_cliques_greedy(instance, seed=derive_seed(seed, "catalog"))
-    return catalog
+    return default_catalog(instance, seed) if catalog is None else catalog
 
 
 def estimate_success(

@@ -56,7 +56,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence, Union
 
 from .encoder import CnfFormula, export_dimacs, model_from_literals, parse_dimacs_result
-from .util import gc_paused
+from .util import gc_paused, json_field
 
 
 class SolverError(RuntimeError):
@@ -88,6 +88,14 @@ class SolveStats:
             "conflicts": self.conflicts,
             "propagations": self.propagations,
         }
+
+    @classmethod
+    def from_json_dict(cls, record: dict) -> "SolveStats":
+        """Read a record of :meth:`to_json_dict`: exactly its fields, each an integer."""
+        names = cls().to_json_dict().keys()
+        if record.keys() != names:
+            raise ValueError(f"stats fields must be {sorted(names)}, got {sorted(record)}")
+        return cls(**{name: json_field(record[name], int, name) for name in names})
 
 
 @dataclass

@@ -61,6 +61,8 @@ def generate_synthetic(
         raise ValueError(f"planted clique of {planted_clique} does not fit in {n} stations")
     if n_dmas is None:
         n_dmas = max(1, n // 4)
+    elif n_dmas < 1:
+        raise ValueError("n_dmas must be at least 1")
 
     rng = random.Random(seed)
     channels = tuple(range(first_channel, first_channel + channel_count))

@@ -65,6 +65,14 @@ class TestGen:
         assert inst.n == 6
         assert "config_digest" in payload
 
+    def test_no_dmas_refused(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["gen", "--n", "6", "--dmas", "0", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "n_dmas must be at least 1",
+        }
+        assert not out.exists()
+
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
@@ -431,6 +439,19 @@ class TestConfigAndErrors:
         )
         assert "samples" in err["error"]["message"]
 
+    def test_stats_samples_b_requires_samples(self, instance_dir, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        run_cli(
+            capsys, "sample", "--instance", str(instance_dir), "--target", "12", "--count", "2",
+            "--workers", "1", "--out", str(samples),
+        )
+        err = run_cli_error(
+            capsys, "stats", "--instance", str(instance_dir), "--samples-b", str(samples),
+            "--trials-file", str(samples), "--out", str(tmp_path / "stats"),
+        )
+        assert err["error"] == {"type": "CliError", "message": "--samples-b needs --samples"}
+        assert not (tmp_path / "stats").exists()
+
     def test_stats_rejects_trials_from_another_instance(self, instance_dir, tmp_path, capsys):
         run_cli(
             capsys, "simulate", "--instance", str(instance_dir), "--target", "12",
@@ -621,9 +642,12 @@ class TestMalformedArtifacts:
          "unknown backend 'warp'; expected one of ('sat', 'clique-then-sat', 'clique-only')"),
         ("samples", lambda r: r[2].pop("assignment"), 3, "missing field 'assignment'"),
         ("samples", lambda r: r[1]["stats"].update(restarts_typo=1), 2,
-         "SolveStats.__init__() got an unexpected keyword argument 'restarts_typo'"),
+         "stats fields must be ['conflicts', 'decisions', 'propagations'], "
+         "got ['conflicts', 'decisions', 'propagations', 'restarts_typo']"),
         ("samples", lambda r: r[1]["assignment"].update(KZZZ=None), 2,
          "unknown station 'KZZZ'"),
+        ("samples", lambda r: r[2]["assignment"].pop("s0005"), 3,
+         "missing station 's0005'"),
         ("samples", lambda r: r[3].update(assignment=["s0000"]), 4,
          "'list' object has no attribute 'items'"),
         ("catalog", lambda r: r.append({"type": "clique"}), None, "missing field 'members'"),
@@ -664,6 +688,12 @@ class TestMalformedArtifacts:
          "conflicts must be an integer, got 2.5"),
         ("samples", lambda r: r[3]["stats"].update(propagations=True), 4,
          "propagations must be an integer, got True"),
+        ("samples", lambda r: r[2]["stats"].update(wall_time=0.5), 3,
+         "stats fields must be ['conflicts', 'decisions', 'propagations'], "
+         "got ['conflicts', 'decisions', 'propagations', 'wall_time']"),
+        ("samples", lambda r: r[1]["stats"].pop("conflicts"), 2,
+         "stats fields must be ['conflicts', 'decisions', 'propagations'], "
+         "got ['decisions', 'propagations']"),
         ("trials", lambda r: r[0]["model"].update(alpha=True), 1,
          "alpha must be a number or null, got True"),
         ("trials", lambda r: r[0]["model"].update(alpha="x"), 1,
@@ -678,7 +708,8 @@ class TestMalformedArtifacts:
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
-        "sample-unknown-stats-field", "sample-unknown-station", "sample-assignment-not-an-object",
+        "sample-unknown-stats-field", "sample-unknown-station", "sample-missing-station",
+        "sample-assignment-not-an-object",
         "catalog-missing-members", "catalog-unknown-station",
         "trial-float-index", "trial-bool-seed", "trial-string-z", "trial-float-cliques",
         "trial-int-digest", "trial-set-string-target", "sample-float-channel",
@@ -687,7 +718,8 @@ class TestMalformedArtifacts:
         "catalog-float-min-size", "catalog-bool-min-size", "catalog-string-min-size",
         "catalog-zero-min-size", "catalog-string-members", "catalog-int-member",
         "catalog-clique-below-min-size", "sample-string-decisions", "sample-float-conflicts",
-        "sample-bool-propagations", "trial-set-bool-alpha", "trial-set-string-alpha",
+        "sample-bool-propagations", "sample-stats-wall-time", "sample-stats-missing-counter",
+        "trial-set-bool-alpha", "trial-set-string-alpha",
         "trial-set-string-top-prob", "trial-set-list-beta", "trial-set-bool-gamma",
     ])
     def test_reported_with_its_line(

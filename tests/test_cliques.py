@@ -8,17 +8,20 @@ import random
 
 import pytest
 
+from repacker import montecarlo
 from repacker.cliques import (
     CliqueCatalog,
     CliqueError,
     _verify_cliques,
     blocking_check,
     clearing_lower_bound,
+    default_catalog,
     dma_lower_bound,
     enumerate_cliques_greedy,
 )
 from repacker.instance import RepackProblem
-from repacker.montecarlo import TrialReport
+from repacker.montecarlo import BACKEND_SAT, TrialReport, estimate_success
+from repacker.participation import ModelSpec
 from repacker.synthetic import generate_synthetic, planted_clique_ids
 from repacker.util import derive_seed
 
@@ -319,3 +322,36 @@ class TestLowerBounds:
         assert bounds[0] <= b_star
         assert bounds[1] <= min_dmas
         assert bounds[2] <= min_dma_1
+
+
+class TestDefaultCatalog:
+    """The minimum searches and Monte Carlo build one catalog from a master seed."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_is_the_greedy_catalog_under_the_derived_seed(self, seed):
+        inst = generate_synthetic(14, co_density=0.3, seed=8)
+        catalog = default_catalog(inst, seed)
+        assert len(catalog) > 0
+        assert catalog == enumerate_cliques_greedy(inst, seed=derive_seed(seed, "catalog"))
+
+    def test_monte_carlo_builds_it_only_when_given_none(self, monkeypatch):
+        inst = generate_synthetic(14, channel_count=5, co_density=0.3, planted_clique=8, seed=8)
+        built = []
+
+        def recording(instance, seed):
+            built.append(seed)
+            return default_catalog(instance, seed)
+
+        monkeypatch.setattr(montecarlo, "default_catalog", recording)
+        model = ModelSpec.random_broadcasters(0.8)
+
+        def verdicts(**kwargs):
+            est = estimate_success(model, inst, 12, trials=6, seed=3, workers=1, **kwargs)
+            return [(t.verdict, t.z, t.blocking_cliques) for t in est.trials]
+
+        own = verdicts()
+        assert built == [3]
+        assert verdicts(catalog=default_catalog(inst, 3)) == own
+        assert any(z is not None for _, z, _ in own)  # the catalog blocked a draw
+        verdicts(backend=BACKEND_SAT)  # the scan-free backend builds none
+        assert built == [3]

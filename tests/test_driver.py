@@ -9,6 +9,7 @@ import random
 import pytest
 
 from repacker import driver, encoder, parallel
+from repacker.cliques import default_catalog
 from repacker.driver import (
     FeasibilityResult,
     SampleSet,
@@ -356,6 +357,11 @@ class TestSampling:
         assert [s.assignment.channels for s in loaded.samples] == [
             s.assignment.channels for s in ss.samples
         ]
+        # The stats record holds the counters, not the wall time or the
+        # restart and learnt-clause counts.
+        assert [s.stats for s in loaded.samples] == [
+            SolveStats(**s.stats.to_json_dict()) for s in ss.samples
+        ]
 
     def test_jsonl_rejects_wrong_instance(self, tmp_path):
         inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
@@ -457,12 +463,14 @@ class TestPublicSearchesUseTheirBound:
     """With every UNSAT probe turned into a timeout, each public search still
     reaches its minimum, certified by its own clique bound."""
 
-    @pytest.mark.parametrize("search, minimum", [
-        (lambda inst: min_nationwide_clearings(inst, 6), 3),
-        (lambda inst: min_dmas_with_clearing(inst, 6), 2),
-        (lambda inst: min_dma_clearings_isolated(inst, 6, dma_id=1), 2),
+    @pytest.mark.parametrize("search, minimum, seeds", [
+        (lambda inst: min_nationwide_clearings(inst, 6, seed=5), 3, [5]),
+        (lambda inst: min_dmas_with_clearing(inst, 6, seed=5), 2, [5]),
+        # The isolated search's own nationwide minimum builds one too.
+        (lambda inst: min_dma_clearings_isolated(inst, 6, dma_id=1, seed=5), 2,
+         [derive_seed(5, "b-star"), 5]),
     ], ids=["min-clear", "min-dmas", "min-dma-isolated"])
-    def test_bound_certifies_when_refutations_time_out(self, monkeypatch, search, minimum):
+    def test_bound_certifies_when_refutations_time_out(self, monkeypatch, search, minimum, seeds):
         # On c = 2 channels, a 4-clique in DMA 1 and a 3-clique in DMA 2: each
         # search's minimum differs from the other two bounds.
         four, three = "abcd", "efg"
@@ -480,11 +488,19 @@ class TestPublicSearchesUseTheirBound:
                 return FeasibilityResult(Verdict.TIMEOUT, None, res.stats, res.seed)
             return res
 
+        built = []
+
+        def recording(instance, seed):
+            built.append(seed)
+            return default_catalog(instance, seed)
+
         monkeypatch.setattr(driver, "check_feasibility", refutations_time_out)
+        monkeypatch.setattr(driver, "default_catalog", recording)
         result = search(inst)
         assert (result.value, result.lower_bound, result.certified_by) == (
             minimum, minimum, "clique-bound")
         assert result.timed_out
+        assert built == seeds  # each bound comes from the master seed's default catalog
 
 
 class TestSearchMatchesReference:
@@ -686,3 +702,4 @@ class TestPartialSample:
         assert [s.seed for s in ss.samples] == [s for s in seeds if s % 2 == 0]
         assert ss.shortfall == 4 - expected
         assert f"sampled {expected} of 4 requested solutions in 4 attempts" in caplog.text
+

@@ -529,6 +529,11 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="clique"):
             generate_synthetic(3, planted_clique=4)
 
+    @pytest.mark.parametrize("n_dmas", [0, -3])
+    def test_no_dmas_refused(self, n_dmas):
+        with pytest.raises(ValueError, match="^n_dmas must be at least 1$"):
+            generate_synthetic(6, n_dmas=n_dmas)
+
     def test_planted_clique_dma_placement(self):
         inst = generate_synthetic(8, planted_clique=4, planted_clique_dma=2, seed=3)
         for sid in planted_clique_ids(4):
