@@ -167,6 +167,8 @@ def _read_station_list(path: str) -> frozenset[str]:
 
 def _problem_from(args: argparse.Namespace, instance) -> RepackProblem:
     must_repack: frozenset[str] = frozenset()
+    if args.repack_all and args.must_repack:
+        raise CliError("--repack-all cannot be combined with --must-repack")
     if args.repack_all:
         must_repack = frozenset(instance.station_ids)
     elif args.must_repack:
@@ -175,9 +177,12 @@ def _problem_from(args: argparse.Namespace, instance) -> RepackProblem:
     for item in args.dma_cap:
         dma_text, _, cap_text = str(item).partition("=")
         try:
-            dma_caps[int(dma_text)] = int(cap_text)
+            dma, cap = int(dma_text), int(cap_text)
         except ValueError:
             raise CliError(f"bad --dma-cap {item!r}, expected DMA=CAP") from None
+        if dma in dma_caps:
+            raise CliError(f"--dma-cap names DMA {dma} twice")
+        dma_caps[dma] = cap
     return RepackProblem(
         instance=instance,
         clearing_target_mhz=args.target,

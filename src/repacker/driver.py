@@ -71,11 +71,11 @@ def check_feasibility(
     encoder bug and raises.
 
     The cyclic garbage collector stays paused from ``encode`` until the
-    formula is dropped: what a draw allocates (the formula's own clauses,
-    the engine, the model and the assignment) holds no reference cycles, so
-    reference counting frees it without a collection traversing it first.
-    An encoded formula shares the rest of its clauses with the encoder's
-    base, which every draw of that instance reads.
+    result is built, and only here: ``encode`` and ``solve`` run with their
+    caller's setting. What a draw allocates (the encoder's base on its first
+    draw, the formula's own clauses, the engine, the model and the
+    assignment) holds no reference cycles, so reference counting frees it
+    without a collection traversing it first.
     """
     engine = engine or EmbeddedSolver()
     with gc_paused():
@@ -89,7 +89,7 @@ def check_feasibility(
             if violations:
                 raise RuntimeError(f"decoded assignment violates the problem: {violations[:3]}")
         del formula
-    return FeasibilityResult(outcome.verdict, assignment, outcome.stats, seed)
+        return FeasibilityResult(outcome.verdict, assignment, outcome.stats, seed)
 
 
 @dataclass
@@ -353,26 +353,28 @@ class SampleSet:
 
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "SampleSet":
+        """Every sample must pass :func:`validate_assignment` against the file's problem."""
+        head: dict = {}
+
         def fields(meta: dict) -> dict:
-            return {
-                "problem": RepackProblem(
+            head.update(
+                problem=RepackProblem(
                     instance=instance,
                     clearing_target_mhz=json_field(meta["target_mhz"], int, "target_mhz"),
                     use_domain_constraints=json_field(meta["use_domain"], bool, "use_domain"),
                     max_cleared_nationwide=json_field(meta["cap"], int, "cap", nullable=True),
                 ),
-                "buffer": json_field(meta.get("buffer", 0), int, "buffer"),
-                "b_star": json_field(meta.get("b_star"), int, "b_star", nullable=True),
-                "requested": json_field(meta.get("requested"), int, "requested", nullable=True),
-            }
+                buffer=json_field(meta.get("buffer", 0), int, "buffer"),
+                b_star=json_field(meta.get("b_star"), int, "b_star", nullable=True),
+                requested=json_field(meta.get("requested"), int, "requested", nullable=True),
+            )
+            return head
 
         def sample(rec: dict) -> Sample:
             assignment = ChannelAssignment.from_json_dict(rec["assignment"])
-            stations = assignment.channels.keys()
-            for what, extra in (("unknown", stations - instance.by_id.keys()),
-                                ("missing", instance.by_id.keys() - stations)):
-                if extra:
-                    raise ValueError(f"{what} station {min(extra)!r}")
+            violations = validate_assignment(head["problem"], assignment)
+            if violations:
+                raise ValueError(f"violates the problem: {violations[0].message}")
             seed = json_field(rec["seed"], int, "seed")
             stats = SolveStats.from_json_dict(rec["stats"]) if "stats" in rec else None
             return Sample(seed=seed, assignment=assignment, stats=stats)
@@ -414,6 +416,8 @@ def sample_solutions(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if retry_factor < 1:
+        raise ValueError("retry_factor must be at least 1")
     b_star = _b_star(instance, target_mhz, use_domain, b_star, seed, time_budget, engine)
     cap = b_star + buffer
     problem = RepackProblem(
@@ -423,7 +427,7 @@ def sample_solutions(
         max_cleared_nationwide=cap,
     )
 
-    max_attempts = max(count, retry_factor * count)
+    max_attempts = retry_factor * count
     samples: list[Sample] = []
     attempt = 0
     while len(samples) < count and attempt < max_attempts:

@@ -17,7 +17,6 @@ from itertools import chain, combinations, compress
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
-from .util import gc_paused
 
 
 class EncodingError(ValueError):
@@ -323,6 +322,7 @@ _last_base: Optional[_Base] = None
 
 
 def _base_for(problem: RepackProblem) -> _Base:
+    """The kept base if it fits ``problem``, else a new one (with the caller's GC setting)."""
     global _last_base
     base = _last_base
     if not (
@@ -332,8 +332,7 @@ def _base_for(problem: RepackProblem) -> _Base:
         and base.use_domain == problem.use_domain_constraints
     ):
         _last_base = None  # free the old table before building the new one
-        with gc_paused():
-            base = _build_base(problem.instance, problem.channel_plan, problem.use_domain_constraints)
+        base = _build_base(problem.instance, problem.channel_plan, problem.use_domain_constraints)
         _last_base = base
     return base
 

@@ -308,7 +308,7 @@ def shared_randomness_sweep(
     target_mhz: int,
     use_domain: bool = True,
     *,
-    trials: int = 1,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     backend: str = DEFAULT_BACKEND,
     catalog: Optional[CliqueCatalog] = None,

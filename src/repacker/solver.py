@@ -56,7 +56,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence, Union
 
 from .encoder import CnfFormula, export_dimacs, model_from_literals, parse_dimacs_result
-from .util import gc_paused, json_field
+from .util import json_field
 
 
 class SolverError(RuntimeError):
@@ -552,18 +552,16 @@ def solve(
     :func:`encode` built on its base is solved with that base's implication
     table, with the same search as from its clauses.
 
-    The cyclic garbage collector is paused while the engine exists: its
-    clause lists hold no reference cycles, and on large formulas the
-    collections their allocation triggers cost as much as the build itself.
+    It runs with the caller's cyclic garbage collector setting;
+    :func:`repacker.driver.check_feasibility` is what pauses the collector.
     """
     _check_time_budget(time_budget)
-    with gc_paused():
-        table, clauses = formula.folded()
-        outcome = _Engine(formula.var_count, clauses, seed, table).run(time_budget)
-        if outcome.is_sat:
-            assert outcome.model is not None
-            if not check_formula(formula, outcome.model):
-                raise RuntimeError("internal error: SAT model fails the clause check")
+    table, clauses = formula.folded()
+    outcome = _Engine(formula.var_count, clauses, seed, table).run(time_budget)
+    if outcome.is_sat:
+        assert outcome.model is not None
+        if not check_formula(formula, outcome.model):
+            raise RuntimeError("internal error: SAT model fails the clause check")
     return outcome
 
 

@@ -20,7 +20,7 @@ from repacker.cliques import enumerate_cliques_greedy
 from repacker.driver import sample_solutions
 from repacker.instance import validate_assignment, RepackProblem, ChannelAssignment
 from repacker.instance_io import load_instance
-from repacker.montecarlo import BACKEND_SAT, estimate_success
+from repacker.montecarlo import BACKEND_SAT, estimate_success, shared_randomness_sweep
 from repacker.participation import ModelSpec
 from repacker.synthetic import generate_synthetic
 from repacker.util import derive_seed
@@ -645,9 +645,9 @@ class TestMalformedArtifacts:
          "stats fields must be ['conflicts', 'decisions', 'propagations'], "
          "got ['conflicts', 'decisions', 'propagations', 'restarts_typo']"),
         ("samples", lambda r: r[1]["assignment"].update(KZZZ=None), 2,
-         "unknown station 'KZZZ'"),
+         "assignment does not cover the instance: unknown=['KZZZ'] missing=[]"),
         ("samples", lambda r: r[2]["assignment"].pop("s0005"), 3,
-         "missing station 's0005'"),
+         "assignment does not cover the instance: unknown=[] missing=['s0005']"),
         ("samples", lambda r: r[3].update(assignment=["s0000"]), 4,
          "'list' object has no attribute 'items'"),
         ("catalog", lambda r: r.append({"type": "clique"}), None, "missing field 'members'"),
@@ -935,6 +935,30 @@ class TestProblemFlags:
             "type": "CliError", "message": f"bad --dma-cap {item!r}, expected DMA=CAP",
         }
 
+    @pytest.mark.parametrize("config, flags", [
+        ([], ["1=2", "1=3"]), ([], ["1=2", "01=2"]), (["1=2"], ["1=3"]), (["1=3", "1=2"], []),
+    ], ids=["two-flags", "same-dma-spelled-twice", "config-and-flag", "two-config-entries"])
+    def test_dma_cap_naming_one_dma_twice(self, clique_dir, config, flags, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dma_cap": config}))
+        argv = ["solve", "--instance", str(clique_dir), "--target", "12", "--config", str(path)]
+        for item in flags:
+            argv += ["--dma-cap", item]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "CliError", "message": "--dma-cap names DMA 1 twice",
+        }
+
+    def test_repack_all_with_must_repack(self, clique_dir, tmp_path, capsys):
+        must = tmp_path / "must.txt"
+        must.write_text(load_instance(clique_dir).station_ids[0] + "\n")
+        argv = ["solve", "--instance", str(clique_dir), "--target", "12",
+                "--repack-all", "--must-repack", str(must)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "CliError", "message": "--repack-all cannot be combined with --must-repack",
+        }
+
 
 class TestRejectedBeforeWork:
     """An out-of-range option exits 2 before any output exists, whichever engine runs."""
@@ -992,6 +1016,16 @@ class TestRejectedBeforeWork:
         }
         assert not out.parent.exists()
         assert run_cli(capsys, *argv, "--max-cliques", "0")["cliques"] == 0
+
+    @pytest.mark.parametrize("factor", ["0", "-3"])
+    def test_sample_retry_factor_below_one(self, instance_dir, factor, tmp_path, capsys):
+        out = tmp_path / "samples.jsonl"
+        assert main(["sample", "--instance", str(instance_dir), "--target", "12", "--count", "2",
+                     "--retry-factor", factor, "--workers", "1", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "retry_factor must be at least 1",
+        }
+        assert not out.exists()
 
 
 class TestOneSimulatePath:
@@ -1146,6 +1180,8 @@ class TestDefaultsMatchLibrary:
         ("cliques", "min_size", enumerate_cliques_greedy, "min_size"),
         ("cliques", "attempts", enumerate_cliques_greedy, "attempts_per_vertex"),
         ("sample", "retry_factor", sample_solutions, "retry_factor"),
+        ("simulate", "trials", estimate_success, "trials"),
+        ("simulate", "trials", shared_randomness_sweep, "trials"),
         ("stats", "min_mean", analytics.dma_correlations, "min_mean"),
         ("stats", "p_threshold", analytics.dma_correlations, "p_threshold"),
         ("stats", "identity", analytics.missing_mass, "identity"),

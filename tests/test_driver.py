@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import functools
 import gc
+import json
 import random
+import threading
 
 import pytest
 
-from repacker import driver, encoder, parallel
+from repacker import driver, encoder, parallel, solver
 from repacker.cliques import default_catalog
 from repacker.driver import (
     FeasibilityResult,
@@ -109,6 +111,111 @@ class TestCheckFeasibilityGcPause:
         finally:
             gc.enable()
         assert [gc_on for _, gc_on in seen] == [False, False, False]
+
+    @staticmethod
+    def problem(verdict: str) -> tuple[RepackProblem, float]:
+        """A fresh problem (so its encoder base is built anew) and the budget
+        under which ``check_feasibility`` gives ``verdict``."""
+        if verdict == "timeout":  # 12 pigeons, 11 holes
+            inst = generate_synthetic(12, channel_count=12, co_density=0, planted_clique=12, seed=1)
+            return RepackProblem(instance=inst, clearing_target_mhz=6,
+                                 must_repack=frozenset(planted_clique_ids(12))), 0.05
+        if verdict == "unsat":
+            inst = generate_synthetic(6, channel_count=4, co_density=0, planted_clique=4, seed=1)
+            return RepackProblem(instance=inst, clearing_target_mhz=6,
+                                 must_repack=frozenset(planted_clique_ids(4))), 10.0
+        inst = build_instance(3, channels=(1, 2, 3, 4))
+        # No channel is left at 24 MHz, so the engine is UNSAT as it is built.
+        target = 24 if verdict == "unsat-at-construction" else 6
+        return RepackProblem(instance=inst, clearing_target_mhz=target,
+                             must_repack=frozenset(inst.station_ids)), 10.0
+
+    VERDICTS = {"sat": Verdict.SAT, "unsat": Verdict.UNSAT, "timeout": Verdict.TIMEOUT,
+                "unsat-at-construction": Verdict.UNSAT}
+
+    @pytest.mark.parametrize("case", ["sat", "unsat", "timeout"])
+    def test_no_collection_starts(self, monkeypatch, case):
+        # Watched from encode's call until the result is built. A threshold of
+        # 10 starts a collection within a few allocations of any unpaused step.
+        prob, budget = self.problem(case)
+        watching, started = [False], []
+
+        def hook(phase, info):
+            if phase == "start" and watching[0]:
+                started.append(info["generation"])
+
+        def encode(*args):
+            watching[0] = True
+            return driver_encode(*args)
+
+        def result(*args):
+            built = FeasibilityResult(*args)
+            watching[0] = False
+            return built
+
+        driver_encode = driver.encode
+        monkeypatch.setattr(driver, "encode", encode)
+        monkeypatch.setattr(driver, "FeasibilityResult", result)
+        threshold = gc.get_threshold()
+        gc.set_threshold(10)
+        gc.callbacks.append(hook)
+        try:
+            assert gc.isenabled()
+            res = check_feasibility(prob, seed=0, time_budget=budget)
+        finally:
+            gc.callbacks.remove(hook)
+            gc.set_threshold(*threshold)
+        assert res.verdict is self.VERDICTS[case]
+        assert not watching[0] and started == []
+
+    @pytest.mark.parametrize("case", sorted(VERDICTS))
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_restores_the_callers_setting_for_every_verdict(self, case, enabled):
+        prob, budget = self.problem(case)
+        if not enabled:
+            gc.disable()
+        try:
+            assert check_feasibility(prob, seed=0, time_budget=budget).verdict is self.VERDICTS[case]
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
+    def test_paused_through_base_and_engine_build_search_and_model_check(self, monkeypatch):
+        seen = []
+
+        def traced(owner, name, label):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                seen.append((label, gc.isenabled()))
+                return real(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        traced(encoder, "_build_base", "base")
+        traced(solver._Engine, "__init__", "build")
+        traced(solver._Engine, "_search", "search")
+        traced(solver, "check_model", "check")
+        prob, _ = self.problem("sat")
+        assert check_feasibility(prob, seed=0).feasible
+        assert seen == [("base", False), ("build", False), ("search", False), ("check", False)]
+        assert gc.isenabled()
+
+    def test_a_thread_checks_with_the_main_threads_setting(self, monkeypatch):
+        # Only the main thread switches the collector, so a thread's check
+        # runs with it on here.
+        seen = []
+        search = solver._Engine._search
+
+        def traced_search(engine):
+            seen.append(gc.isenabled())
+            return search(engine)
+
+        monkeypatch.setattr(solver._Engine, "_search", traced_search)
+        prob, _ = self.problem("sat")
+        worker = threading.Thread(target=lambda: check_feasibility(prob, seed=0), daemon=True)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive() and seen == [True]
 
 
 class TestEncodedClausesNeverBuilt:
@@ -345,6 +452,16 @@ class TestSampling:
         with pytest.raises(SamplingError, match="no solutions"):
             sample_solutions(inst, 6, count=2, buffer=0, b_star=0, seed=1, engine=AlwaysTimeout())
 
+    @pytest.mark.parametrize("factor", [0, -3])
+    def test_retry_factor_below_one_is_refused_before_any_solve(self, factor):
+        class NoSolves:
+            def solve(self, formula, seed=0, time_budget=60.0):
+                raise AssertionError("solved")
+
+        inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+        with pytest.raises(ValueError, match="^retry_factor must be at least 1$"):
+            sample_solutions(inst, 12, count=2, retry_factor=factor, engine=NoSolves())
+
     def test_jsonl_round_trip(self, tmp_path):
         inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
         ss = sample_solutions(inst, 12, count=3, buffer=2, seed=5)
@@ -371,6 +488,27 @@ class TestSampling:
         ss.save_jsonl(path)
         with pytest.raises(ValueError, match="different instance"):
             SampleSet.load_jsonl(path, other)
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (2, lambda channels: channels.update(s0000=999),
+         "station s0000 uses channel 999 outside the plan"),
+        (3, lambda channels: channels.update(dict.fromkeys(channels, 14)),
+         "s0000 and s0002 share channel 14"),
+        (4, lambda channels: channels.update(dict.fromkeys(["s0001", "s0004", "s0006"])),
+         "3 stations cleared, cap is 2"),
+    ], ids=["channel-outside-the-band", "every-station-on-one-channel", "over-the-cap"])
+    def test_jsonl_rejects_a_sample_that_violates_the_problem(self, tmp_path, line, edit, message):
+        inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+        ss = sample_solutions(inst, 12, count=3, buffer=2, seed=5)
+        assert (ss.problem.channel_plan.channels, ss.cap) == ((14, 15, 16), 2)
+        path = tmp_path / "samples.jsonl"
+        ss.save_jsonl(path)
+        records = [json.loads(text) for text in path.read_text().splitlines()]
+        edit(records[line - 1]["assignment"])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError) as info:
+            SampleSet.load_jsonl(path, inst)
+        assert str(info.value) == f"{path}: line {line}: violates the problem: {message}"
 
 
 class TimesOutOnEveryThirdSeed:

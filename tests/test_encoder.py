@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import itertools
 import random
 
 import pytest
 
+from repacker import encoder
 from repacker.encoder import (
     CnfFormula,
     EncodingError,
@@ -471,6 +473,24 @@ class TestBaseBuiltFromRows:
             shapes["must-repack"] += bool(prob.must_repack)
             shapes["caps"] += len(clauses) > base.clause_count
         assert min(shapes.values()) >= 10, shapes
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_built_with_the_callers_gc_setting(self, monkeypatch, enabled):
+        seen, build = [], encoder._build_base
+
+        def traced(*args):
+            seen.append(gc.isenabled())
+            return build(*args)
+
+        monkeypatch.setattr(encoder, "_build_base", traced)
+        inst = build_instance(3, channels=(1, 2, 3, 4))
+        if not enabled:
+            gc.disable()
+        try:
+            encode(RepackProblem(instance=inst, clearing_target_mhz=6))
+        finally:
+            gc.enable()
+        assert seen == [enabled]
 
 
 def literal_objects_and_values(formula: CnfFormula) -> tuple[int, int]:

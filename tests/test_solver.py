@@ -879,6 +879,9 @@ def gc_state(request):
 
 
 class TestGcPause:
+    """``solve`` runs with the collector setting it finds and leaves it so;
+    ``check_feasibility`` is what pauses it (``tests/test_driver.py``)."""
+
     @pytest.mark.parametrize("case", sorted(GC_CASES))
     def test_solve_restores_the_callers_gc_state(self, gc_state, case):
         formula, budget, verdict = GC_CASES[case]
@@ -893,7 +896,7 @@ class TestGcPause:
             solve(GC_CASES["sat"][0])
         assert gc.isenabled() == gc_state
 
-    def test_gc_paused_through_build_search_and_model_check(self, monkeypatch):
+    def test_gc_left_enabled_through_build_search_and_model_check(self, monkeypatch):
         seen = []
         init, search, check = _Engine.__init__, _Engine._search, solver.check_model
 
@@ -913,7 +916,7 @@ class TestGcPause:
         monkeypatch.setattr(_Engine, "_search", traced_search)
         monkeypatch.setattr(solver, "check_model", traced_check)
         assert solve(GC_CASES["sat"][0]).is_sat
-        assert seen == [("build", False), ("search", False), ("check", False)]
+        assert seen == [("build", True), ("search", True), ("check", True)]
         assert gc.isenabled()
 
     def test_pauses_in_threads_never_leave_the_collector_off(self):
