@@ -44,7 +44,7 @@ from .montecarlo import estimate_success, shared_randomness_sweep
 from .participation import DEFAULT_TOP_PROB, ModelKind, ModelSpec
 from .solver import ExternalSolver
 from .synthetic import generate_synthetic
-from .util import canonical_json, sha256_hex
+from .util import canonical_json, json_field, sha256_hex
 
 
 class CliError(ValueError):
@@ -77,9 +77,9 @@ _REQUIRED = {
 def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Make the ``--config`` file's fields the subcommand's defaults, so flags win.
 
-    Fields that name no option of the subcommand are ignored. Values pass
-    through the option's type and must be among its choices, so a field and
-    the equal flag parse alike.
+    Fields that name no option of the subcommand are ignored. A field holds
+    what its flag gives: ``true``/``false`` for an on/off option, a list for a
+    repeatable one, else a string or number that is read as the flag's text.
     """
     with open(args.config, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -90,18 +90,31 @@ def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     fields = {k: v for k, v in data.items() if k in known}
     for k, v in fields.items():
         action = actions[k]
-        if action.type is not None and v is not None:
-            try:
-                fields[k] = v = action.type(v)
-            except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
-                raise CliError(f"{args.config}: field {k!r}: {exc}") from None
-        if action.choices is not None and v not in action.choices:
-            raise CliError(f"{args.config}: field {k!r}: invalid choice {v!r}"
-                           f" (choose from {', '.join(map(repr, action.choices))})")
+        try:
+            if action.nargs == 0:  # --repack-all, --use-domain/--no-domain, -v
+                fields[k] = json_field(v, bool, "value")
+            elif isinstance(action, argparse._AppendAction):  # --dma-cap
+                fields[k] = [_option_value(sub, action, x) for x in json_field(v, list, "value")]
+            else:
+                fields[k] = _option_value(sub, action, v)
+        except (argparse.ArgumentError, ValueError) as exc:
+            why = exc.message if isinstance(exc, argparse.ArgumentError) else exc
+            raise CliError(f"{args.config}: field {k!r}: {why}") from None
     sub.set_defaults(**fields)
 
 
-def _finite_float(text: Any) -> float:
+def _option_value(sub: argparse.ArgumentParser, action: argparse.Action, value: Any) -> Any:
+    """The text of a JSON string or number through the option's type and choices."""
+    if type(value) not in (str, int, float):
+        raise ValueError(f"value must be a string or a number, got {value!r}")
+    value = sub._get_value(action, str(value))  # argparse's own conversion and message
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice {value!r}"
+                         f" (choose from {', '.join(map(repr, action.choices))})")
+    return value
+
+
+def _finite_float(text: str) -> float:
     """The type of every float option. NaN and infinities are refused here,
     where the option is known, not later by the digest's JSON encoder."""
     try:
@@ -175,7 +188,7 @@ def _problem_from(args: argparse.Namespace, instance) -> RepackProblem:
         must_repack = _read_station_list(args.must_repack)
     dma_caps: dict[int, int] = {}
     for item in args.dma_cap:
-        dma_text, _, cap_text = str(item).partition("=")
+        dma_text, _, cap_text = item.partition("=")
         try:
             dma, cap = int(dma_text), int(cap_text)
         except ValueError:
@@ -210,7 +223,7 @@ def _cmd_gen(args: argparse.Namespace, digest: str) -> None:
         affiliate_fraction=args.affiliate_fraction,
         planted_clique=args.clique_size,
         planted_clique_dma=args.clique_dma,
-        forbidden_channels=[int(c) for c in str(args.forbidden).split(",") if c],
+        forbidden_channels=[int(c) for c in args.forbidden.split(",") if c],
         first_channel=args.first_channel,
         seed=args.seed,
     )
@@ -364,7 +377,7 @@ def _cmd_cliques(args: argparse.Namespace, digest: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
-    alphas = [float(a) for a in str(args.alphas).split(",") if a] if args.alphas else []
+    alphas = [float(a) for a in args.alphas.split(",") if a] if args.alphas else []
     if alphas and args.alpha is not None:
         raise CliError("--alpha cannot be combined with --alphas, which sets every rate")
     names = [f"trials-alpha-{alpha:g}.jsonl" for alpha in alphas] or ["trials.jsonl"]

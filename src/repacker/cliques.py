@@ -85,16 +85,14 @@ class CliqueCatalog:
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "CliqueCatalog":
         index = instance.station_index
-        min_size = 2  # the meta record's, parsed before any clique
 
         def meta(rec: dict) -> int:
-            nonlocal min_size
             min_size = json_field(rec.get("min_size", 2), int, "min_size")
             if min_size < 1:
                 raise ValueError(f"min_size must be at least 1, got {min_size}")
             return min_size
 
-        def clique(rec: dict) -> frozenset[str]:
+        def clique(min_size: int, rec: dict) -> frozenset[str]:
             listed = rec["members"]
             if type(listed) is not list or not all(type(sid) is str for sid in listed):
                 raise ValueError(f"members must be a list of strings, got {listed!r}")
@@ -106,7 +104,9 @@ class CliqueCatalog:
                 raise ValueError(f"a clique of {len(members)} is below min_size {min_size}")
             return members
 
-        min_size, cliques = load_artifact(path, "clique-catalog", instance, "clique", meta, clique)
+        min_size, cliques = load_artifact(
+            path, "clique-catalog", instance, "clique", meta, clique, key=lambda members: members
+        )
         _verify_cliques((sum(1 << index[sid] for sid in c) for c in cliques), instance)
         return cls(cliques=tuple(cliques), min_size_retained=min_size)
 

@@ -354,10 +354,9 @@ class SampleSet:
     @classmethod
     def load_jsonl(cls, path: str | os.PathLike, instance: Instance) -> "SampleSet":
         """Every sample must pass :func:`validate_assignment` against the file's problem."""
-        head: dict = {}
 
         def fields(meta: dict) -> dict:
-            head.update(
+            return dict(
                 problem=RepackProblem(
                     instance=instance,
                     clearing_target_mhz=json_field(meta["target_mhz"], int, "target_mhz"),
@@ -368,9 +367,8 @@ class SampleSet:
                 b_star=json_field(meta.get("b_star"), int, "b_star", nullable=True),
                 requested=json_field(meta.get("requested"), int, "requested", nullable=True),
             )
-            return head
 
-        def sample(rec: dict) -> Sample:
+        def sample(head: dict, rec: dict) -> Sample:
             assignment = ChannelAssignment.from_json_dict(rec["assignment"])
             violations = validate_assignment(head["problem"], assignment)
             if violations:
@@ -379,7 +377,9 @@ class SampleSet:
             stats = SolveStats.from_json_dict(rec["stats"]) if "stats" in rec else None
             return Sample(seed=seed, assignment=assignment, stats=stats)
 
-        head, samples = load_artifact(path, "sample-set", instance, "sample", fields, sample)
+        head, samples = load_artifact(
+            path, "sample-set", instance, "sample", fields, sample, key=lambda s: s.seed
+        )
         return cls(samples=samples, **head)
 
 

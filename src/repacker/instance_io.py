@@ -25,7 +25,7 @@ import json
 import os
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Optional, TypeVar
 
 from .instance import (
     US_UNIVERSE,
@@ -283,10 +283,10 @@ def _json_line(path: str | os.PathLike, n: int, line: str) -> Any:
         raise ValueError(f"{path}: line {n} is not JSON: {exc.msg} at column {exc.colno}") from None
 
 
-def _parse_line(path: str | os.PathLike, n: int, parse: Callable[[dict], _T], rec: dict) -> _T:
-    """``parse(rec)``, with a malformed field's exception naming the file and line."""
+def _parse_line(path: str | os.PathLike, n: int, parse: Callable[..., _T], *fields: Any) -> _T:
+    """``parse(*fields)``, with a malformed field's exception naming the file and line."""
     try:
-        return parse(rec)
+        return parse(*fields)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: line {n}: {why}") from None
@@ -294,15 +294,16 @@ def _parse_line(path: str | os.PathLike, n: int, parse: Callable[[dict], _T], re
 
 def load_artifact(
     path: str | os.PathLike, kind: str, instance: Instance, record_type: str,
-    parse_meta: Callable[[dict], Any], parse_record: Callable[[dict], _T],
+    parse_meta: Callable[[dict], Any], parse_record: Callable[[Any, dict], _T],
+    key: Callable[[_T], Hashable],
 ) -> tuple[Any, list[_T]]:
     """Read a JSON-lines artifact written by :func:`save_artifact`.
 
-    Returns ``parse_meta`` of the meta record and ``parse_record`` of each
-    record of ``record_type``, parsed in that order. Raises ``ValueError`` when the file is not a
-    ``kind`` artifact, was derived from a different instance, or holds a
-    line that is not JSON, a record that is not a JSON object or one whose
-    fields its parser rejects, naming the line.
+    Returns ``head = parse_meta(meta record)`` and ``parse_record(head, record)``
+    of each record of ``record_type``. Raises ``ValueError`` when the file is
+    not a ``kind`` artifact, was derived from a different instance, or holds a
+    line that is not JSON, a record that is not a JSON object, one whose fields
+    its parser rejects or one whose ``key`` an earlier record has, naming the line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [(n, _json_line(path, n, line))
@@ -319,7 +320,12 @@ def load_artifact(
     for n, rec in lines[1:]:
         if not isinstance(rec, dict):
             raise ValueError(f"{path}: line {n} is not a JSON object")
-    return _parse_line(path, lines[0][0], parse_meta, meta), [
-        _parse_line(path, n, parse_record, rec)
-        for n, rec in lines[1:] if rec.get("type") == record_type
-    ]
+    head = _parse_line(path, lines[0][0], parse_meta, meta)
+    records = [(n, _parse_line(path, n, parse_record, head, rec))
+               for n, rec in lines[1:] if rec.get("type") == record_type]
+    first_line: dict[Hashable, int] = {}
+    for n, record in records:
+        first = first_line.setdefault(key(record), n)
+        if first != n:
+            raise ValueError(f"{path}: line {n}: repeats the {record_type} of line {first}")
+    return head, [record for _, record in records]

@@ -196,7 +196,7 @@ def _meta_fields(meta: dict) -> dict:
     }
 
 
-def _trial_from(rec: dict) -> TrialReport:
+def _trial_from(_meta: dict, rec: dict) -> TrialReport:
     return TrialReport(
         index=json_field(rec["index"], int, "index"),
         seed=json_field(rec["seed"], int, "seed"),
@@ -210,7 +210,9 @@ def _trial_from(rec: dict) -> TrialReport:
 def load_trial_set(path: str | os.PathLike, instance: Instance) -> SuccessEstimate:
     """Load a trial-set file run on ``instance``, as written by
     :meth:`SuccessEstimate.save_trials_jsonl`."""
-    head, trials = load_artifact(path, "trial-set", instance, "trial", _meta_fields, _trial_from)
+    head, trials = load_artifact(
+        path, "trial-set", instance, "trial", _meta_fields, _trial_from, key=lambda t: t.index
+    )
     return SuccessEstimate(**head, trials=trials)
 
 

@@ -29,7 +29,8 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "a list"}
 
 
 def json_field(value: Any, kind: type, what: str, nullable: bool = False) -> Any:

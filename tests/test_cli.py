@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repacker import analytics, solver
-from repacker.cli import _build_parser, main
+from repacker.cli import _apply_config, _build_parser, _digest, main
 from repacker.cliques import enumerate_cliques_greedy
 from repacker.driver import sample_solutions
 from repacker.instance import validate_assignment, RepackProblem, ChannelAssignment
@@ -705,6 +705,13 @@ class TestMalformedArtifacts:
          "beta must be a number or null, got [0.5]"),
         ("trials", lambda r: r[0].update(model={"kind": "revenue", "beta": 0.5, "gamma": False}), 1,
          "gamma must be a number or null, got False"),
+        ("catalog", lambda r: r.append(dict(r[1])), None, "repeats the clique of line 2"),
+        ("catalog", lambda r: r.append({**r[1], "members": r[1]["members"][::-1]}), None,
+         "repeats the clique of line 2"),
+        ("trials", lambda r: r.append(dict(r[2])), None, "repeats the trial of line 3"),
+        ("trials", lambda r: r.append({**r[1], "seed": r[1]["seed"] + 1}), None,
+         "repeats the trial of line 2"),
+        ("samples", lambda r: r.append(dict(r[1])), None, "repeats the sample of line 2"),
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
@@ -721,6 +728,8 @@ class TestMalformedArtifacts:
         "sample-bool-propagations", "sample-stats-wall-time", "sample-stats-missing-counter",
         "trial-set-bool-alpha", "trial-set-string-alpha",
         "trial-set-string-top-prob", "trial-set-list-beta", "trial-set-bool-gamma",
+        "catalog-repeated-clique", "catalog-repeated-clique-reordered", "trial-repeated",
+        "trial-repeated-index", "sample-repeated",
     ])
     def test_reported_with_its_line(
         self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys
@@ -888,6 +897,121 @@ class TestConfigDigest:
         assert external["stats"] == {"decisions": 0, "conflicts": 0, "propagations": 0}
         assert external["verdict"] == embedded["verdict"] == "sat"
         assert external["violations"] == 0
+
+
+def _parse(argv: list[str]):
+    """The options ``main`` runs ``argv`` with: flags over the config file's fields."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        _apply_config(commands[args.command], args)
+        args = parser.parse_args(argv)
+    return args
+
+
+def _flag_text(action) -> str:
+    """A text for a valued option's flag that its type takes and its default is not:
+    the text of a JSON number wherever the option takes one, even as a string."""
+    if action.choices is not None:
+        return list(action.choices)[-1]
+    if action.dest == "dma_cap":
+        return "1=2"
+    return "0.25" if action.type not in (int, None) else "5"
+
+
+#: Every option of every subcommand that a config field can set, by subcommand name.
+OPTIONS = [
+    (name, action)
+    for name, sub in _build_parser()[1].items()
+    for action in sub._actions
+    if action.option_strings and action.dest not in ("help", "config")
+]
+
+
+class TestConfigRule:
+    """A config field parses exactly as its flag: true/false for an on/off
+    option, a list for a repeatable one, else one string or number read as
+    the flag's text. Anything else is refused, naming file and field, before
+    any work starts."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": None}, "field 'seed': value must be a string or a number, got None"),
+        ({"use_domain": "false"}, "field 'use_domain': value must be true or false, got 'false'"),
+        ({"use_domain": None}, "field 'use_domain': value must be true or false, got None"),
+        ({"target": 12.9}, "field 'target': invalid int value: '12.9'"),
+        ({"seed": True}, "field 'seed': value must be a string or a number, got True"),
+        ({"timeout_secs": True},
+         "field 'timeout_secs': value must be a string or a number, got True"),
+        ({"repack_all": "no"}, "field 'repack_all': value must be true or false, got 'no'"),
+        ({"dma_cap": "1=2"}, "field 'dma_cap': value must be a list, got '1=2'"),
+        ({"dma_cap": None}, "field 'dma_cap': value must be a list, got None"),
+        ({"timeout_secs": None},
+         "field 'timeout_secs': value must be a string or a number, got None"),
+        ({"dma_cap": ["1=2", None]}, "field 'dma_cap': value must be a string or a number, got None"),
+        ({"instance": {"path": "x"}},
+         "field 'instance': value must be a string or a number, got {'path': 'x'}"),
+        ({"seed": "1.5"}, "field 'seed': invalid int value: '1.5'"),
+        ({"timeout_secs": "inf"}, "field 'timeout_secs': not a finite number: 'inf'"),
+    ], ids=[
+        "null-seed", "string-switch", "null-switch", "float-int", "bool-seed", "bool-float",
+        "string-repack-all", "scalar-dma-cap", "null-dma-cap", "null-budget", "null-dma-cap-item",
+        "object-instance", "string-float-int", "string-inf",
+    ])
+    def test_refused_naming_file_and_field(
+        self, instance_dir, fields, message, tmp_path, capsys
+    ):
+        config, out = tmp_path / "c.json", tmp_path / "a.json"
+        config.write_text(json.dumps(fields))
+        argv = ["solve", "--instance", str(instance_dir), "--target", "12", "--repack-all",
+                "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "CliError", "message": f"{config}: {message}",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, action", OPTIONS,
+                             ids=[f"{n}{a.option_strings[-1]}" for n, a in OPTIONS])
+    def test_field_parses_as_flag(self, name, action, tmp_path):
+        config = tmp_path / "c.json"
+        if action.nargs == 0:  # an on/off option: the field holds the value its flag sets
+            flags, fields = [action.option_strings[-1]], [action.const]
+        else:
+            text = _flag_text(action)
+            flags = [action.option_strings[-1], text]
+            fields = [text]
+            try:
+                fields.append(json.loads(text))  # a number's text, also as a JSON number
+            except json.JSONDecodeError:
+                pass
+            if action.dest == "dma_cap":
+                fields = [[text]]
+        from_flag = _parse([name, *flags])
+        if action.nargs != 0:  # a valued flag that leaves its default would show nothing
+            assert getattr(from_flag, action.dest) != getattr(_parse([name]), action.dest)
+        for value in fields:
+            config.write_text(json.dumps({action.dest: value}))
+            from_field = _parse([name, "--config", str(config)])
+            assert {**vars(from_field), "config": None} == vars(from_flag), value
+            assert _digest(from_field) == _digest(from_flag)
+
+    def test_dma_cap_list_is_repeated_flags(self, instance_dir, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"dma_cap": ["1=2", "2=1"]}))
+        base = ("solve", "--instance", str(instance_dir), "--target", "12", "--seed", "1")
+        flags = run_cli(capsys, *base, "--dma-cap", "1=2", "--dma-cap", "2=1")
+        assert run_cli(capsys, *base, "--config", str(config)) == flags
+        assert flags["config_digest"] != run_cli(capsys, *base)["config_digest"]
+
+    def test_use_domain_false_is_no_domain_and_a_flag_wins(self, instance_dir, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"use_domain": False}))
+        base = ("solve", "--instance", str(instance_dir), "--target", "12", "--seed", "1")
+        no_domain = run_cli(capsys, *base, "--no-domain")
+        assert run_cli(capsys, *base, "--config", str(config)) == no_domain
+        use_domain = run_cli(capsys, *base, "--config", str(config), "--use-domain")
+        assert use_domain == run_cli(capsys, *base)
+        assert use_domain["config_digest"] != no_domain["config_digest"]
 
 
 class TestProblemFlags:
@@ -1161,7 +1285,7 @@ class TestFiniteFloats:
                 "--out", str(out)]
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["error"] == {
-            "type": "CliError", "message": f"{config}: field 'gamma': not a finite number: nan",
+            "type": "CliError", "message": f"{config}: field 'gamma': not a finite number: 'nan'",
         }
         assert not out.exists()
 
