@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import analytics, montecarlo
 from .cliques import CliqueCatalog, enumerate_cliques_greedy
@@ -106,7 +106,7 @@ def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> Non
 def _option_value(sub: argparse.ArgumentParser, action: argparse.Action, value: Any) -> Any:
     """The text of a JSON string or number through the option's type and choices."""
     if type(value) not in (str, int, float):
-        raise ValueError(f"value must be a string or a number, got {value!r}")
+        raise ValueError(f"value must be a string or a number, got {json.dumps(value)}")
     value = sub._get_value(action, str(value))  # argparse's own conversion and message
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"invalid choice {value!r}"
@@ -124,6 +124,14 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+def _comma_list(item: Callable[[str], Any]) -> Callable[[str], list]:
+    """The type of a comma-separated list option: each non-empty item read by ``item``."""
+    def parse(text: str) -> list:
+        return [item(x) for x in text.split(",") if x]
+    parse.__name__ = f"comma-separated {item.__name__}"  # argparse's "invalid <name> value"
+    return parse
 
 
 def _check_required(args: argparse.Namespace) -> None:
@@ -223,7 +231,7 @@ def _cmd_gen(args: argparse.Namespace, digest: str) -> None:
         affiliate_fraction=args.affiliate_fraction,
         planted_clique=args.clique_size,
         planted_clique_dma=args.clique_dma,
-        forbidden_channels=[int(c) for c in args.forbidden.split(",") if c],
+        forbidden_channels=args.forbidden,
         first_channel=args.first_channel,
         seed=args.seed,
     )
@@ -377,7 +385,7 @@ def _cmd_cliques(args: argparse.Namespace, digest: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace, digest: str) -> None:
-    alphas = [float(a) for a in args.alphas.split(",") if a] if args.alphas else []
+    alphas = args.alphas or []
     if alphas and args.alpha is not None:
         raise CliError("--alpha cannot be combined with --alphas, which sets every rate")
     names = [f"trials-alpha-{alpha:g}.jsonl" for alpha in alphas] or ["trials.jsonl"]
@@ -604,7 +612,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--affiliate-fraction", type=_finite_float, dest="affiliate_fraction", default=0.4)
     p.add_argument("--clique-size", type=int, dest="clique_size", default=0)
     p.add_argument("--clique-dma", type=int, dest="clique_dma")
-    p.add_argument("--forbidden", default="", help="comma-separated channel numbers")
+    p.add_argument("--forbidden", type=_comma_list(int), default=[],
+                   help="comma-separated channel numbers")
     p.add_argument("--first-channel", type=int, dest="first_channel", default=14)
     p.set_defaults(fn=_cmd_gen)
 
@@ -649,7 +658,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--backend", default=montecarlo.DEFAULT_BACKEND,
                    choices=(montecarlo.BACKEND_CLIQUE_THEN_SAT, montecarlo.BACKEND_CLIQUE_ONLY))
     p.add_argument("--catalog", help="clique catalog JSONL to reuse")
-    p.add_argument("--alphas", help="comma-separated grid for a shared-randomness sweep")
+    p.add_argument("--alphas", type=_comma_list(_finite_float),
+                   help="comma-separated grid for a shared-randomness sweep")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("cliques", parents=[base, seeded, source], help="build a clique catalog")

@@ -87,16 +87,13 @@ class CliqueCatalog:
         index = instance.station_index
 
         def meta(rec: dict) -> int:
-            min_size = json_field(rec.get("min_size", 2), int, "min_size")
+            min_size = json_field(rec["min_size"], int, "min_size")
             if min_size < 1:
                 raise ValueError(f"min_size must be at least 1, got {min_size}")
             return min_size
 
         def clique(min_size: int, rec: dict) -> frozenset[str]:
-            listed = rec["members"]
-            if type(listed) is not list or not all(type(sid) is str for sid in listed):
-                raise ValueError(f"members must be a list of strings, got {listed!r}")
-            members = frozenset(listed)
+            members = frozenset(json_field(rec["members"], list[str], "members"))
             unknown = members.difference(index)
             if unknown:
                 raise ValueError(f"unknown station {min(unknown)!r}")

@@ -363,9 +363,9 @@ class SampleSet:
                     use_domain_constraints=json_field(meta["use_domain"], bool, "use_domain"),
                     max_cleared_nationwide=json_field(meta["cap"], int, "cap", nullable=True),
                 ),
-                buffer=json_field(meta.get("buffer", 0), int, "buffer"),
-                b_star=json_field(meta.get("b_star"), int, "b_star", nullable=True),
-                requested=json_field(meta.get("requested"), int, "requested", nullable=True),
+                buffer=json_field(meta["buffer"], int, "buffer"),
+                b_star=json_field(meta["b_star"], int, "b_star", nullable=True),
+                requested=json_field(meta["requested"], int, "requested", nullable=True),
             )
 
         def sample(head: dict, rec: dict) -> Sample:
@@ -418,6 +418,7 @@ def sample_solutions(
         raise ValueError("count must be at least 1")
     if retry_factor < 1:
         raise ValueError("retry_factor must be at least 1")
+    parallel.check_workers(workers)
     b_star = _b_star(instance, target_mhz, use_domain, b_star, seed, time_budget, engine)
     cap = b_star + buffer
     problem = RepackProblem(

@@ -337,7 +337,8 @@ class ChannelAssignment:
         return {sid: self.channels[sid] for sid in sorted(self.channels)}
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, Optional[int]]) -> "ChannelAssignment":
+    def from_json_dict(cls, data: dict[str, Optional[int]]) -> "ChannelAssignment":
+        data = json_field(data, dict, "assignment")
         return cls(channels={k: json_field(v, int, f"channel of {k}", nullable=True) for k, v in data.items()})
 
 

@@ -38,7 +38,7 @@ from .instance import (
     InterferenceConstraint,
     Station,
 )
-from .util import canonical_json, sha256_hex
+from .util import canonical_json, json_field, sha256_hex
 
 STATIONS_FILE = "stations.csv"
 INTERFERENCE_FILE = "interference.csv"
@@ -115,19 +115,12 @@ def _load_universe(path: Path) -> ChannelUniverse:
         raise InstanceError(f"{path.name}: not JSON: {exc}") from None
     if not isinstance(data, dict) or "channels" not in data:
         raise InstanceError(f"{path.name}: expected an object with a 'channels' list")
-
-    def channels(key: str) -> tuple[int, ...]:
-        values = data.get(key, [])
-        if not isinstance(values, list) or any(type(v) is not int for v in values):
-            raise InstanceError(
-                f"{path.name}: {key!r} must be a list of integers, got {values!r}"
-            )
-        return tuple(values)
-
-    chans, forbidden = channels("channels"), channels("forbidden")
     try:
-        return ChannelUniverse(channels=chans, forbidden=frozenset(forbidden))
-    except InstanceError as exc:
+        return ChannelUniverse(
+            channels=tuple(json_field(data["channels"], list[int], "'channels'")),
+            forbidden=frozenset(json_field(data.get("forbidden", []), list[int], "'forbidden'")),
+        )
+    except ValueError as exc:
         raise InstanceError(f"{path.name}: {exc}") from None
 
 

@@ -24,7 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cliques import CliqueCatalog, blocking_check, default_catalog
 from .driver import DEFAULT_TIME_BUDGET, check_feasibility
@@ -181,18 +181,12 @@ class SuccessEstimate:
         save_artifact(path, "trial-set", instance, meta, records, config_digest)
 
 
-def _known(value: str, allowed: Collection[str], what: str) -> str:
-    if value not in allowed:
-        raise ValueError(f"unknown {what} {value!r}; expected one of {tuple(allowed)}")
-    return value
-
-
 def _meta_fields(meta: dict) -> dict:
     return {
         "model": ModelSpec.from_dict(meta["model"]),
         "target_mhz": json_field(meta["target_mhz"], int, "target_mhz"),
         "use_domain": json_field(meta["use_domain"], bool, "use_domain"),
-        "backend": _known(meta["backend"], BACKENDS, "backend"),
+        "backend": json_field(meta["backend"], str, "backend", one_of=BACKENDS),
     }
 
 
@@ -201,9 +195,9 @@ def _trial_from(_meta: dict, rec: dict) -> TrialReport:
         index=json_field(rec["index"], int, "index"),
         seed=json_field(rec["seed"], int, "seed"),
         draw_digest=json_field(rec["draw_digest"], str, "draw_digest"),
-        verdict=_known(rec["verdict"], _TRIAL_VERDICT.values(), "verdict"),
-        z=json_field(rec.get("z"), int, "z", nullable=True),
-        blocking_cliques=json_field(rec.get("blocking_cliques"), int, "blocking_cliques", nullable=True),
+        verdict=json_field(rec["verdict"], str, "verdict", one_of=_TRIAL_VERDICT.values()),
+        z=json_field(rec["z"], int, "z", nullable=True),
+        blocking_cliques=json_field(rec["blocking_cliques"], int, "blocking_cliques", nullable=True),
     )
 
 
@@ -256,7 +250,7 @@ _EMPTY_CATALOG = CliqueCatalog(())
 
 
 def _need_catalog(backend: str, catalog: Optional[CliqueCatalog], instance: Instance, seed: int):
-    if _known(backend, BACKENDS, "backend") == BACKEND_SAT:
+    if json_field(backend, str, "backend", one_of=BACKENDS) == BACKEND_SAT:
         return _EMPTY_CATALOG
     return default_catalog(instance, seed) if catalog is None else catalog
 
@@ -286,6 +280,7 @@ def estimate_success(
         raise ValueError("trials must be at least 1")
     # Before any trial: a clique-blocked draw never reaches the solver's check.
     _check_time_budget(time_budget)
+    parallel.check_workers(workers)
     catalog = _need_catalog(backend, catalog, instance, seed)
     # Reserved channels inside the retained band cannot hold a station.
     channel_count = len(derive_available_channels(target_mhz, instance.universe).assignable)
@@ -335,6 +330,7 @@ def shared_randomness_sweep(
         raise ValueError("alphas must be non-empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
+    parallel.check_workers(workers)
     catalog = _need_catalog(backend, catalog, instance, seed)
     return [
         estimate_success(

@@ -88,6 +88,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
+def check_workers(workers: int) -> None:
+    """Raise ``ValueError`` when ``workers`` is below 1; callers check it before any work."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def run_tasks(
     fn: Callable[[Any, T], R], tasks: Sequence[T], workers: int = 1, context: Any = None
 ) -> list[R]:
@@ -100,8 +106,7 @@ def run_tasks(
     discarded. Raises ``ValueError`` when ``workers`` is below 1.
     """
     global _pool, _pool_size, _pool_key
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_workers(workers)
     tasks = list(tasks)
     size = min(workers, len(tasks))
     members = context if type(context) is tuple else (context,)

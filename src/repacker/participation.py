@@ -109,11 +109,12 @@ class ModelSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "ModelSpec":
+    def from_dict(cls, data: dict) -> "ModelSpec":
         """The model :meth:`to_dict` wrote. Each parameter must be a number
         (an int or a float, never a bool); all but ``top_prob`` may be null."""
+        data = json_field(data, dict, "model")
         return cls(
-            kind=ModelKind(data["kind"]),
+            kind=ModelKind(json_field(data["kind"], str, "kind", one_of=tuple(ModelKind))),
             alpha=json_field(data.get("alpha"), float, "alpha", nullable=True),
             top_prob=json_field(data.get("top_prob", DEFAULT_TOP_PROB), float, "top_prob"),
             beta=json_field(data.get("beta"), float, "beta", nullable=True),

@@ -93,7 +93,7 @@ class SolveStats:
     def from_json_dict(cls, record: dict) -> "SolveStats":
         """Read a record of :meth:`to_json_dict`: exactly its fields, each an integer."""
         names = cls().to_json_dict().keys()
-        if record.keys() != names:
+        if json_field(record, dict, "stats").keys() != names:
             raise ValueError(f"stats fields must be {sorted(names)}, got {sorted(record)}")
         return cls(**{name: json_field(record[name], int, name) for name in names})
 

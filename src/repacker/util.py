@@ -7,7 +7,7 @@ import hashlib
 import json
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Collection, Iterator
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -30,17 +30,26 @@ def sha256_hex(text: str) -> str:
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               list: "a list"}
+               list: "a list", dict: "an object", list[int]: "a list of integers",
+               list[str]: "a list of strings"}
 
 
-def json_field(value: Any, kind: type, what: str, nullable: bool = False) -> Any:
+def json_field(
+    value: Any, kind: Any, what: str, nullable: bool = False, one_of: Collection = ()
+) -> Any:
     """``value`` if its type is exactly ``kind`` (so a bool is no integer), an
-    int where ``kind`` is ``float``, or ``None`` where ``nullable``; anything
-    else raises ``ValueError`` naming ``what``."""
-    if type(value) is kind or (kind is float and type(value) is int) or (nullable and value is None):
+    int where ``kind`` is ``float``, a list of exactly ``T`` items where it is
+    ``list[T]``, or ``None`` where ``nullable``; with ``one_of``, only its values.
+    Anything else raises ``ValueError`` naming ``what`` and the value as JSON spells it."""
+    item = getattr(kind, "__args__", (None,))[0]  # T of a list[T] kind
+    if (nullable and value is None) or (
+        (type(value) is getattr(kind, "__origin__", kind) or (kind is float and type(value) is int))
+        and (item is None or all(type(x) is item for x in value)) and (not one_of or value in one_of)
+    ):
         return value
+    expected = f"one of {json.dumps(list(one_of))}" if one_of else _JSON_KINDS[kind]
     null = " or null" if nullable else ""
-    raise ValueError(f"{what} must be {_JSON_KINDS[kind]}{null}, got {value!r}")
+    raise ValueError(f"{what} must be {expected}{null}, got {json.dumps(value, default=repr)}")
 
 
 @contextmanager

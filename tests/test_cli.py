@@ -634,12 +634,13 @@ class TestMalformedArtifacts:
         ("trials", lambda r: r.append({"type": "trial", "seed": 1}), 5,
          "missing field 'index'"),
         ("trials", lambda r: r[2].update(verdict="banana"), 3,
-         "unknown verdict 'banana'; expected one of ('feasible', 'infeasible', 'timeout')"),
+         'verdict must be one of ["feasible", "infeasible", "timeout"], got "banana"'),
         ("trials", lambda r: r[0].update(model={"kind": "nope", "alpha": 0.5}), 1,
-         "'nope' is not a valid ModelKind"),
+         'kind must be one of ["random-broadcasters", "random-affiliates", '
+         '"correlated-affiliates", "revenue"], got "nope"'),
         ("trials", lambda r: r[0].pop("model"), 1, "missing field 'model'"),
         ("trials", lambda r: r[0].update(backend="warp"), 1,
-         "unknown backend 'warp'; expected one of ('sat', 'clique-then-sat', 'clique-only')"),
+         'backend must be one of ["sat", "clique-then-sat", "clique-only"], got "warp"'),
         ("samples", lambda r: r[2].pop("assignment"), 3, "missing field 'assignment'"),
         ("samples", lambda r: r[1]["stats"].update(restarts_typo=1), 2,
          "stats fields must be ['conflicts', 'decisions', 'propagations'], "
@@ -649,45 +650,45 @@ class TestMalformedArtifacts:
         ("samples", lambda r: r[2]["assignment"].pop("s0005"), 3,
          "assignment does not cover the instance: unknown=[] missing=['s0005']"),
         ("samples", lambda r: r[3].update(assignment=["s0000"]), 4,
-         "'list' object has no attribute 'items'"),
+         'assignment must be an object, got ["s0000"]'),
         ("catalog", lambda r: r.append({"type": "clique"}), None, "missing field 'members'"),
         ("catalog", lambda r: r.append({"type": "clique", "members": ["KZZZ"]}), None,
          "unknown station 'KZZZ'"),
         ("trials", lambda r: r[1].update(index=1.9), 2, "index must be an integer, got 1.9"),
-        ("trials", lambda r: r[2].update(seed=True), 3, "seed must be an integer, got True"),
-        ("trials", lambda r: r[1].update(z="x"), 2, "z must be an integer or null, got 'x'"),
+        ("trials", lambda r: r[2].update(seed=True), 3, "seed must be an integer, got true"),
+        ("trials", lambda r: r[1].update(z="x"), 2, 'z must be an integer or null, got "x"'),
         ("trials", lambda r: r[3].update(blocking_cliques=2.0), 4,
          "blocking_cliques must be an integer or null, got 2.0"),
         ("trials", lambda r: r[1].update(draw_digest=7), 2, "draw_digest must be a string, got 7"),
         ("trials", lambda r: r[0].update(target_mhz="12"), 1,
-         "target_mhz must be an integer, got '12'"),
+         'target_mhz must be an integer, got "12"'),
         ("samples", lambda r: r[1]["assignment"].update(s0000=15.7), 2,
          "channel of s0000 must be an integer or null, got 15.7"),
         ("samples", lambda r: r[2]["assignment"].update(s0001=True), 3,
-         "channel of s0001 must be an integer or null, got True"),
+         "channel of s0001 must be an integer or null, got true"),
         ("samples", lambda r: r[3]["assignment"].update(s0002="16"), 4,
-         "channel of s0002 must be an integer or null, got '16'"),
+         'channel of s0002 must be an integer or null, got "16"'),
         ("samples", lambda r: r[1].update(seed=4.0), 2, "seed must be an integer, got 4.0"),
         ("samples", lambda r: r[0].update(cap=2.5), 1, "cap must be an integer or null, got 2.5"),
         ("samples", lambda r: r[0].update(use_domain="no"), 1,
-         "use_domain must be true or false, got 'no'"),
+         'use_domain must be true or false, got "no"'),
         ("trials", lambda r: r[0].update(use_domain=1), 1, "use_domain must be true or false, got 1"),
         ("catalog", lambda r: r[0].update(min_size=2.9), 1, "min_size must be an integer, got 2.9"),
-        ("catalog", lambda r: r[0].update(min_size=True), 1, "min_size must be an integer, got True"),
-        ("catalog", lambda r: r[0].update(min_size="3"), 1, "min_size must be an integer, got '3'"),
+        ("catalog", lambda r: r[0].update(min_size=True), 1, "min_size must be an integer, got true"),
+        ("catalog", lambda r: r[0].update(min_size="3"), 1, 'min_size must be an integer, got "3"'),
         ("catalog", lambda r: r[0].update(min_size=0), 1, "min_size must be at least 1, got 0"),
         ("catalog", lambda r: r.append({"type": "clique", "members": "s0003"}), None,
-         "members must be a list of strings, got 's0003'"),
+         'members must be a list of strings, got "s0003"'),
         ("catalog", lambda r: r.append({"type": "clique", "members": ["s0003", 4]}), None,
-         "members must be a list of strings, got ['s0003', 4]"),
+         'members must be a list of strings, got ["s0003", 4]'),
         ("catalog", lambda r: r.append({"type": "clique", "members": ["s0003"]}), None,
          "a clique of 1 is below min_size 2"),
         ("samples", lambda r: r[1]["stats"].update(decisions="many"), 2,
-         "decisions must be an integer, got 'many'"),
+         'decisions must be an integer, got "many"'),
         ("samples", lambda r: r[2]["stats"].update(conflicts=2.5), 3,
          "conflicts must be an integer, got 2.5"),
         ("samples", lambda r: r[3]["stats"].update(propagations=True), 4,
-         "propagations must be an integer, got True"),
+         "propagations must be an integer, got true"),
         ("samples", lambda r: r[2]["stats"].update(wall_time=0.5), 3,
          "stats fields must be ['conflicts', 'decisions', 'propagations'], "
          "got ['conflicts', 'decisions', 'propagations', 'wall_time']"),
@@ -695,16 +696,16 @@ class TestMalformedArtifacts:
          "stats fields must be ['conflicts', 'decisions', 'propagations'], "
          "got ['decisions', 'propagations']"),
         ("trials", lambda r: r[0]["model"].update(alpha=True), 1,
-         "alpha must be a number or null, got True"),
+         "alpha must be a number or null, got true"),
         ("trials", lambda r: r[0]["model"].update(alpha="x"), 1,
-         "alpha must be a number or null, got 'x'"),
+         'alpha must be a number or null, got "x"'),
         ("trials", lambda r: r[0].update(model={"kind": "correlated-affiliates", "alpha": 0.5,
                                                 "top_prob": "0.9"}), 1,
-         "top_prob must be a number, got '0.9'"),
+         'top_prob must be a number, got "0.9"'),
         ("trials", lambda r: r[0].update(model={"kind": "revenue", "beta": [0.5], "gamma": 1}), 1,
          "beta must be a number or null, got [0.5]"),
         ("trials", lambda r: r[0].update(model={"kind": "revenue", "beta": 0.5, "gamma": False}), 1,
-         "gamma must be a number or null, got False"),
+         "gamma must be a number or null, got false"),
         ("catalog", lambda r: r.append(dict(r[1])), None, "repeats the clique of line 2"),
         ("catalog", lambda r: r.append({**r[1], "members": r[1]["members"][::-1]}), None,
          "repeats the clique of line 2"),
@@ -712,6 +713,16 @@ class TestMalformedArtifacts:
         ("trials", lambda r: r.append({**r[1], "seed": r[1]["seed"] + 1}), None,
          "repeats the trial of line 2"),
         ("samples", lambda r: r.append(dict(r[1])), None, "repeats the sample of line 2"),
+        ("trials", lambda r: [(t.pop("z"), t.pop("blocking_cliques")) for t in r[1:]], 2,
+         "missing field 'z'"),
+        ("trials", lambda r: r[3].pop("blocking_cliques"), 4, "missing field 'blocking_cliques'"),
+        ("samples", lambda r: r[0].pop("buffer"), 1, "missing field 'buffer'"),
+        ("samples", lambda r: r[0].pop("b_star"), 1, "missing field 'b_star'"),
+        ("samples", lambda r: r[0].pop("requested"), 1, "missing field 'requested'"),
+        ("catalog", lambda r: r[0].pop("min_size"), 1, "missing field 'min_size'"),
+        ("trials", lambda r: r[0].update(model=["random-broadcasters", 0.5]), 1,
+         'model must be an object, got ["random-broadcasters", 0.5]'),
+        ("samples", lambda r: r[2].update(stats=[0, 0, 0]), 3, "stats must be an object, got [0, 0, 0]"),
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
@@ -729,7 +740,10 @@ class TestMalformedArtifacts:
         "trial-set-bool-alpha", "trial-set-string-alpha",
         "trial-set-string-top-prob", "trial-set-list-beta", "trial-set-bool-gamma",
         "catalog-repeated-clique", "catalog-repeated-clique-reordered", "trial-repeated",
-        "trial-repeated-index", "sample-repeated",
+        "trial-repeated-index", "sample-repeated", "trial-set-without-z-and-cliques",
+        "trial-missing-cliques", "sample-set-missing-buffer", "sample-set-missing-b-star",
+        "sample-set-missing-requested", "catalog-missing-min-size", "trial-set-model-not-an-object",
+        "sample-stats-not-an-object",
     ])
     def test_reported_with_its_line(
         self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys
@@ -916,6 +930,8 @@ def _flag_text(action) -> str:
         return list(action.choices)[-1]
     if action.dest == "dma_cap":
         return "1=2"
+    if action.dest == "forbidden":  # a comma-separated list of channel numbers
+        return "5"
     return "0.25" if action.type not in (int, None) else "5"
 
 
@@ -935,21 +951,21 @@ class TestConfigRule:
     any work starts."""
 
     @pytest.mark.parametrize("fields, message", [
-        ({"seed": None}, "field 'seed': value must be a string or a number, got None"),
-        ({"use_domain": "false"}, "field 'use_domain': value must be true or false, got 'false'"),
-        ({"use_domain": None}, "field 'use_domain': value must be true or false, got None"),
+        ({"seed": None}, "field 'seed': value must be a string or a number, got null"),
+        ({"use_domain": "false"}, "field 'use_domain': value must be true or false, got \"false\""),
+        ({"use_domain": None}, "field 'use_domain': value must be true or false, got null"),
         ({"target": 12.9}, "field 'target': invalid int value: '12.9'"),
-        ({"seed": True}, "field 'seed': value must be a string or a number, got True"),
+        ({"seed": True}, "field 'seed': value must be a string or a number, got true"),
         ({"timeout_secs": True},
-         "field 'timeout_secs': value must be a string or a number, got True"),
-        ({"repack_all": "no"}, "field 'repack_all': value must be true or false, got 'no'"),
-        ({"dma_cap": "1=2"}, "field 'dma_cap': value must be a list, got '1=2'"),
-        ({"dma_cap": None}, "field 'dma_cap': value must be a list, got None"),
+         "field 'timeout_secs': value must be a string or a number, got true"),
+        ({"repack_all": "no"}, "field 'repack_all': value must be true or false, got \"no\""),
+        ({"dma_cap": "1=2"}, "field 'dma_cap': value must be a list, got \"1=2\""),
+        ({"dma_cap": None}, "field 'dma_cap': value must be a list, got null"),
         ({"timeout_secs": None},
-         "field 'timeout_secs': value must be a string or a number, got None"),
-        ({"dma_cap": ["1=2", None]}, "field 'dma_cap': value must be a string or a number, got None"),
+         "field 'timeout_secs': value must be a string or a number, got null"),
+        ({"dma_cap": ["1=2", None]}, "field 'dma_cap': value must be a string or a number, got null"),
         ({"instance": {"path": "x"}},
-         "field 'instance': value must be a string or a number, got {'path': 'x'}"),
+         "field 'instance': value must be a string or a number, got {\"path\": \"x\"}"),
         ({"seed": "1.5"}, "field 'seed': invalid int value: '1.5'"),
         ({"timeout_secs": "inf"}, "field 'timeout_secs': not a finite number: 'inf'"),
     ], ids=[
@@ -994,6 +1010,24 @@ class TestConfigRule:
             from_field = _parse([name, "--config", str(config)])
             assert {**vars(from_field), "config": None} == vars(from_flag), value
             assert _digest(from_field) == _digest(from_flag)
+
+    @pytest.mark.parametrize("command, dest, text, message", [
+        ("gen", "forbidden", "14,x", "invalid comma-separated int value: '14,x'"),
+        ("simulate", "alphas", "0.2,x", "not a finite number: 'x'"),
+    ], ids=["forbidden", "alphas"])
+    def test_list_item_refused_naming_the_option(
+        self, command, dest, text, message, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{dest}={text}"])
+        assert exc.value.code == 2
+        assert f"argument --{dest}: {message}" in capsys.readouterr().err
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({dest: text}))
+        assert main([command, "--config", str(config)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "CliError", "message": f"{config}: field {dest!r}: {message}",
+        }
 
     def test_dma_cap_list_is_repeated_flags(self, instance_dir, tmp_path, capsys):
         config = tmp_path / "c.json"

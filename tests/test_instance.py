@@ -383,7 +383,7 @@ class TestSerialization:
     @pytest.mark.parametrize("universe, message", [
         ('{"channel": [14, 15]}', "universe.json: expected an object with a 'channels' list"),
         ('{"channels": [14, "x"]}',
-         "universe.json: 'channels' must be a list of integers, got [14, 'x']"),
+         "universe.json: 'channels' must be a list of integers, got [14, \"x\"]"),
         ('{"channels": [14, 15], "forbidden": [15.5]}',
          "universe.json: 'forbidden' must be a list of integers, got [15.5]"),
         ('{"channels": 14}', "universe.json: 'channels' must be a list of integers, got 14"),

@@ -9,7 +9,9 @@ import time
 
 import pytest
 
-from repacker import parallel
+from repacker import driver, montecarlo, parallel
+from repacker.participation import ModelSpec
+from repacker.synthetic import generate_synthetic
 
 WAIT_S = 120.0
 
@@ -82,6 +84,27 @@ def test_pool_never_outnumbers_tasks(monkeypatch):
 def test_rejects_fewer_than_one_worker(workers, tasks):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
         parallel.run_tasks(offset_square, tasks, workers, context=CountingContext(0))
+
+
+@pytest.mark.parametrize("caller", ["sample_solutions", "estimate_success",
+                                    "shared_randomness_sweep"])
+def test_callers_refuse_fewer_than_one_worker_before_any_work(caller, monkeypatch):
+    # Neither a minimum probe nor a clique catalog build runs before the refusal.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(driver, "check_feasibility", no_work)
+    monkeypatch.setattr(montecarlo, "default_catalog", no_work)
+    inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+    model = ModelSpec.random_broadcasters(0.5)
+    calls = {
+        "sample_solutions": lambda: driver.sample_solutions(inst, 12, count=2, workers=0),
+        "estimate_success": lambda: montecarlo.estimate_success(model, inst, 12, workers=0),
+        "shared_randomness_sweep": lambda: montecarlo.shared_randomness_sweep(
+            model, [0.2, 0.4], inst, 12, workers=0),
+    }
+    with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
+        calls[caller]()
 
 
 def worker_pid(context, task: int) -> int:
