@@ -82,7 +82,12 @@ def _apply_config(sub: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     repeatable one, else a string or number that is read as the flag's text.
     """
     with open(args.config, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(
+                f"{args.config}: not JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            ) from None
     if not isinstance(data, dict):
         raise CliError(f"{args.config}: config must be a JSON object")
     known = vars(args).keys() - {"command", "config", "fn"}

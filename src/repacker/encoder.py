@@ -5,7 +5,8 @@ retained channel. Reserved channels stay in the layout (the channel count is
 defined over the retained slice) and are blocked for every station by unit
 clauses. Cardinality caps use the sequential-counter encoding, and the
 DMA-count cap introduces one indicator variable per DMA that is true exactly
-when some station of that DMA is cleared.
+when some station of that DMA is cleared. A formula keeps each cap as a
+record and generates its clauses on each read.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from itertools import chain, combinations, compress, repeat
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
 
@@ -44,6 +45,13 @@ class VarPool:
         self._next += 1
         self.neg.append(-v)
         return v
+
+    def block(self, count: int) -> range:
+        """``count`` fresh consecutive indices."""
+        start = self._next
+        self._next += count
+        self.neg.extend(range(-start, -self._next, -1))
+        return range(start, self._next)
 
     @property
     def count(self) -> int:
@@ -135,35 +143,37 @@ class _EncodedFormula(CnfFormula):
     """A formula :func:`encode` built on a :class:`_Base` whose stations have
     channels to take.
 
-    It holds only its own clauses: ``firsts``, each station's at-least-one
-    clause after the must-repack replacement (one for one), and ``tail``,
-    the clauses of its caps. ``clauses``, the whole formula in base order,
-    is built from :func:`_base_clauses` on first read and kept on this
-    formula only; the solver and the model check never read it.
+    It holds ``firsts``, each station's at-least-one clause after the
+    must-repack replacement (one for one), and ``caps``, the records its cap
+    clauses are generated from (:func:`_cap_clauses`), with ``neg`` the
+    pool's table of negative literals. No clause outside the base is stored:
+    ``clauses``, the whole formula in base order, and :meth:`folded` generate
+    the cap clauses on each read.
     """
 
     firsts: tuple[tuple[int, ...], ...]
-    tail: tuple[tuple[int, ...], ...]
+    caps: tuple[_Cap, ...]
+    neg: list[int]
 
-    @cached_property
+    @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:  # type: ignore[override]
         base = self.base
         return tuple(chain(
             _base_clauses(base.instance, base.plan, base.use_domain, base.neg, self.firsts),
-            self.tail,
+            _cap_clauses(self.caps, self.neg),
         ))
 
     @property
     def clause_count(self) -> int:
-        return self.base.clause_count + len(self.tail)
+        return self.base.clause_count + sum(cap.clause_count for cap in self.caps)
 
     def folded(self) -> tuple[Sequence[tuple[int, ...]], Iterable[tuple[int, ...]]]:
         """The base's implication table, then this formula's at-least-one
-        clauses, the base's units and the tail. In a fold of all of
+        clauses, the base's units and the cap clauses. In a fold of all of
         :attr:`clauses`, a negative station literal's watch list holds its
-        table entries first, then what the tail adds."""
+        table entries first, then what the caps add."""
         base = self.base
-        return base.table, chain(self.firsts, base.units, self.tail)
+        return base.table, chain(self.firsts, base.units, _cap_clauses(self.caps, self.neg))
 
 
 def _check_clauses(clauses: Sequence[Sequence[int]], var_count: int) -> None:
@@ -182,46 +192,108 @@ def _check_clauses(clauses: Sequence[Sequence[int]], var_count: int) -> None:
                 raise EncodingError(f"literal {lit} outside 1..{var_count}")
 
 
+class _Cap(NamedTuple):
+    """A cardinality cap, kept as what its clauses are generated from.
+
+    At most ``k`` of ``counted`` are true, through a sequential counter whose
+    :attr:`registers` variables start at ``first``. With ``groups``, each
+    counted variable is an indicator, and the clauses making it true exactly
+    when a variable of its group is come before the counter's.
+    """
+
+    counted: tuple[int, ...]
+    k: int
+    first: int
+    groups: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def registers(self) -> int:
+        n = len(self.counted)
+        return (n - 1) * self.k if self.k < n else 0
+
+    @property
+    def clause_count(self) -> int:
+        n, k = len(self.counted), self.k
+        counter = 0 if k >= n else n if k == 0 else 2 * k * n - 3 * k + n - 1
+        return counter + sum(len(group) + 1 for group in self.groups)
+
+
+def _cap_runs(caps: Iterable[_Cap], neg: Sequence[int]) -> Iterator[Iterable[tuple[int, ...]]]:
+    """The clauses of ``caps`` in encoding order, as runs of clauses.
+
+    The counter is Sinz's sequential counter (CP 2005): register s[i][j],
+    variable ``first + i*k + j``, means "at least j+1 of the first i+1
+    counted variables are true". ``neg[v]`` is ``-v``; each counter row's
+    positive registers are one list, so within a read every literal value is
+    one int object. A row's clauses are C-level zips over slices of those
+    tables."""
+    for counted, k, first, groups in caps:
+        for group, y in zip(groups, counted):
+            yield zip(map(neg.__getitem__, group), repeat(y))
+            yield ((*group, neg[y]),)
+        n = len(counted)
+        if k >= n:
+            continue
+        nx = [neg[v] for v in counted]
+        if k == 0:
+            yield zip(nx)
+            continue
+        negs = neg[first:first + (n - 1) * k]
+        yield ((nx[0], first),)
+        yield zip(negs[1:k])
+        for i in range(1, n - 1):
+            x, prev = nx[i], negs[(i - 1) * k:i * k]
+            row = list(range(first + i * k, first + (i + 1) * k))
+            rest = row[1:]
+            yield ((x, row[0]), (prev[0], row[0]))
+            yield chain.from_iterable(zip(zip(repeat(x), prev, rest), zip(prev[1:], rest)))
+            yield ((x, prev[-1]),)
+        yield ((nx[-1], negs[-1]),)
+
+
+def _cap_clauses(caps: Iterable[_Cap], neg: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The clauses of ``caps`` in encoding order (see :func:`_cap_runs`)."""
+    return chain.from_iterable(_cap_runs(caps, neg))
+
+
+class _Negated:
+    """``-v`` for any index ``v``, and the list of them for a slice: the table
+    :func:`_check_caps` generates a faulty record's clauses with."""
+
+    def __getitem__(self, key):
+        return [-v for v in range(key.start, key.stop)] if type(key) is slice else -key
+
+
+def _check_caps(caps: Iterable[_Cap], var_count: int) -> None:
+    """Raise what :func:`_check_clauses` raises on the caps' clauses,
+    checking only the variables of each record in the common case."""
+    for cap in caps:
+        counted, k, first, groups = cap
+        used = list(chain(*groups, counted if groups or k < len(counted) else ()))
+        if cap.registers:
+            used += (first, first + cap.registers - 1)
+        if used and (min(used) < 1 or max(used) > var_count):
+            _check_clauses(list(_cap_clauses((cap,), _Negated())), var_count)
+
+
 def at_most_true(
     variables: Sequence[int], k: int, pool: VarPool
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Clauses forcing at most ``k`` of ``variables`` to be true.
 
-    Sequential-counter encoding (Sinz 2005): register s[i][j] means "at least
-    j of the first i variables are true". Returns the clause list and the
-    fresh auxiliary variables it allocated. Projected onto ``variables``, the
-    satisfying assignments are exactly those with at most ``k`` true.
-    ``variables`` must lie below the pool's next index; negative literals
-    come from ``pool.neg``.
+    Sequential-counter encoding (Sinz 2005, see :func:`_cap_runs`). Returns
+    the clause list and the fresh auxiliary variables it allocated. Projected
+    onto ``variables``, the satisfying assignments are exactly those with at
+    most ``k`` true. ``variables`` must lie below the pool's next index;
+    negative literals come from ``pool.neg``.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if not variables:
         raise ValueError("variables must be non-empty")
-    n = len(variables)
-    if k >= n:
-        return [], []
-    neg = pool.neg
-    if k == 0:
-        return [(neg[v],) for v in variables], []
-
-    # s[i][j], 0-based: counter register for prefix i+1 and count j+1.
-    s = [[pool.fresh() for _ in range(k)] for _ in range(n - 1)]
-    aux = [v for row in s for v in row]
-    clauses: list[tuple[int, ...]] = []
-    clauses.append((neg[variables[0]], s[0][0]))
-    for j in range(1, k):
-        clauses.append((neg[s[0][j]],))
-    for i in range(1, n - 1):
-        nx, prev, row = neg[variables[i]], s[i - 1], s[i]
-        clauses.append((nx, row[0]))
-        clauses.append((neg[prev[0]], row[0]))
-        for j in range(1, k):
-            clauses.append((nx, neg[prev[j - 1]], row[j]))
-            clauses.append((neg[prev[j]], row[j]))
-        clauses.append((nx, neg[prev[k - 1]]))
-    clauses.append((neg[variables[n - 1]], neg[s[n - 2][k - 1]]))
-    return clauses, aux
+    cap = _Cap(tuple(variables), k, pool.count + 1)
+    aux = list(pool.block(cap.registers))
+    return list(_cap_clauses((cap,), pool.neg)), aux
 
 
 # The channel difference channel(a) - channel(b) that each interference kind
@@ -393,7 +465,7 @@ def encode(problem: RepackProblem) -> CnfFormula:
     Everything but the must-repack clauses and the caps is built once for the
     last (instance, channel plan, domain flag) encoded in this process, and
     read from there by each later call with the same three: the formula holds
-    only its at-least-one clauses and its caps' clauses.
+    only its at-least-one clauses and its caps' records.
     """
     inst = problem.instance
     base = _base_for(problem)
@@ -401,31 +473,29 @@ def encode(problem: RepackProblem) -> CnfFormula:
     cleared = [first[0] for first in base.firsts]
     index = inst.station_index
     pool = VarPool(start=len(base.neg), neg=list(base.neg))
-    neg = pool.neg
-    tail: list[tuple[int, ...]] = []
+    caps: list[_Cap] = []
 
-    # Cardinality caps.
+    def cap(counted: Sequence[int], k: int, groups: tuple[tuple[int, ...], ...] = ()) -> None:
+        record = _Cap(tuple(counted), k, pool.count + 1, groups)
+        pool.block(record.registers)
+        caps.append(record)
+
     if problem.max_cleared_nationwide is not None:
-        extra, _ = at_most_true(cleared, problem.max_cleared_nationwide, pool)
-        tail.extend(extra)
+        cap(cleared, problem.max_cleared_nationwide)
     for dma in sorted(problem.dma_caps):
         members = inst.dma_members.get(dma, ())
-        if not members:
-            continue
-        extra, _ = at_most_true([cleared[index[sid]] for sid in members], problem.dma_caps[dma], pool)
-        tail.extend(extra)
-
+        if members:
+            cap([cleared[index[sid]] for sid in members], problem.dma_caps[dma])
     dma_any_clearing: dict[int, int] = {}
     if problem.max_dmas_with_clearing is not None:
-        dma_any_clearing = {dma: pool.fresh() for dma in sorted(inst.dmas)}
-        for dma, y in dma_any_clearing.items():
-            members = [cleared[index[sid]] for sid in inst.dma_members.get(dma, ())]
-            tail.extend((neg[v], y) for v in members)
-            tail.append((*members, neg[y]))
-        extra, _ = at_most_true(list(dma_any_clearing.values()), problem.max_dmas_with_clearing, pool)
-        tail.extend(extra)
+        dmas = sorted(inst.dmas)
+        indicators = tuple(pool.block(len(dmas)))
+        dma_any_clearing = dict(zip(dmas, indicators))
+        groups = tuple(tuple(cleared[index[sid]] for sid in inst.dma_members.get(dma, ()))
+                       for dma in dmas)
+        cap(indicators, problem.max_dmas_with_clearing, groups)
 
-    _check_clauses(tail, pool.count)
+    _check_caps(caps, pool.count)
     vm = VarMap(inst.station_ids, base.plan.channels, pool.count, dma_any_clearing)
     firsts = list(base.firsts)
     # From the back, so a two-clause replacement leaves earlier positions put.
@@ -434,12 +504,12 @@ def encode(problem: RepackProblem) -> CnfFormula:
         for i in must:  # the cleared slot is ruled out
             firsts[i] = firsts[i][1:]
         return _EncodedFormula._prechecked(
-            pool.count, vm, base=base, firsts=tuple(firsts), tail=tuple(tail))
+            pool.count, vm, base=base, firsts=tuple(firsts), caps=tuple(caps), neg=pool.neg)
     # Without channels the base is its at-least-one clauses, each the unit
     # of a cleared literal, and a must-repack station's gains its negation.
     for i in must:
-        firsts.insert(i + 1, (neg[cleared[i]],))
-    return CnfFormula._prechecked(pool.count, vm, clauses=(*firsts, *tail))
+        firsts.insert(i + 1, (pool.neg[cleared[i]],))
+    return CnfFormula._prechecked(pool.count, vm, clauses=(*firsts, *_cap_clauses(caps, pool.neg)))
 
 
 def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:

@@ -330,6 +330,7 @@ def shared_randomness_sweep(
         raise ValueError("alphas must be non-empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
+    _check_time_budget(time_budget)
     parallel.check_workers(workers)
     catalog = _need_catalog(backend, catalog, instance, seed)
     return [

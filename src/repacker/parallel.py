@@ -19,11 +19,13 @@ request, and it is shut down at the latest when the interpreter exits.
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -87,6 +89,11 @@ def _forget_pool_in_child() -> None:
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
+# concurrent.futures is imported when the first pool starts, after this
+# module, so interpreter teardown clears it first; a pool still kept then
+# fails in its executor's finalizer. Shut it down before teardown.
+atexit.register(shutdown)
+
 
 def check_workers(workers: int) -> None:
     """Raise ``ValueError`` when ``workers`` is below 1; callers check it before any work."""
@@ -114,6 +121,9 @@ def run_tasks(
         if not _serves(fn, workers, members, size):
             _shutdown_pool()
             if size > 1:
+                # Imported here: it loads multiprocessing, which a serial run never needs.
+                from concurrent.futures import ProcessPoolExecutor
+
                 _pool = ProcessPoolExecutor(
                     max_workers=size, initializer=_init_worker, initargs=(fn, context)
                 )
@@ -122,6 +132,8 @@ def run_tasks(
             try:
                 return list(_pool.map(_call_in_worker, tasks))
             except BaseException as exc:
+                from concurrent.futures.process import BrokenProcessPool
+
                 # An exception fn raised leaves the pool intact.
                 if isinstance(exc, BrokenProcessPool) or not isinstance(exc, Exception):
                     _shutdown_pool()

@@ -44,11 +44,7 @@ import math
 import operator
 import os
 import random
-import shlex
-import signal
 import struct
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -596,6 +592,12 @@ class ExternalSolver:
         self, formula: CnfFormula, seed: int = 0, time_budget: float = DEFAULT_TIME_BUDGET
     ) -> SolveOutcome:
         _check_time_budget(time_budget)
+        # Imported here, so that importing the package does not load them.
+        import shlex
+        import signal
+        import subprocess
+        import tempfile
+
         start = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="repacker-cnf-") as tmp:
             cnf_path = os.path.join(tmp, "problem.cnf")

@@ -15,6 +15,9 @@ candidates by set intersection. ``reference_load_instance`` reads each CSV
 row through ``csv.DictReader`` and each enum cell through its enum class.
 ``reference_implications`` folds an encoder base's stored clauses into its
 implication table, units and at-least-one clauses, checking their layout.
+``reference_at_most_true`` builds a cap's sequential counter as the list of
+clause tuples that an encoded formula stored before it kept its caps as
+records.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Callable, Iterable, Optional
 from repacker import driver, montecarlo
 from repacker.cliques import CliqueCatalog, CliqueError
 from repacker.driver import FeasibilityResult, MinSearchResult, ProbeRecord, SearchError
+from repacker.encoder import VarPool
 from repacker.instance import (
     NETWORKS,
     US_UNIVERSE,
@@ -391,3 +395,34 @@ def reference_implications(
     if any(len(c) != 1 for c in clauses[len(clauses) - len(units):]):
         raise ValueError("a unit clause before the last binary")
     return tuple(map(tuple, lists)), tuple(units), tuple(firsts), len(clauses)
+
+
+def reference_at_most_true(
+    variables: list[int], k: int, pool: VarPool
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The clauses forcing at most ``k`` of ``variables`` true (Sinz's
+    sequential counter), built one register at a time from ``pool``, and the
+    registers allocated. Register s[i][j] means "at least j+1 of the first
+    i+1 variables are true"."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if not variables:
+        raise ValueError("variables must be non-empty")
+    n = len(variables)
+    if k >= n:
+        return [], []
+    if k == 0:
+        return [(-v,) for v in variables], []
+    s = [[pool.fresh() for _ in range(k)] for _ in range(n - 1)]
+    clauses: list[tuple[int, ...]] = [(-variables[0], s[0][0])]
+    clauses.extend((-s[0][j],) for j in range(1, k))
+    for i in range(1, n - 1):
+        x = variables[i]
+        clauses.append((-x, s[i][0]))
+        clauses.append((-s[i - 1][0], s[i][0]))
+        for j in range(1, k):
+            clauses.append((-x, -s[i - 1][j - 1], s[i][j]))
+            clauses.append((-s[i - 1][j], s[i][j]))
+        clauses.append((-x, -s[i - 1][k - 1]))
+    clauses.append((-variables[n - 1], -s[n - 2][k - 1]))
+    return clauses, [v for row in s for v in row]

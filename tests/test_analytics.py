@@ -154,8 +154,12 @@ class TestTwoSidedTPValue:
                     compared += 1
         assert compared > 10_000
 
-    # Nor the command-line layer or argparse: each would add to every library set-up.
-    @pytest.mark.parametrize("module", ["scipy", "numpy", "repacker.cli", "argparse"])
+    # Nor the command-line layer, argparse, or what only a worker pool or an
+    # external solver uses: each would add to every library set-up.
+    @pytest.mark.parametrize("module", [
+        "scipy", "numpy", "repacker.cli", "argparse", "multiprocessing", "concurrent",
+        "subprocess", "socket",
+    ])
     def test_import_loads_no_module(self, module):
         code = (
             "import sys, repacker\n"

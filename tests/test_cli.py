@@ -968,16 +968,18 @@ class TestConfigRule:
          "field 'instance': value must be a string or a number, got {\"path\": \"x\"}"),
         ({"seed": "1.5"}, "field 'seed': invalid int value: '1.5'"),
         ({"timeout_secs": "inf"}, "field 'timeout_secs': not a finite number: 'inf'"),
+        ('{"seed": 1,',
+         "not JSON: Expecting property name enclosed in double quotes at line 1 column 12"),
     ], ids=[
         "null-seed", "string-switch", "null-switch", "float-int", "bool-seed", "bool-float",
         "string-repack-all", "scalar-dma-cap", "null-dma-cap", "null-budget", "null-dma-cap-item",
-        "object-instance", "string-float-int", "string-inf",
+        "object-instance", "string-float-int", "string-inf", "not-json",
     ])
     def test_refused_naming_file_and_field(
         self, instance_dir, fields, message, tmp_path, capsys
     ):
         config, out = tmp_path / "c.json", tmp_path / "a.json"
-        config.write_text(json.dumps(fields))
+        config.write_text(fields if isinstance(fields, str) else json.dumps(fields))
         argv = ["solve", "--instance", str(instance_dir), "--target", "12", "--repack-all",
                 "--config", str(config), "--out", str(out)]
         assert main(argv) == 2

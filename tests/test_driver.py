@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import gc
 import json
@@ -536,7 +537,7 @@ class TestSamplingPool:
 
         serial = run(1)
         pools, batches = [], []
-        real_pool, real_run = parallel.ProcessPoolExecutor, parallel.run_tasks
+        real_pool, real_run = concurrent.futures.ProcessPoolExecutor, parallel.run_tasks
 
         def recording_pool(**kwargs):
             pools.append(kwargs["max_workers"])
@@ -546,7 +547,7 @@ class TestSamplingPool:
             batches.append(len(tasks))
             return real_run(fn, tasks, **kwargs)
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         monkeypatch.setattr(parallel, "run_tasks", recording_run)
         pooled = run(2)
         assert len(batches) >= 3 and min(batches) == 1  # retries, down to one seed

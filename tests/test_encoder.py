@@ -7,6 +7,7 @@ import gc
 import io
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,7 +32,7 @@ from repacker.synthetic import generate_synthetic
 
 from conftest import build_instance, random_problem
 from oracles import brute_force_repack
-from reference_paths import reference_implications
+from reference_paths import reference_at_most_true, reference_implications
 
 
 def project_satisfiable(variables: list[int], k: int, var_count_hint: int = 0) -> set[tuple[bool, ...]]:
@@ -266,13 +267,14 @@ def reference_encode(problem: RepackProblem) -> CnfFormula:
     # Cardinality caps.
     cleared_vars = [vm.cleared[sid] for sid in inst.station_ids]
     if problem.max_cleared_nationwide is not None:
-        extra, _ = at_most_true(cleared_vars, problem.max_cleared_nationwide, pool)
+        extra, _ = reference_at_most_true(cleared_vars, problem.max_cleared_nationwide, pool)
         clauses.extend(extra)
     for dma in sorted(problem.dma_caps):
         members = inst.dma_members.get(dma, ())
         if not members:
             continue
-        extra, _ = at_most_true([vm.cleared[sid] for sid in members], problem.dma_caps[dma], pool)
+        extra, _ = reference_at_most_true(
+            [vm.cleared[sid] for sid in members], problem.dma_caps[dma], pool)
         clauses.extend(extra)
 
     if problem.max_dmas_with_clearing is not None:
@@ -284,7 +286,7 @@ def reference_encode(problem: RepackProblem) -> CnfFormula:
             for sid in members:
                 clauses.append((-vm.cleared[sid], y))
             clauses.append(tuple(vm.cleared[sid] for sid in members) + (-y,))
-        extra, _ = at_most_true(
+        extra, _ = reference_at_most_true(
             [vm.dma_any_clearing[dma] for dma in sorted(inst.dmas)],
             problem.max_dmas_with_clearing,
             pool,
@@ -424,6 +426,131 @@ class TestEncodeMatchesReference:
         vm.var_count = 0
         assert_matches_reference(prob)
         assert_matches_reference(dataclasses.replace(prob, must_repack=frozenset(inst.station_ids)))
+
+
+def reference_fold(formula: CnfFormula, clauses: tuple) -> list:
+    """What ``formula.folded()`` must hand the solver after the base's table,
+    read off the whole formula's ``clauses``."""
+    base, n = formula.base, len(formula.var_map.station_ids)
+    width = len(base.plan.channels) + 1
+    stride = 1 + width * (width - 1) // 2
+    return [*clauses[:n * stride:stride], *base.units, *clauses[base.clause_count:]]
+
+
+def reference_cap_clauses(cap: encoder._Cap) -> list:
+    """A cap record's clauses as the reference counter builds them."""
+    clauses = []
+    for group, y in zip(cap.groups, cap.counted):
+        clauses += [(-v, y) for v in group]
+        clauses.append((*group, -y))
+    return clauses + reference_at_most_true(list(cap.counted), cap.k, VarPool(start=cap.first))[0]
+
+
+class TestCapsGeneratedOnRead:
+    """A formula keeps its caps as records and generates their clauses on
+    each read, equal clause for clause to the counter built as a list."""
+
+    def test_at_most_true_matches_reference(self):
+        for n in range(1, 10):
+            for k in range(n + 3):
+                for start in (n + 1, n + 40):
+                    pool, expected_pool = VarPool(start=start), VarPool(start=start)
+                    clauses, aux = at_most_true(list(range(1, n + 1)), k, pool)
+                    assert (clauses, aux) == reference_at_most_true(
+                        list(range(1, n + 1)), k, expected_pool), (n, k, start)
+                    assert type(clauses) is list and all(type(c) is tuple for c in clauses)
+                    assert pool.count == expected_pool.count and pool.neg == expected_pool.neg
+                    assert all(lit is pool.neg[-lit] for c in clauses for lit in c if lit < 0)
+
+    def test_every_cap_kind_matches_reference(self):
+        rng = random.Random(34)
+        shapes = dict.fromkeys(("adj", "domain", "reserved", "must-repack", "no-channel"), 0)
+        for seed in range(10):
+            inst = generate_synthetic(
+                rng.randint(6, 24), channel_count=rng.randint(5, 7), co_density=0.2,
+                adj_density=0.1, domain_density=0.15, n_dmas=rng.randint(1, 4),
+                forbidden_channels=rng.choice(((), (15,), (15, 17))), seed=seed,
+            )
+            members = {dma: len(inst.dma_members.get(dma, ())) for dma in inst.dmas}
+            usable = len(set(inst.universe.channels) - inst.universe.forbidden)
+            for offset in ("0", "1", "2", "n-1", "n", "n+3"):
+                def k(n):
+                    return {"0": 0, "1": 1, "2": 2, "n-1": n - 1, "n": n, "n+3": n + 3}[offset]
+                caps = [
+                    {"max_cleared_nationwide": k(inst.n)},
+                    {"dma_caps": {dma: k(m) for dma, m in members.items()}},
+                    {"max_dmas_with_clearing": k(len(inst.dmas))},
+                ]
+                caps.append({key: value for cap in caps for key, value in cap.items()})
+                for cap in caps:
+                    prob = RepackProblem(
+                        instance=inst, clearing_target_mhz=6 * rng.choice((1, 2, usable)),
+                        use_domain_constraints=rng.random() < 0.7,
+                        must_repack=frozenset(s for s in inst.station_ids if rng.random() < 0.3),
+                        **cap,
+                    )
+                    got, expected = encode(prob), reference_encode(prob)
+                    assert formula_key(got) == formula_key(expected), (seed, offset, cap)
+                    assert got.clause_count == len(expected.clauses)
+                    _check_clauses(got.clauses, got.var_count)
+                    if got.base is None:
+                        shapes["no-channel"] += 1
+                        continue
+                    table, rest = got.folded()
+                    rest = list(rest)
+                    assert rest == reference_fold(got, expected.clauses)
+                    _check_clauses(rest, got.var_count)
+                    shapes["adj"] += any(ic.kind is not ConstraintKind.CO for ic in inst.interference)
+                    shapes["domain"] += prob.use_domain_constraints and bool(inst.domain)
+                    shapes["reserved"] += bool(prob.channel_plan.flagged)
+                    shapes["must-repack"] += bool(prob.must_repack)
+        assert min(shapes.values()) >= 10, shapes
+
+    def test_each_read_generates_the_same_clauses(self):
+        inst = generate_synthetic(12, co_density=0.2, n_dmas=3, seed=5)
+        formula = encode(RepackProblem(
+            instance=inst, clearing_target_mhz=12, max_cleared_nationwide=4, dma_caps={1: 1},
+            max_dmas_with_clearing=2,
+        ))
+        assert formula.clauses == formula.clauses
+        assert list(formula.folded()[1]) == list(formula.folded()[1])
+
+    def test_capped_encode_peak_memory(self):
+        # The first minimum-search probe of the benchmark's 600-station
+        # instance: a counter of 599 * 300 registers. Stored as clause
+        # tuples it held 34 MB and peaked at 64 MB.
+        inst = generate_synthetic(
+            600, channel_count=10, co_density=0.015, planted_clique=7, planted_clique_dma=1,
+            seed=7,
+        )
+        encode(RepackProblem(instance=inst, clearing_target_mhz=30))  # builds the base
+        problem = RepackProblem(instance=inst, clearing_target_mhz=30, max_cleared_nationwide=300)
+        tracemalloc.start()
+        try:
+            formula = encode(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert formula.var_count == 600 * 6 + 599 * 300
+        assert peak < 24e6, peak
+
+    def test_record_check_raises_what_the_clause_check_raises(self):
+        rng = random.Random(77)
+        raised = 0
+        for _ in range(3000):
+            var_count = rng.randint(1, 30)
+            groups = ()
+            if rng.random() < 0.3:
+                groups = tuple(tuple(rng.randint(0, var_count + 2) for _ in range(rng.randint(0, 3)))
+                               for _ in range(rng.randint(1, 4)))
+                counted = tuple(rng.randint(1, var_count + 3) for _ in groups)
+            else:
+                counted = tuple(rng.randint(0, var_count + 2) for _ in range(rng.randint(1, 6)))
+            cap = encoder._Cap(counted, rng.randint(0, 7), rng.randint(1, var_count + 2), groups)
+            expected = _outcome(_check_clauses, reference_cap_clauses(cap), var_count)
+            assert _outcome(encoder._check_caps, [cap], var_count) == expected, (cap, var_count)
+            raised += expected is not None
+        assert 500 < raised < 2500, raised
 
 
 class TestBaseBuiltFromRows:

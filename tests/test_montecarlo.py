@@ -166,6 +166,22 @@ class TestEstimateSuccess:
                 backend=backend, time_budget=budget,
             )
 
+    @pytest.mark.parametrize("budget", [0, -1, math.nan])
+    def test_sweep_budget_checked_before_the_catalog(self, monkeypatch, budget):
+        builds = []
+
+        def counting_catalog(*args, **kwargs):
+            builds.append(args)
+            return CliqueCatalog(cliques=())
+
+        monkeypatch.setattr(montecarlo, "default_catalog", counting_catalog)
+        with pytest.raises(ValueError, match="time_budget must be"):
+            shared_randomness_sweep(
+                ModelSpec.random_broadcasters(0.5), [0.4, 0.7], congested_instance(), TARGET,
+                trials=4, time_budget=budget,
+            )
+        assert builds == []
+
     def test_trials_jsonl_round_trip(self, tmp_path):
         inst = congested_instance()
         est = estimate_success(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -64,19 +67,35 @@ def test_serial_path_calls_fn_with_context():
 
 def test_pool_never_outnumbers_tasks(monkeypatch):
     sizes = []
-    real_pool = parallel.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers, **kwargs):
         sizes.append(max_workers)
         return real_pool(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     context = CountingContext(0)
     assert bounded(lambda: parallel.run_tasks(offset_square, [5, 6], 8, context=context)) == [
         (5, 25), (6, 36)
     ]
     assert parallel.run_tasks(offset_square, [4], 8, context=context) == [(4, 16)]
     assert sizes == [2]
+
+
+def test_interpreter_with_a_kept_pool_exits_cleanly():
+    # concurrent.futures is imported only when the pool starts, so a pool
+    # left to interpreter teardown would outlive that module.
+    code = (
+        "from repacker import ModelSpec, estimate_success, generate_synthetic\n"
+        "inst = generate_synthetic(12, channel_count=5, co_density=0.08, seed=17)\n"
+        "est = estimate_success(ModelSpec.random_broadcasters(0.5), inst, 12, trials=4,"
+        " seed=1, workers=2)\n"
+        "print(len(est.trials))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=WAIT_S
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4\n", "")
 
 
 @pytest.mark.parametrize("workers", [0, -4])

@@ -11,6 +11,7 @@ import shlex
 import signal
 import stat
 import struct
+import subprocess
 import sys
 import textwrap
 import threading
@@ -1110,7 +1111,7 @@ class TestBudgetRule:
         # The fake would answer SAT, so a verdict here would mean it ran.
         fake = fake_solver(tmp_path, "s SATISFIABLE\nv 1 0\n", 10)
         monkeypatch.setattr(solver, "export_dimacs", ran)
-        monkeypatch.setattr(solver.subprocess, "Popen", ran)
+        monkeypatch.setattr(subprocess, "Popen", ran)
         for engine in (fake, EmbeddedSolver()):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 engine.solve(self.UNIT, time_budget=budget)
