@@ -418,6 +418,8 @@ def sample_solutions(
         raise ValueError("count must be at least 1")
     if retry_factor < 1:
         raise ValueError("retry_factor must be at least 1")
+    if buffer < 0:
+        raise ValueError("buffer must be non-negative")
     parallel.check_workers(workers)
     b_star = _b_star(instance, target_mhz, use_domain, b_star, seed, time_budget, engine)
     cap = b_star + buffer

@@ -12,7 +12,7 @@ record and generates its clauses on each read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
@@ -101,89 +101,88 @@ class VarMap:
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A CNF formula over variables ``1..var_count``.
-
-    ``base`` is set only on the formulas :func:`encode` builds on an encoder
-    base (see :class:`_EncodedFormula`). It takes no part in equality, and
-    no output writes it.
-    """
+    """A CNF formula over variables ``1..var_count``."""
 
     var_count: int
     clauses: tuple[tuple[int, ...], ...]
     var_map: Optional[VarMap] = None
-    base: Optional[_Base] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         _check_clauses(self.clauses, self.var_count)
 
-    @classmethod
-    def _prechecked(cls, var_count: int, var_map: VarMap, **attrs) -> "CnfFormula":
-        """A formula whose literals the caller has already range-checked,
-        with ``attrs`` set as they are."""
-        formula = object.__new__(cls)
-        object.__setattr__(formula, "var_count", var_count)
-        object.__setattr__(formula, "var_map", var_map)
-        for name, value in attrs.items():
-            object.__setattr__(formula, name, value)
-        return formula
-
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
 
+    def iter_clauses(self) -> Iterator[tuple[int, ...]]:
+        """The clauses in DIMACS order."""
+        return iter(self.clauses)
+
     def folded(self) -> tuple[Sequence[tuple[int, ...]], Iterable[tuple[int, ...]]]:
-        """The formula as the embedded solver folds it: an encoder base's
+        """The formula as the embedded solver folds it: an encoded formula's
         implication table (none here), then the clauses outside it, in the
         order a fold of all of :attr:`clauses` meets them."""
         return (), self.clauses
 
 
-class _EncodedFormula(CnfFormula):
-    """A formula :func:`encode` built on a :class:`_Base` whose stations have
-    channels to take.
+@dataclass(frozen=True, eq=False)
+class _EncodedFormula:
+    """A formula :func:`encode` built for a problem whose stations have
+    channels to take, kept as the embedded solver reads it.
 
-    It holds ``firsts``, each station's at-least-one clause after the
-    must-repack replacement (one for one), and ``caps``, the records its cap
-    clauses are generated from (:func:`_cap_clauses`), with ``neg`` the
-    pool's table of negative literals. No clause outside the base is stored:
-    ``clauses``, the whole formula in base order, and :meth:`folded` generate
-    the cap clauses on each read.
+    :func:`_build_base` builds the formula of the unconstrained problem (no
+    must-repack station, no cap), and :func:`encode` derives the others from
+    it with their own ``firsts`` (each station's at-least-one clause), caps
+    and ``neg`` (``neg[v]`` is the int object ``-v``). ``table[-v]`` holds the
+    negative literals that ``-v`` implies through the binary clauses of
+    :func:`_base_clauses`, in their order; ``units`` are its unit clauses and
+    ``base_count`` counts its clauses. No clause is stored: reading them
+    generates them, and neither ``repr`` nor ``==`` reads them. Nothing
+    writes the table, so threads share it and a forked child inherits it.
     """
 
+    var_count: int
+    var_map: VarMap
+    instance: Instance
+    plan: ChannelPlan
+    use_domain: bool
+    table: tuple[tuple[int, ...], ...]
+    units: tuple[tuple[int, ...], ...]
+    base_count: int
     firsts: tuple[tuple[int, ...], ...]
     caps: tuple[_Cap, ...]
     neg: list[int]
 
-    @property
-    def clauses(self) -> tuple[tuple[int, ...], ...]:  # type: ignore[override]
-        base = self.base
-        return tuple(chain(
-            _base_clauses(base.instance, base.plan, base.use_domain, base.neg, self.firsts),
-            _cap_clauses(self.caps, self.neg),
-        ))
+    def __repr__(self) -> str:
+        return f"<encoded formula: {self.var_count} vars, {self.clause_count} clauses>"
 
     @property
     def clause_count(self) -> int:
-        return self.base.clause_count + sum(cap.clause_count for cap in self.caps)
+        return self.base_count + sum(cap.clause_count for cap in self.caps)
+
+    def iter_clauses(self) -> Iterator[tuple[int, ...]]:
+        """The clauses in DIMACS order, generated one by one."""
+        return chain(
+            _base_clauses(self.instance, self.plan, self.use_domain, self.neg, self.firsts),
+            _cap_clauses(self.caps, self.neg),
+        )
+
+    @property
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.iter_clauses())
 
     def folded(self) -> tuple[Sequence[tuple[int, ...]], Iterable[tuple[int, ...]]]:
-        """The base's implication table, then this formula's at-least-one
-        clauses, the base's units and the cap clauses. In a fold of all of
-        :attr:`clauses`, a negative station literal's watch list holds its
-        table entries first, then what the caps add."""
-        base = self.base
-        return base.table, chain(self.firsts, base.units, _cap_clauses(self.caps, self.neg))
+        """The implication table, then the at-least-one clauses, the units
+        and the cap clauses. In a fold of all of :attr:`clauses`, a negative
+        station literal's watch list holds its table entries first, then
+        what the caps add."""
+        return self.table, chain(self.firsts, self.units, _cap_clauses(self.caps, self.neg))
 
 
-def _check_clauses(clauses: Sequence[Sequence[int]], var_count: int) -> None:
+def _check_clauses(clauses: Iterable[Sequence[int]], var_count: int) -> None:
     """Raise :class:`EncodingError` for an empty clause or a literal outside
     ``±1..var_count``, naming the first one in clause order."""
-    literals = set(chain.from_iterable(clauses))  # one C-level pass; few distinct values
-    if all(clauses) and min(literals, default=0) >= -var_count and (
-        max(literals, default=0) <= var_count and 0 not in literals
-    ):
-        return
     for clause in clauses:
         if not clause:
             raise EncodingError("empty clause")
@@ -273,7 +272,7 @@ def _check_caps(caps: Iterable[_Cap], var_count: int) -> None:
         if cap.registers:
             used += (first, first + cap.registers - 1)
         if used and (min(used) < 1 or max(used) > var_count):
-            _check_clauses(list(_cap_clauses((cap,), _Negated())), var_count)
+            _check_clauses(_cap_clauses((cap,), _Negated()), var_count)
 
 
 def at_most_true(
@@ -316,19 +315,19 @@ def _position_pairs(channels: Sequence[int]) -> dict[ConstraintKind, list[tuple[
 
 def _base_clauses(
     inst: Instance, plan: ChannelPlan, use_domain: bool, neg: list[int],
-    firsts: Optional[Sequence[tuple[int, ...]]] = None,
+    firsts: Sequence[tuple[int, ...]],
 ) -> Iterator[tuple[int, ...]]:
-    """The clauses of a :class:`_Base`, in its order: each station's
-    at-least-one clause (``firsts[i]``, or all of station ``i``'s variables)
-    then its at-most-one pairs, the interference pairs, and last the unit
-    prohibitions. Every clause but the at-least-one clauses is all-negative,
-    with each literal taken from ``neg``."""
+    """The clauses of an encoded formula but its caps', in DIMACS order:
+    each station's at-least-one clause (``firsts[i]``) then its at-most-one
+    pairs, the interference pairs, and last the unit prohibitions. Every
+    clause but the at-least-one clauses is all-negative, with each literal
+    taken from ``neg``."""
     width = len(plan.channels) + 1
 
     # Exactly-one slot per station.
     for i in range(inst.n):
         cleared = i * width + 1
-        yield tuple(range(cleared, cleared + width)) if firsts is None else firsts[i]
+        yield firsts[i]
         yield from combinations(neg[cleared:cleared + width], 2)
 
     # Pairwise interference over actual channels.
@@ -344,7 +343,7 @@ def _base_clauses(
 def _prohibitions(
     inst: Instance, plan: ChannelPlan, use_domain: bool, neg: list[int],
 ) -> Iterator[tuple[int, ...]]:
-    """A base's unit clauses: reserved channels for everyone, then the
+    """The unit clauses: reserved channels for everyone, then the
     per-station domain rows on the other retained channels."""
     channels = plan.channels
     width = len(channels) + 1
@@ -360,40 +359,14 @@ def _prohibitions(
                 yield (neg[index[dc.station] * width + 2 + position[dc.channel]],)
 
 
-@dataclass(frozen=True, eq=False)
-class _Base:
-    """The part of an encoding that depends on neither ``must_repack`` nor the
-    caps, kept as the embedded solver reads it.
-
-    Its clauses (:func:`_base_clauses`) encode every station as free to
-    clear, in :class:`VarMap`'s layout; :func:`_build_base` writes what a
-    fold of them gives straight from the instance's rows, and no clause is
-    made or stored. ``table[-v]`` holds, for each station variable ``v``,
-    the negative literals that ``-v`` implies through the base's binary
-    clauses, in base order; ``units`` are its unit prohibitions, ``firsts``
-    each station's at-least-one clause, which starts with its cleared
-    literal, and ``clause_count`` counts all of them. Nothing writes the
-    table after its build, so threads share it and a forked child inherits
-    it. Every negative literal is the int object ``neg[v]``.
-    """
-
-    instance: Instance
-    plan: ChannelPlan
-    use_domain: bool
-    neg: list[int]
-    table: tuple[tuple[int, ...], ...]
-    firsts: tuple[tuple[int, ...], ...]
-    units: tuple[tuple[int, ...], ...]
-    clause_count: int
+# The formula of the last unconstrained problem encoded in this process.
+# Monte Carlo draws and min-search probes re-encode one instance and plan
+# many times over; each process (a pool worker too) builds its own on its
+# first call.
+_last_base: Optional[_EncodedFormula] = None
 
 
-# The base of the last encoding in this process. Monte Carlo draws and
-# min-search probes re-encode one instance and plan many times over; each
-# process (a pool worker too) builds its own on its first call.
-_last_base: Optional[_Base] = None
-
-
-def _base_for(problem: RepackProblem) -> _Base:
+def _base_for(problem: RepackProblem) -> _EncodedFormula:
     """The kept base if it fits ``problem``, else a new one (with the caller's GC setting)."""
     global _last_base
     base = _last_base
@@ -409,14 +382,15 @@ def _base_for(problem: RepackProblem) -> _Base:
     return base
 
 
-def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
-    """Build a :class:`_Base` from the instance's rows, equal to a fold of
-    :func:`_base_clauses` without making any of its clauses.
+def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _EncodedFormula:
+    """The formula of the problem with no must-repack station and no cap,
+    built from the instance's rows without making any of its clauses.
 
-    A fold meets all of a station's at-most-one pairs before any interference
-    pair, and each interference row pairs a literal with at most one partner.
-    So a station literal's table entry is its block's other literals in block
-    order, then its partners in the rows' sorted order."""
+    Its table is what a fold of :func:`_base_clauses` gives. A fold meets all
+    of a station's at-most-one pairs before any interference pair, and each
+    interference row pairs a literal with at most one partner. So a station
+    literal's table entry is its block's other literals in block order, then
+    its partners in the rows' sorted order."""
     channels = plan.channels
     count, width = len(channels), len(channels) + 1
     var_count = inst.n * width
@@ -448,11 +422,14 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Base:
     table.reverse()  # indexed by negative literals: table[-v] is table[var_count - v]
 
     units = tuple(_prohibitions(inst, plan, use_domain, neg))
-    clause_count = inst.n * (1 + width * (width - 1) // 2) + binary + len(units)
-    return _Base(inst, plan, use_domain, neg, tuple(table), tuple(firsts), units, clause_count)
+    base_count = inst.n * (1 + width * (width - 1) // 2) + binary + len(units)
+    return _EncodedFormula(
+        var_count, VarMap(inst.station_ids, channels, var_count), inst, plan, use_domain,
+        tuple(table), units, base_count, tuple(firsts), (), neg,
+    )
 
 
-def encode(problem: RepackProblem) -> CnfFormula:
+def encode(problem: RepackProblem) -> CnfFormula | _EncodedFormula:
     """Encode a repacking problem as CNF.
 
     Per station: exactly one of {cleared, channel...} holds, with the cleared
@@ -462,10 +439,10 @@ def encode(problem: RepackProblem) -> CnfFormula:
     dropped when the problem ignores domain constraints, but reserved-channel
     prohibitions always apply.
 
-    Everything but the must-repack clauses and the caps is built once for the
-    last (instance, channel plan, domain flag) encoded in this process, and
-    read from there by each later call with the same three: the formula holds
-    only its at-least-one clauses and its caps' records.
+    The formula of the unconstrained problem (no must-repack station, no cap)
+    is built once for the last (instance, channel plan, domain flag) encoded
+    in this process, and each call with the same three derives its formula
+    from it: only the at-least-one clauses and the caps' records are its own.
     """
     inst = problem.instance
     base = _base_for(problem)
@@ -503,16 +480,16 @@ def encode(problem: RepackProblem) -> CnfFormula:
     if base.plan.channels:
         for i in must:  # the cleared slot is ruled out
             firsts[i] = firsts[i][1:]
-        return _EncodedFormula._prechecked(
-            pool.count, vm, base=base, firsts=tuple(firsts), caps=tuple(caps), neg=pool.neg)
+        return replace(base, var_count=pool.count, var_map=vm, firsts=tuple(firsts),
+                       caps=tuple(caps), neg=pool.neg)
     # Without channels the base is its at-least-one clauses, each the unit
     # of a cleared literal, and a must-repack station's gains its negation.
     for i in must:
         firsts.insert(i + 1, (pool.neg[cleared[i]],))
-    return CnfFormula._prechecked(pool.count, vm, clauses=(*firsts, *_cap_clauses(caps, pool.neg)))
+    return CnfFormula(pool.count, (*firsts, *_cap_clauses(caps, pool.neg)), vm)
 
 
-def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:
+def decode(formula: CnfFormula | _EncodedFormula, model: Sequence[bool]) -> ChannelAssignment:
     """Read a channel assignment out of a satisfying model.
 
     The model must assign every variable (index 0 unused). A station with
@@ -536,12 +513,12 @@ def decode(formula: CnfFormula, model: Sequence[bool]) -> ChannelAssignment:
     return ChannelAssignment(channels=channels)
 
 
-def export_dimacs(formula: CnfFormula, sink: TextIO) -> None:
-    """Write the formula in DIMACS CNF format."""
+def export_dimacs(formula: CnfFormula | _EncodedFormula, sink: TextIO) -> None:
+    """Write the formula in DIMACS CNF format, one clause at a time as
+    :meth:`CnfFormula.iter_clauses` generates it."""
     sink.write(f"p cnf {formula.var_count} {formula.clause_count}\n")
-    for clause in formula.clauses:
-        sink.write(" ".join(str(lit) for lit in clause))
-        sink.write(" 0\n")
+    for clause in formula.iter_clauses():
+        sink.write(f"{' '.join(map(str, clause))} 0\n")
 
 
 @dataclass(frozen=True)

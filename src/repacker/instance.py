@@ -162,18 +162,22 @@ class Instance:
         for s in stations:
             if s.dma_id not in self.dmas:
                 raise InstanceError(f"station {s.id} references unknown DMA {s.dma_id}")
-        for ic in self.interference:
-            for end in (ic.a, ic.b):
-                if end not in known:
-                    raise InstanceError(f"interference constraint references unknown station {end}")
-        chans = set(self.universe.channels)
-        for dc in self.domain:
-            if dc.station not in known:
-                raise InstanceError(f"domain constraint references unknown station {dc.station}")
-            if dc.channel not in chans:
-                raise InstanceError(
-                    f"domain constraint on {dc.station} names channel {dc.channel} outside the universe"
-                )
+        # Each error names the smallest offender, whatever the sets' iteration order.
+        rows = self.interference
+        unknown = {ic.a for ic in rows}.union(ic.b for ic in rows) - known
+        if unknown:
+            raise InstanceError(
+                f"interference constraint references unknown station {min(unknown)}")
+        unknown = {dc.station for dc in self.domain} - known
+        if unknown:
+            raise InstanceError(f"domain constraint references unknown station {min(unknown)}")
+        outside = {dc.channel for dc in self.domain} - set(self.universe.channels)
+        if outside:
+            dc = min((dc for dc in self.domain if dc.channel in outside),
+                     key=DomainConstraint.sort_key)
+            raise InstanceError(
+                f"domain constraint on {dc.station} names channel {dc.channel} outside the universe"
+            )
 
     @property
     def n(self) -> int:

@@ -5,22 +5,26 @@ returning them in task order makes parallel and serial runs byte-identical.
 
 What every task shares (for Monte Carlo, the instance, the clique catalog
 and the solver engine) travels as one ``context`` object, handed to each
-worker once by the pool initializer; under the default ``fork`` start method
-workers inherit it and it is never pickled. Each task then carries only its
-own small part, such as a trial index, a seed and an estimate's settings.
+worker once by the pool initializer. On Linux the pool uses the ``fork``
+start method whatever the default (``forkserver`` from Python 3.14), so
+workers inherit the context and it is never pickled. Each task then carries
+only its own small part, such as a trial index, a seed and an estimate's
+settings.
 
 The pool outlives the call. While the function, the worker count and each
 member of the context (compared by identity) stay the same, later calls run
 in the same worker processes, which keep what they built for earlier tasks:
-the encoder's base for the instance, held as its implication table. A call with
-anything else shuts the pool down first; :func:`shutdown` ends it on
-request, and it is shut down at the latest when the interpreter exits.
+the encoder's base for the instance, the formula of its unconstrained
+problem, held as its implication table. A call with anything else shuts the
+pool down first; :func:`shutdown` ends it on request, and it is shut down at
+the latest when the interpreter exits.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import sys
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TypeVar
 
@@ -121,11 +125,16 @@ def run_tasks(
         if not _serves(fn, workers, members, size):
             _shutdown_pool()
             if size > 1:
-                # Imported here: it loads multiprocessing, which a serial run never needs.
+                # Imported here: they load multiprocessing, which a serial run never needs.
+                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
+                # Linux forks even where forkserver is the default (Python 3.14+),
+                # so that workers inherit the context instead of unpickling it.
+                start = multiprocessing.get_context("fork") if sys.platform == "linux" else None
                 _pool = ProcessPoolExecutor(
-                    max_workers=size, initializer=_init_worker, initargs=(fn, context)
+                    max_workers=size, mp_context=start, initializer=_init_worker,
+                    initargs=(fn, context),
                 )
                 _pool_size, _pool_key = size, (fn, workers, members)
         if _pool is not None:

@@ -29,9 +29,10 @@ draws, and returns the same models, as an engine that keeps one clause list
 per binary clause and heap entries as tuples.
 
 Nearly all of an encoded formula's clauses are the all-negative binary
-clauses of the draw-independent base the encoder builds once per process.
-For a formula :func:`encode` builds on that base, the engine reads them from
-the base's implication table (see :meth:`repacker.encoder.CnfFormula.folded`),
+clauses of its base, the formula of the unconstrained problem that the
+encoder builds once per process and derives the others from. The engine
+reads them from the base's implication table, which every formula of that
+base shares (see ``folded()`` of an encoded formula in :mod:`repacker.encoder`),
 built once and never written: when a literal becomes false, its table entries
 are visited first, then its watch list. A fold of the whole formula puts those
 same entries at the head of the same lists, in the same order, where the
@@ -197,7 +198,7 @@ class _Engine:
     ``table``, when given, is an encoder base's implication table: for each
     negative literal ``-v`` of its ``len(table)`` variables, the negative
     literals that ``-v`` implies, read before ``watches[-v]`` and never
-    written (see :meth:`repacker.encoder.CnfFormula.folded`).
+    written (see ``folded()`` of an encoded formula in :mod:`repacker.encoder`).
     """
 
     def __init__(
@@ -544,9 +545,9 @@ def solve(
     being returned. UNSAT means the conflict analysis derived the empty
     clause; TIMEOUT is a verdict, not an error.
 
-    The engine is built from :meth:`CnfFormula.folded`: a formula that
-    :func:`encode` built on its base is solved with that base's implication
-    table, with the same search as from its clauses.
+    The engine is built from the formula's ``folded()``: a formula that
+    :func:`encode` derived from its base is solved with that base's
+    implication table, with the same search as from its clauses.
 
     It runs with the caller's cyclic garbage collector setting;
     :func:`repacker.driver.check_feasibility` is what pauses the collector.

@@ -1187,6 +1187,15 @@ class TestRejectedBeforeWork:
         }
         assert not out.exists()
 
+    def test_sample_negative_buffer(self, instance_dir, tmp_path, capsys):
+        out = tmp_path / "samples.jsonl"
+        assert main(["sample", "--instance", str(instance_dir), "--target", "12", "--count", "5",
+                     "--buffer", "-1", "--workers", "1", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "buffer must be non-negative",
+        }
+        assert not out.exists()
+
 
 class TestOneSimulatePath:
     """``simulate`` offers the scan-first backends and defaults to the exact one;

@@ -229,6 +229,7 @@ class TestEncodedClausesNeverBuilt:
             raise AssertionError("an encoded formula's clauses were built")
 
         monkeypatch.setattr(encoder._EncodedFormula, "clauses", property(refused))
+        monkeypatch.setattr(encoder._EncodedFormula, "iter_clauses", refused)
 
     def test_estimate_success(self):
         inst = generate_synthetic(
@@ -462,6 +463,19 @@ class TestSampling:
         inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
         with pytest.raises(ValueError, match="^retry_factor must be at least 1$"):
             sample_solutions(inst, 12, count=2, retry_factor=factor, engine=NoSolves())
+
+    def test_negative_buffer_is_refused_before_any_solve(self):
+        class CountingEngine:
+            solves = 0
+
+            def solve(self, formula, seed=0, time_budget=60.0):
+                CountingEngine.solves += 1
+                return EmbeddedSolver.solve(formula, seed, time_budget)
+
+        inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+        with pytest.raises(ValueError, match="^buffer must be non-negative$"):
+            sample_solutions(inst, 12, count=5, buffer=-1, engine=CountingEngine())
+        assert CountingEngine.solves == 0
 
     def test_jsonl_round_trip(self, tmp_path):
         inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import io
 import itertools
+import os
 import random
 import tracemalloc
 
@@ -431,10 +432,10 @@ class TestEncodeMatchesReference:
 def reference_fold(formula: CnfFormula, clauses: tuple) -> list:
     """What ``formula.folded()`` must hand the solver after the base's table,
     read off the whole formula's ``clauses``."""
-    base, n = formula.base, len(formula.var_map.station_ids)
-    width = len(base.plan.channels) + 1
+    n = len(formula.var_map.station_ids)
+    width = len(formula.plan.channels) + 1
     stride = 1 + width * (width - 1) // 2
-    return [*clauses[:n * stride:stride], *base.units, *clauses[base.clause_count:]]
+    return [*clauses[:n * stride:stride], *formula.units, *clauses[formula.base_count:]]
 
 
 def reference_cap_clauses(cap: encoder._Cap) -> list:
@@ -493,7 +494,7 @@ class TestCapsGeneratedOnRead:
                     assert formula_key(got) == formula_key(expected), (seed, offset, cap)
                     assert got.clause_count == len(expected.clauses)
                     _check_clauses(got.clauses, got.var_count)
-                    if got.base is None:
+                    if isinstance(got, CnfFormula):
                         shapes["no-channel"] += 1
                         continue
                     table, rest = got.folded()
@@ -575,11 +576,11 @@ class TestBaseBuiltFromRows:
             inst, plan = prob.instance, prob.channel_plan
             width = len(plan.channels) + 1
             if width == 1:
-                assert formula.base is None and base_only.base is None
+                assert type(formula) is type(base_only) is CnfFormula
                 shapes["no-channel"] += 1
                 continue
-            base = formula.base
-            assert base_only.base is base
+            base = encoder._last_base
+            assert base_only.table is base.table is formula.table
             expected = reference_implications(base_only.clauses, inst.n, width)
             assert (base.table, base.units, base.firsts, base.clause_count) == expected, case
             assert all(lit is base.neg[-lit] for entry in base.table for lit in entry), case
@@ -618,6 +619,58 @@ class TestBaseBuiltFromRows:
         finally:
             gc.enable()
         assert seen == [enabled]
+
+
+class TestEncodedFormulaReaders:
+    """An encoded formula is read without storing its clauses: ``repr`` and
+    ``==`` generate none, every formula of one base shares that base's table
+    and units, and export holds one clause at a time."""
+
+    @staticmethod
+    def capped_problem() -> RepackProblem:
+        inst = generate_synthetic(12, co_density=0.2, domain_density=0.2, n_dmas=3, seed=5)
+        return RepackProblem(
+            instance=inst, clearing_target_mhz=12, max_cleared_nationwide=4, dma_caps={1: 1},
+            max_dmas_with_clearing=2, must_repack=frozenset(inst.station_ids[:3]),
+        )
+
+    def test_repr_and_equality_generate_no_clause(self, monkeypatch):
+        problem = self.capped_problem()
+        formula, again = encode(problem), encode(problem)
+
+        def refused(*args):
+            raise AssertionError("a clause was generated")
+
+        monkeypatch.setattr(encoder, "_base_clauses", refused)
+        monkeypatch.setattr(encoder, "_cap_runs", refused)
+        assert len(repr(formula)) < 200
+        assert formula == formula and formula != again  # compared by identity
+
+    def test_formulas_of_one_base_share_its_table_and_units(self):
+        problem = self.capped_problem()
+        capped = encode(problem)
+        bare = encode(RepackProblem(instance=problem.instance, clearing_target_mhz=12))
+        assert bare.units and not bare.caps and capped.caps
+        assert capped.table is bare.table and capped.units is bare.units
+        assert capped.firsts != bare.firsts
+
+    def test_export_peak_memory(self):
+        # The cap-300 probe of the benchmark's 600-station instance: with its
+        # 383k clauses built as one tuple first, export peaked at 33.5 MB.
+        inst = generate_synthetic(
+            600, channel_count=10, co_density=0.015, planted_clique=7, planted_clique_dma=1,
+            seed=7,
+        )
+        formula = encode(
+            RepackProblem(instance=inst, clearing_target_mhz=30, max_cleared_nationwide=300))
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                export_dimacs(formula, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4e6, peak
 
 
 def literal_objects_and_values(formula: CnfFormula) -> tuple[int, int]:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +99,34 @@ class TestTypes:
     def test_instance_rejects_dangling_references(self):
         with pytest.raises(InstanceError, match="unknown station"):
             build_instance(2, co_pairs=(("a", "zz"),))
+
+    def test_each_error_names_one_offender_under_every_hash_seed(self):
+        # Several bad rows in each set; which one a walk over the frozenset
+        # meets first depends on the string hash seed.
+        code = (
+            "from conftest import build_instance\n"
+            "from repacker.instance import InstanceError\n"
+            "for rows in ({'co_pairs': (('a', 'x'), ('a', 'y'), ('b', 'z'))},\n"
+            "             {'domain': (('x', 1), ('y', 2), ('z', 3))},\n"
+            "             {'domain': (('a', 97), ('c', 98), ('b', 99), ('a', 96))}):\n"
+            "    try:\n"
+            "        build_instance(3, **rows)\n"
+            "    except InstanceError as exc:\n"
+            "        print(exc)\n"
+        )
+        outputs = set()
+        for hash_seed in range(1, 9):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                timeout=120, cwd=os.path.dirname(__file__),
+                env={**os.environ, "PYTHONHASHSEED": str(hash_seed)},
+            )
+            outputs.add(proc.stdout)
+        assert outputs == {
+            "interference constraint references unknown station x\n"
+            "domain constraint references unknown station x\n"
+            "domain constraint on a names channel 96 outside the universe\n"
+        }
 
     def test_instance_rejects_unknown_dma(self):
         with pytest.raises(InstanceError, match="unknown DMA"):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
+import sys
 
 import pytest
 
@@ -300,6 +302,17 @@ class TestWarmPool:
         trials = [t.to_json_dict() for t in run(2).trials]
         assert trials == [t.to_json_dict() for t in run(1).trials]
         assert any(t["verdict"] == "timeout" for t in trials)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+    def test_workers_inherit_the_context_where_forkserver_is_the_default(self):
+        # Python 3.14 made forkserver Linux's default start method, which
+        # pickles a pool's initializer arguments into each worker.
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            self.test_an_engine_that_cannot_be_pickled_reaches_the_workers()
+        finally:
+            multiprocessing.set_start_method(default, force=True)
 
     def test_another_instance_or_worker_count_replaces_the_pool(self):
         inst, twin = congested_instance(), congested_instance()

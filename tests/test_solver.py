@@ -662,7 +662,7 @@ def one_base_formulas():
         ))
         for alpha, seed, cap in itertools.product((0.3, 0.6), range(3), (None, 3))
     ]
-    assert len({id(f.base) for f in formulas}) == 1
+    assert len({id(f.table) for f in formulas}) == 1
     return formulas
 
 
@@ -679,7 +679,7 @@ class TestSkeleton:
         cases = [(encode(p), rng.randrange(1 << 30), 60.0) for p in skeleton_problems()]
         cases.append((conflicting_capped_formula(), 0, 2.0))
         for case, (formula, seed, budget) in enumerate(cases):
-            assert formula.base is not None
+            assert isinstance(formula, encoder._EncodedFormula)
             timeout = budget == 2.0
             if timeout:
                 counting_clock(monkeypatch)
@@ -697,7 +697,7 @@ class TestSkeleton:
     def test_no_channels_solve_from_the_clauses(self):
         inst = generate_synthetic(6, channel_count=5, seed=2)
         formula = encode(RepackProblem(inst, 30, must_repack=frozenset(inst.station_ids[:2])))
-        assert formula.base is None
+        assert isinstance(formula, CnfFormula)
         assert solve(formula).is_unsat
 
     def test_the_table_is_never_written(self):
@@ -707,26 +707,26 @@ class TestSkeleton:
             by_verdict.setdefault(solve(formula, seed=1).verdict, formula)
         for verdict in (Verdict.SAT, Verdict.UNSAT):
             formula = by_verdict[verdict]
-            table = formula.base.table
-            expected = table_copy(formula.base)
+            table = formula.table
+            expected = table_copy(formula)
             assert solve(formula, seed=2).verdict is verdict
-            assert formula.base.table is table and table_copy(formula.base) == expected
+            assert formula.table is table and table_copy(formula) == expected
 
     def test_lists_restored_after_timeout(self, monkeypatch):
         formula = conflicting_capped_formula()
-        table = formula.base.table
-        expected_table = table_copy(formula.base)
+        table = formula.table
+        expected_table = table_copy(formula)
         counting_clock(monkeypatch)
         expected = whole_fold(formula, 0, 2)[1]
         counting_clock(monkeypatch)
         got = outcome_key(solve(formula, seed=0, time_budget=2))
         assert got == expected and got[0] is Verdict.TIMEOUT
-        assert formula.base.table is table and table_copy(formula.base) == expected_table
+        assert formula.table is table and table_copy(formula) == expected_table
 
     def test_lists_restored_after_an_exception_in_the_search(self, monkeypatch):
         formula = conflicting_capped_formula()
-        table = formula.base.table
-        expected_table = table_copy(formula.base)
+        table = formula.table
+        expected_table = table_copy(formula)
         backjump = _Engine._backjump
         calls = []
 
@@ -740,7 +740,7 @@ class TestSkeleton:
         with pytest.raises(RuntimeError, match="boom"):
             solve(formula, seed=0)
         assert len(calls) == 2
-        assert formula.base.table is table and table_copy(formula.base) == expected_table
+        assert formula.table is table and table_copy(formula) == expected_table
         monkeypatch.setattr(_Engine, "_backjump", backjump)
         assert outcome_key(solve(formula, seed=0)) == whole_fold(formula, 0)[1]
 
@@ -768,7 +768,7 @@ class TestSkeleton:
         assert not any(t.is_alive() for t in threads)
         serial = list(enumerate(expected))
         assert results == {k: serial for k in range(len(threads))}
-        base = formulas[0].base
+        base = formulas[0]
         built = encoder._build_base(base.instance, base.plan, base.use_domain)
         assert table_copy(base) == table_copy(built)
 
@@ -776,7 +776,7 @@ class TestSkeleton:
     def test_a_child_forked_mid_solve_solves_from_the_inherited_table(self, monkeypatch):
         formula = conflicting_capped_formula()
         expected = outcome_key(solve(formula, seed=4))
-        table = formula.base.table
+        table = formula.table
         mid_search, forked = threading.Event(), threading.Event()
         backjump = _Engine._backjump
 
@@ -800,7 +800,7 @@ class TestSkeleton:
                 code = 1
                 try:
                     same = outcome_key(solve(formula, seed=4)) == expected
-                    code = 0 if same and formula.base.table is table else 3
+                    code = 0 if same and formula.table is table else 3
                 finally:
                     os._exit(code)
         finally:
@@ -818,7 +818,7 @@ class TestSkeleton:
             pytest.fail("the forked child did not finish its solve")
         assert os.waitstatus_to_exitcode(status) == 0
         assert not worker.is_alive() and results == [expected]
-        assert formula.base.table is table
+        assert formula.table is table
 
 
 class TestFormulaCheck:
@@ -833,7 +833,8 @@ class TestFormulaCheck:
         for case in range(160):
             problem = random_problem(rng, max_n=10, max_c=5)
             formula = encode(problem)
-            base = set() if formula.base is None else set(formula.clauses[:formula.base.clause_count])
+            base = (set() if isinstance(formula, CnfFormula)
+                    else set(formula.clauses[:formula.base_count]))
             n = formula.var_count
             models = [(False, *(rng.random() < p for _ in range(n))) for p in (0.1, 0.3, 0.6)]
             outcome = solve(formula, seed=case)
