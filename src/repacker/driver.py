@@ -261,8 +261,11 @@ def _b_star(
     instance: Instance, target_mhz: int, use_domain: bool, b_star: Optional[int],
     seed: int, time_budget: float, engine,
 ) -> int:
-    """``b_star`` when given, else the nationwide minimum, searched with its own derived seed."""
+    """``b_star`` when given (``ValueError`` if negative, before any probe),
+    else the nationwide minimum, searched with its own derived seed."""
     if b_star is not None:
+        if b_star < 0:
+            raise ValueError("b_star must be non-negative")
         return b_star
     return min_nationwide_clearings(
         instance, target_mhz, use_domain,

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import chain, combinations, compress, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
-from .instance import ChannelAssignment, ChannelPlan, ConstraintKind, Instance, RepackProblem
+from .instance import _FORBIDDEN_OFFSET, ChannelAssignment, ChannelPlan, Instance, RepackProblem
 
 
 class EncodingError(ValueError):
@@ -295,21 +295,15 @@ def at_most_true(
     return list(_cap_clauses((cap,), pool.neg)), aux
 
 
-# The channel difference channel(a) - channel(b) that each interference kind
-# rules out. validate_assignment and the test oracles state the rule again on
-# their own, so that a wrong sign here fails their checks.
-_FORBIDDEN_OFFSET = {ConstraintKind.CO: 0, ConstraintKind.ADJ_UP: 1, ConstraintKind.ADJ_DOWN: -1}
-
-
-def _position_pairs(channels: Sequence[int]) -> dict[ConstraintKind, list[tuple[int, int]]]:
-    """Each interference kind's clauses between stations ``a`` and ``b``, as
-    (position of a's channel, position of b's channel) pairs over the
-    retained ``channels``, in b's channel order; a pair whose channel for a is
-    not retained is vacuous and left out."""
+def _position_pairs(channels: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
+    """Each forbidden offset's clauses between stations ``a`` and ``b`` of a
+    conflict row, as (position of a's channel, position of b's channel) pairs
+    over the retained ``channels``, in b's channel order; a pair whose channel
+    for a is not retained is vacuous and left out."""
     position = {ch: p for p, ch in enumerate(channels)}
     return {
-        kind: [(position[ch + d], p) for p, ch in enumerate(channels) if ch + d in position]
-        for kind, d in _FORBIDDEN_OFFSET.items()
+        d: [(position[ch + d], p) for p, ch in enumerate(channels) if ch + d in position]
+        for d in _FORBIDDEN_OFFSET.values()
     }
 
 
@@ -332,10 +326,9 @@ def _base_clauses(
 
     # Pairwise interference over actual channels.
     pairs = _position_pairs(plan.channels)
-    index = inst.station_index
-    for ic in inst.sorted_interference:
-        a, b = index[ic.a] * width + 2, index[ic.b] * width + 2
-        yield from [(neg[a + pa], neg[b + pb]) for pa, pb in pairs[ic.kind]]
+    for a, b, d in inst.conflicts:
+        a, b = a * width + 2, b * width + 2
+        yield from [(neg[a + pa], neg[b + pb]) for pa, pb in pairs[d]]
 
     yield from _prohibitions(inst, plan, use_domain, neg)
 
@@ -384,13 +377,14 @@ def _base_for(problem: RepackProblem) -> _EncodedFormula:
 
 def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _EncodedFormula:
     """The formula of the problem with no must-repack station and no cap,
-    built from the instance's rows without making any of its clauses.
+    built from the instance's conflict table and domain rows without making
+    any of its clauses.
 
     Its table is what a fold of :func:`_base_clauses` gives. A fold meets all
     of a station's at-most-one pairs before any interference pair, and each
     interference row pairs a literal with at most one partner. So a station
     literal's table entry is its block's other literals in block order, then
-    its partners in the rows' sorted order."""
+    its partners in the table's (sorted-row) order."""
     channels = plan.channels
     count, width = len(channels), len(channels) + 1
     var_count = inst.n * width
@@ -399,12 +393,10 @@ def _build_base(inst: Instance, plan: ChannelPlan, use_domain: bool) -> _Encoded
     # Each row's partner literals, grouped by station and channel position.
     pairs = _position_pairs(channels)
     partners = [[[] for _ in range(count)] for _ in range(inst.n)]
-    index = inst.station_index
     binary = 0
-    for ic in inst.sorted_interference:
-        i, j = index[ic.a], index[ic.b]
+    for i, j, d in inst.conflicts:
         a, b, at, bt = i * width + 2, j * width + 2, partners[i], partners[j]
-        row = pairs[ic.kind]
+        row = pairs[d]
         for pa, pb in row:
             at[pa].append(neg[b + pb])
             bt[pb].append(neg[a + pa])

@@ -100,6 +100,12 @@ class ConstraintKind(str, Enum):
     ADJ_DOWN = "ADJ_DOWN"
 
 
+# The channel difference channel(a) - channel(b) that each interference kind
+# rules out. validate_assignment and the test oracles state the rule again on
+# their own, so that a wrong sign here fails their checks.
+_FORBIDDEN_OFFSET = {ConstraintKind.CO: 0, ConstraintKind.ADJ_UP: 1, ConstraintKind.ADJ_DOWN: -1}
+
+
 @dataclass(frozen=True)
 class InterferenceConstraint:
     """Pairwise interference rule between stations ``a`` and ``b``.
@@ -205,14 +211,20 @@ class Instance:
         return {sid: i for i, sid in enumerate(self.station_ids)}
 
     @cached_property
+    def conflicts(self) -> tuple[tuple[int, int, int], ...]:
+        """The ``sorted_interference`` rows on the station index, in order:
+        ``(a, b, d)`` rules out ``channel(a) - channel(b) == d``."""
+        index = self.station_index
+        return tuple((index[ic.a], index[ic.b], _FORBIDDEN_OFFSET[ic.kind])
+                     for ic in self.sorted_interference)
+
+    @cached_property
     def co_masks(self) -> tuple[int, ...]:
         """Co-channel conflict graph on the station index: bit ``j`` of
         ``co_masks[i]`` is set when stations ``i`` and ``j`` conflict."""
-        index = self.station_index
         masks = [0] * self.n
-        for ic in self.interference:
-            if ic.kind is ConstraintKind.CO:
-                a, b = index[ic.a], index[ic.b]
+        for a, b, d in self.conflicts:
+            if d == 0:
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
         return tuple(masks)

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cliques import CliqueCatalog, blocking_check, default_catalog
+from .cliques import CliqueCatalog, CliqueError, _verify_cliques, blocking_check, default_catalog
 from .driver import DEFAULT_TIME_BUDGET, check_feasibility
 from .instance import Instance, RepackProblem, derive_available_channels
 from .instance_io import load_artifact, save_artifact
@@ -250,9 +250,19 @@ _EMPTY_CATALOG = CliqueCatalog(())
 
 
 def _need_catalog(backend: str, catalog: Optional[CliqueCatalog], instance: Instance, seed: int):
+    """The catalog the backend scans. A caller's catalog is checked against
+    ``instance`` first (:class:`CliqueError`), since a clique of another
+    instance's stations would block draws that are feasible."""
     if json_field(backend, str, "backend", one_of=BACKENDS) == BACKEND_SAT:
         return _EMPTY_CATALOG
-    return default_catalog(instance, seed) if catalog is None else catalog
+    if catalog is None:
+        return default_catalog(instance, seed)
+    index = instance.station_index
+    unknown = set().union(*catalog.cliques).difference(index)
+    if unknown:
+        raise CliqueError(f"catalog names unknown station {min(unknown)!r}")
+    _verify_cliques((sum(1 << index[sid] for sid in c) for c in catalog.cliques), instance)
+    return catalog
 
 
 def estimate_success(

@@ -62,6 +62,11 @@ class ModelSpec:
     gamma: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # top_prob has a default for every kind, so only the others are refused.
+        unread = ("beta", "gamma") if self.kind in ALPHA_MODEL_KINDS else ("alpha",)
+        for name in unread:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{self.kind.value}: the model does not read {name}")
         if self.kind in ALPHA_MODEL_KINDS:
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
                 raise ValueError(f"{self.kind.value}: alpha must lie in [0, 1]")

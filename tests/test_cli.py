@@ -602,6 +602,22 @@ class TestConfigAndErrors:
         assert err["error"]["type"] == "ValueError"
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("model, name", [
+        (("random-broadcasters", "--alpha", "0.3", "--beta", "0.7", "--gamma", "2"), "beta"),
+        (("revenue", "--alpha", "0.3", "--beta", "0.5", "--gamma", "1"), "alpha"),
+    ])
+    def test_simulate_refuses_a_parameter_the_model_does_not_read(
+        self, model, name, instance_dir, tmp_path, capsys
+    ):
+        err = run_cli_error(
+            capsys, "simulate", "--instance", str(instance_dir), "--target", "12",
+            "--model", *model, "--trials", "2", "--workers", "1", "--out", str(tmp_path / "sim"),
+        )
+        assert err["error"] == {
+            "type": "ValueError", "message": f"{model[0]}: the model does not read {name}",
+        }
+        assert not (tmp_path / "sim").exists()
+
 
 def _rewrite(path: Path, edit) -> None:
     """Rewrite a JSON-lines artifact after ``edit`` changes its records (meta first)."""
@@ -1193,6 +1209,19 @@ class TestRejectedBeforeWork:
                      "--buffer", "-1", "--workers", "1", "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == {
             "type": "ValueError", "message": "buffer must be non-negative",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("sample", ("--count", "2", "--buffer", "6", "--b-star", "-5", "--workers", "1")),
+        ("min-dma-isolated", ("--dma", "1", "--b-star", "-3")),
+    ])
+    def test_negative_b_star(self, command, options, instance_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([command, "--instance", str(instance_dir), "--target", "12", *options,
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "b_star must be non-negative",
         }
         assert not out.exists()
 

@@ -477,6 +477,25 @@ class TestSampling:
             sample_solutions(inst, 12, count=5, buffer=-1, engine=CountingEngine())
         assert CountingEngine.solves == 0
 
+    @pytest.mark.parametrize("search", ["sample", "min-dma-isolated"])
+    def test_negative_b_star_is_refused_before_any_solve(self, search):
+        # A cap of b* + buffer = 1 would otherwise be searched and -5 written out.
+        class CountingEngine:
+            solves = 0
+
+            def solve(self, formula, seed=0, time_budget=60.0):
+                CountingEngine.solves += 1
+                return EmbeddedSolver.solve(formula, seed, time_budget)
+
+        inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+        with pytest.raises(ValueError, match="^b_star must be non-negative$"):
+            if search == "sample":
+                sample_solutions(inst, 12, count=2, buffer=6, b_star=-5, engine=CountingEngine())
+            else:
+                min_dma_clearings_isolated(inst, 12, min(inst.dmas), b_star=-3,
+                                           engine=CountingEngine())
+        assert CountingEngine.solves == 0
+
     def test_jsonl_round_trip(self, tmp_path):
         inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
         ss = sample_solutions(inst, 12, count=3, buffer=2, seed=5)

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -42,7 +43,7 @@ from repacker.synthetic import generate_synthetic, planted_clique_ids
 
 from conftest import build_instance, random_problem
 from reference_paths import reference_co_adjacency, reference_load_instance
-from oracles import brute_force_repack, oracle_check_assignment
+from oracles import _delta_rules, brute_force_repack, oracle_check_assignment
 
 
 class TestDeriveAvailableChannels:
@@ -172,8 +173,8 @@ class TestTypes:
 class TestPickleState:
     """Pickles carry the dataclass fields only; derived caches are rebuilt."""
 
-    INSTANCE_CACHES = ("station_ids", "by_id", "dma_members", "station_index", "co_masks",
-                       "sorted_interference", "sorted_domain")
+    INSTANCE_CACHES = ("station_ids", "by_id", "dma_members", "station_index", "conflicts",
+                       "co_masks", "sorted_interference", "sorted_domain")
 
     def problem(self) -> RepackProblem:
         inst = generate_synthetic(40, channel_count=8, co_density=0.2, adj_density=0.1,
@@ -207,6 +208,31 @@ class TestPickleState:
         loaded = pickle.loads(warm)
         assert loaded == plan and "assignable" not in vars(loaded)
         assert loaded.assignable == assignable
+
+
+class TestConflictTable:
+    """``Instance.conflicts`` is ``sorted_interference`` on the station index,
+    each row with the channel difference it rules out; the oracles' own rule
+    table, which states the offsets apart from ``src/``, is the check."""
+
+    @pytest.mark.parametrize("inst", [
+        build_instance(5, adj_up=(("a", "b"), ("d", "c")), adj_down=(("b", "a"), ("e", "c")),
+                       co_pairs=(("c", "a"), ("b", "e")), domain=(("a", 2), ("d", 3))),
+        *(generate_synthetic(30, channel_count=6, co_density=0.15, adj_density=0.15,
+                             domain_density=0.1, seed=seed) for seed in range(3)),
+    ], ids=["hand-built", "synthetic-0", "synthetic-1", "synthetic-2"])
+    def test_rows_in_order_with_the_oracles_offsets(self, inst):
+        ids = inst.station_ids
+        assert {ic.kind for ic in inst.interference} == set(ConstraintKind) and inst.domain
+        assert [(ids[a], ids[b]) for a, b, _ in inst.conflicts] == [
+            (ic.a, ic.b) for ic in inst.sorted_interference]
+        rules = _delta_rules(inst)
+        for a, b, d in inst.conflicts:
+            assert (ids[b], d) in rules[ids[a]]
+        # Each row forbids its difference seen from either end.
+        both_ends = Counter((ids[a], ids[b], d) for a, b, d in inst.conflicts)
+        both_ends.update((ids[b], ids[a], -d) for a, b, d in inst.conflicts)
+        assert both_ends == Counter((x, y, d) for x, row in rules.items() for y, d in row)
 
 
 class TestValidateAssignment:

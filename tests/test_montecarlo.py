@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from repacker import montecarlo, parallel
-from repacker.cliques import CliqueCatalog, enumerate_cliques_greedy
+from repacker.cliques import CliqueCatalog, CliqueError, enumerate_cliques_greedy
 from repacker.montecarlo import (
     BACKEND_CLIQUE_ONLY,
     BACKEND_CLIQUE_THEN_SAT,
@@ -183,6 +183,23 @@ class TestEstimateSuccess:
                 trials=4, time_budget=budget,
             )
         assert builds == []
+
+    def test_a_foreign_catalog_is_refused_before_any_trial(self, monkeypatch):
+        # Same s0000... ids: on the sparse instance the dense one's cliques
+        # blocked all 20 draws, which the sat reference finds all feasible.
+        dense = generate_synthetic(30, channel_count=4, co_density=0.3, planted_clique=8, seed=1)
+        sparse = generate_synthetic(30, channel_count=4, co_density=0.02, seed=2)
+        model = ModelSpec.random_broadcasters(0.9)
+        reference = estimate_success(model, sparse, TARGET, trials=20, seed=1, backend=BACKEND_SAT)
+        assert reference.p == 1.0
+        foreign = enumerate_cliques_greedy(dense)
+        unknown = CliqueCatalog(cliques=(frozenset({"s0000", "s9999"}),))
+        monkeypatch.setattr(montecarlo, "_run_trial", pytest.fail)
+        with pytest.raises(CliqueError, match=r"^s\d{4} and s\d{4} are not co-channel neighbors$"):
+            estimate_success(model, sparse, TARGET, trials=20, seed=1, catalog=foreign)
+        with pytest.raises(CliqueError, match="^catalog names unknown station 's9999'$"):
+            shared_randomness_sweep(model, [0.5, 0.9], sparse, TARGET, trials=20, seed=1,
+                                    catalog=unknown)
 
     def test_trials_jsonl_round_trip(self, tmp_path):
         inst = congested_instance()

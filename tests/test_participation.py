@@ -9,6 +9,7 @@ import pytest
 
 from repacker.instance import NETWORKS, US_UNIVERSE, Affiliation, Instance, Station
 from repacker.participation import (
+    ModelKind,
     ModelSpec,
     draw_variates,
     revenue_probabilities,
@@ -54,6 +55,19 @@ class TestModelSpecValidation:
             ModelSpec.revenue(beta=2.0, gamma=1.0)
         with pytest.raises(ValueError):
             ModelSpec.revenue(beta=0.5, gamma=-1.0)
+
+    @pytest.mark.parametrize("kind, name", [
+        ("random-broadcasters", "beta"), ("random-affiliates", "gamma"),
+        ("correlated-affiliates", "beta"), ("revenue", "alpha"),
+    ])
+    def test_a_parameter_the_kind_does_not_read_is_refused(self, kind, name):
+        params = {"alpha": 0.3, "beta": 0.7, "gamma": 2.0}
+        read = {"alpha": 0.3} if kind != "revenue" else {"beta": 0.7, "gamma": 2.0}
+        ModelSpec(ModelKind(kind), **read)  # top_prob keeps its default for every kind
+        with pytest.raises(ValueError, match=f"^{kind}: the model does not read {name}$"):
+            ModelSpec(ModelKind(kind), **read, **{name: params[name]})
+        with pytest.raises(ValueError, match=f"^{kind}: the model does not read {name}$"):
+            ModelSpec.from_dict({"kind": kind, **read, name: params[name]})
 
     def test_dict_round_trip(self):
         for spec in (
