@@ -24,7 +24,7 @@ from .cliques import clearing_lower_bound, default_catalog, dma_lower_bound
 from .encoder import decode, encode
 from .instance import ChannelAssignment, Instance, RepackProblem, validate_assignment
 from .instance_io import load_artifact, save_artifact
-from .solver import DEFAULT_TIME_BUDGET, EmbeddedSolver, SolveStats, Verdict
+from .solver import DEFAULT_TIME_BUDGET, EmbeddedSolver, SolveStats, Verdict, _check_time_budget
 from .util import derive_seed, gc_paused, json_field
 from . import parallel
 
@@ -169,6 +169,7 @@ def _min_cap_search(
     fresh seed), and a second such timeout ends the search, leaving ``high``
     as an upper bound rather than a certified minimum.
     """
+    _check_time_budget(time_budget)  # before the first encode
     probes: list[ProbeRecord] = []
     attempts: dict[int, int] = {}
 
@@ -359,17 +360,24 @@ class SampleSet:
         """Every sample must pass :func:`validate_assignment` against the file's problem."""
 
         def fields(meta: dict) -> dict:
-            return dict(
-                problem=RepackProblem(
-                    instance=instance,
-                    clearing_target_mhz=json_field(meta["target_mhz"], int, "target_mhz"),
-                    use_domain_constraints=json_field(meta["use_domain"], bool, "use_domain"),
-                    max_cleared_nationwide=json_field(meta["cap"], int, "cap", nullable=True),
-                ),
-                buffer=json_field(meta["buffer"], int, "buffer"),
-                b_star=json_field(meta["b_star"], int, "b_star", nullable=True),
-                requested=json_field(meta["requested"], int, "requested", nullable=True),
+            cap = json_field(meta["cap"], int, "cap", nullable=True)
+            buffer = json_field(meta["buffer"], int, "buffer")
+            b_star = json_field(meta["b_star"], int, "b_star", nullable=True)
+            requested = json_field(meta["requested"], int, "requested", nullable=True)
+            # What sample_solutions writes: cap = b_star + buffer, both non-negative.
+            if buffer < 0:
+                raise ValueError(f"buffer must be non-negative, got {buffer}")
+            if b_star is not None and (b_star < 0 or cap != b_star + buffer):
+                raise ValueError(f"b_star must equal cap - buffer and be non-negative, got {b_star}")
+            if requested is not None and requested < 1:
+                raise ValueError(f"requested must be at least 1, got {requested}")
+            problem = RepackProblem(
+                instance=instance,
+                clearing_target_mhz=json_field(meta["target_mhz"], int, "target_mhz"),
+                use_domain_constraints=json_field(meta["use_domain"], bool, "use_domain"),
+                max_cleared_nationwide=cap,
             )
+            return dict(problem=problem, buffer=buffer, b_star=b_star, requested=requested)
 
         def sample(head: dict, rec: dict) -> Sample:
             assignment = ChannelAssignment.from_json_dict(rec["assignment"])
@@ -419,6 +427,7 @@ def sample_solutions(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    _check_time_budget(time_budget)
     if retry_factor < 1:
         raise ValueError("retry_factor must be at least 1")
     if buffer < 0:

@@ -249,20 +249,41 @@ def _run_trial(context, task) -> TrialReport:
 _EMPTY_CATALOG = CliqueCatalog(())
 
 
-def _need_catalog(backend: str, catalog: Optional[CliqueCatalog], instance: Instance, seed: int):
-    """The catalog the backend scans. A caller's catalog is checked against
-    ``instance`` first (:class:`CliqueError`), since a clique of another
-    instance's stations would block draws that are feasible."""
+def _estimates(
+    models: Sequence[ModelSpec], instance: Instance, target_mhz: int, use_domain: bool, *,
+    trials: int, seed: int, backend: str, catalog: Optional[CliqueCatalog],
+    time_budget: float, engine, workers: int,
+) -> list[SuccessEstimate]:
+    """One estimate per model, in order, over the same per-index trial seeds.
+    Every argument is checked and the catalog resolved once, before any trial."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    # Before any trial: a clique-blocked draw never reaches the solver's check.
+    _check_time_budget(time_budget)
+    parallel.check_workers(workers)
     if json_field(backend, str, "backend", one_of=BACKENDS) == BACKEND_SAT:
-        return _EMPTY_CATALOG
-    if catalog is None:
-        return default_catalog(instance, seed)
-    index = instance.station_index
-    unknown = set().union(*catalog.cliques).difference(index)
-    if unknown:
-        raise CliqueError(f"catalog names unknown station {min(unknown)!r}")
-    _verify_cliques((sum(1 << index[sid] for sid in c) for c in catalog.cliques), instance)
-    return catalog
+        catalog = _EMPTY_CATALOG
+    elif catalog is None:
+        catalog = default_catalog(instance, seed)
+    else:
+        # A clique of another instance's stations would block feasible draws.
+        index = instance.station_index
+        unknown = set().union(*catalog.cliques).difference(index)
+        if unknown:
+            raise CliqueError(f"catalog names unknown station {min(unknown)!r}")
+        _verify_cliques((sum(1 << index[sid] for sid in c) for c in catalog.cliques), instance)
+    # Reserved channels inside the retained band cannot hold a station.
+    channel_count = len(derive_available_channels(target_mhz, instance.universe).assignable)
+    # The instance, catalog and engine reach each worker once and keep its pool
+    # for later estimates; a task is (index, seed) and its estimate's settings.
+    context = (instance, catalog, engine)
+    estimates = []
+    for model in models:
+        settings = (model, target_mhz, use_domain, backend, channel_count, time_budget)
+        tasks = [(i, derive_seed(seed, "trial", i), settings) for i in range(trials)]
+        reports = parallel.run_tasks(_run_trial, tasks, workers=workers, context=context)
+        estimates.append(SuccessEstimate(model, target_mhz, use_domain, backend, list(reports)))
+    return estimates
 
 
 def estimate_success(
@@ -286,26 +307,10 @@ def estimate_success(
     regardless of backend. With ``workers > 1``, successive calls on one
     instance and catalog run in the same warm worker processes.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    # Before any trial: a clique-blocked draw never reaches the solver's check.
-    _check_time_budget(time_budget)
-    parallel.check_workers(workers)
-    catalog = _need_catalog(backend, catalog, instance, seed)
-    # Reserved channels inside the retained band cannot hold a station.
-    channel_count = len(derive_available_channels(target_mhz, instance.universe).assignable)
-    # The instance, catalog and engine reach each worker once and keep its
-    # pool for later estimates; a task is (index, seed) and this estimate's
-    # settings.
-    settings = (model, target_mhz, use_domain, backend, channel_count, time_budget)
-    tasks = [(i, derive_seed(seed, "trial", i), settings) for i in range(trials)]
-    reports = parallel.run_tasks(
-        _run_trial, tasks, workers=workers, context=(instance, catalog, engine)
-    )
-    return SuccessEstimate(
-        model=model, target_mhz=target_mhz, use_domain=use_domain,
-        backend=backend, trials=list(reports),
-    )
+    return _estimates(
+        [model], instance, target_mhz, use_domain, trials=trials, seed=seed, backend=backend,
+        catalog=catalog, time_budget=time_budget, engine=engine, workers=workers,
+    )[0]
 
 
 def shared_randomness_sweep(
@@ -331,7 +336,8 @@ def shared_randomness_sweep(
     non-participant sets are nested along the sweep (at the hidden-variable
     level for the affiliate models) and the point at rate a equals the
     single-rate estimate at a. Only the fixed-marginal-rate models support
-    this; the revenue model has no single rate to sweep.
+    this; the revenue model has no single rate to sweep. Every point is
+    checked, and the catalog resolved once, before any trial.
     """
     if model.kind not in ALPHA_MODEL_KINDS:
         raise ValueError(f"{model.kind.value} does not define a rate sweep")
@@ -340,14 +346,8 @@ def shared_randomness_sweep(
         raise ValueError("alphas must be non-empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    _check_time_budget(time_budget)
-    parallel.check_workers(workers)
-    catalog = _need_catalog(backend, catalog, instance, seed)
-    return [
-        estimate_success(
-            model.with_alpha(alpha), instance, target_mhz, use_domain,
-            trials=trials, seed=seed, backend=backend, catalog=catalog,
-            time_budget=time_budget, engine=engine, workers=workers,
-        )
-        for alpha in alphas
-    ]
+    return _estimates(
+        [model.with_alpha(alpha) for alpha in alphas], instance, target_mhz, use_domain,
+        trials=trials, seed=seed, backend=backend, catalog=catalog,
+        time_budget=time_budget, engine=engine, workers=workers,
+    )

@@ -739,6 +739,17 @@ class TestMalformedArtifacts:
         ("trials", lambda r: r[0].update(model=["random-broadcasters", 0.5]), 1,
          'model must be an object, got ["random-broadcasters", 0.5]'),
         ("samples", lambda r: r[2].update(stats=[0, 0, 0]), 3, "stats must be an object, got [0, 0, 0]"),
+        # The fixture's sample set has b_star 0, buffer 10 and cap 10.
+        ("samples", lambda r: r[0].update(b_star=-5, cap=5), 1,
+         "b_star must equal cap - buffer and be non-negative, got -5"),
+        ("samples", lambda r: r[0].update(b_star=7), 1,
+         "b_star must equal cap - buffer and be non-negative, got 7"),
+        ("samples", lambda r: r[0].update(buffer=9), 1,
+         "b_star must equal cap - buffer and be non-negative, got 0"),
+        ("samples", lambda r: r[0].update(cap=None), 1,
+         "b_star must equal cap - buffer and be non-negative, got 0"),
+        ("samples", lambda r: r[0].update(buffer=-4), 1, "buffer must be non-negative, got -4"),
+        ("samples", lambda r: r[0].update(requested=0), 1, "requested must be at least 1, got 0"),
     ], ids=[
         "trial-missing-index", "trial-unknown-verdict", "trial-set-unknown-model",
         "trial-set-missing-model", "trial-set-unknown-backend", "sample-missing-assignment",
@@ -759,7 +770,9 @@ class TestMalformedArtifacts:
         "trial-repeated-index", "sample-repeated", "trial-set-without-z-and-cliques",
         "trial-missing-cliques", "sample-set-missing-buffer", "sample-set-missing-b-star",
         "sample-set-missing-requested", "catalog-missing-min-size", "trial-set-model-not-an-object",
-        "sample-stats-not-an-object",
+        "sample-stats-not-an-object", "sample-set-negative-b-star", "sample-set-b-star-off-cap",
+        "sample-set-buffer-off-cap", "sample-set-b-star-without-cap", "sample-set-negative-buffer",
+        "sample-set-zero-requested",
     ])
     def test_reported_with_its_line(
         self, artifacts, artifact, edit, line, message, instance_dir, tmp_path, capsys

@@ -6,6 +6,7 @@ import concurrent.futures
 import functools
 import gc
 import json
+import math
 import random
 import threading
 
@@ -402,6 +403,32 @@ class TestSearchErrors:
         inst = build_instance(2)
         with pytest.raises(SearchError, match="base case"):
             min_nationwide_clearings(inst, 6, engine=AlwaysUnsat())
+
+    @pytest.mark.parametrize("budget", [0, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("search, b_star", [
+        ("min-clearings", None), ("min-dmas", None), ("min-dma-isolated", None),
+        ("min-dma-isolated", 1), ("sample", None), ("sample", 1),
+    ])
+    def test_bad_budget_is_refused_before_any_encode(self, monkeypatch, search, b_star, budget):
+        encodes = []
+
+        def counting_encode(*args, **kwargs):
+            encodes.append(args)
+            return encoder.encode(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "encode", counting_encode)
+        inst = generate_synthetic(8, channel_count=5, co_density=0.35, seed=31)
+        calls = {
+            "min-clearings": lambda: min_nationwide_clearings(inst, 12, time_budget=budget),
+            "min-dmas": lambda: min_dmas_with_clearing(inst, 12, time_budget=budget),
+            "min-dma-isolated": lambda: min_dma_clearings_isolated(
+                inst, 12, min(inst.dmas), b_star=b_star, time_budget=budget),
+            "sample": lambda: sample_solutions(
+                inst, 12, count=2, b_star=b_star, time_budget=budget),
+        }
+        with pytest.raises(ValueError, match="^time_budget must be (positive|finite)$"):
+            calls[search]()
+        assert encodes == []
 
 
 class TestSampling:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from repacker import montecarlo, parallel
-from repacker.cliques import CliqueCatalog, CliqueError, enumerate_cliques_greedy
+from repacker.cliques import CliqueCatalog, CliqueError, _verify_cliques, enumerate_cliques_greedy
 from repacker.montecarlo import (
     BACKEND_CLIQUE_ONLY,
     BACKEND_CLIQUE_THEN_SAT,
@@ -476,6 +476,40 @@ class TestSharedRandomnessSweep:
             shared_randomness_sweep(
                 ModelSpec.revenue(0.5, 1.0), [0.1, 0.2], inst, TARGET
             )
+
+    @pytest.mark.parametrize("model, alphas, trials, message", [
+        (ModelSpec.random_broadcasters(0.5), [0.2, 1.5], 5, r"alpha must lie in \[0, 1\]"),
+        (ModelSpec.correlated_affiliates(0.2, top_prob=0.5), [0.2, 0.4, 0.6], 5,
+         "alpha=0.6 exceeds top_prob=0.5"),
+        (ModelSpec.random_broadcasters(0.5), [0.2, 0.4], 0, "trials must be at least 1"),
+    ], ids=["rate-above-one", "rate-above-top-prob", "zero-trials"])
+    def test_refused_before_any_trial_or_catalog(self, monkeypatch, model, alphas, trials,
+                                                 message):
+        builds = []
+        monkeypatch.setattr(montecarlo, "_run_trial", pytest.fail)
+        monkeypatch.setattr(montecarlo, "default_catalog", lambda *args: builds.append(args))
+        with pytest.raises(ValueError, match=message):
+            shared_randomness_sweep(model, alphas, congested_instance(), TARGET, trials=trials)
+        assert builds == []
+
+    @pytest.mark.parametrize("supplied", [True, False])
+    def test_catalog_checked_once_per_sweep(self, monkeypatch, supplied):
+        inst = congested_instance()
+        catalog = enumerate_cliques_greedy(inst, seed=3) if supplied else None
+        checks = []
+
+        def counting_verify(cliques, instance):
+            checks.append(instance)
+            return _verify_cliques(cliques, instance)
+
+        monkeypatch.setattr(montecarlo, "_verify_cliques", counting_verify)
+        sweep = shared_randomness_sweep(
+            ModelSpec.random_broadcasters(0.5), [0.3, 0.5, 0.7], inst, TARGET, trials=4,
+            seed=2, backend=BACKEND_CLIQUE_ONLY, catalog=catalog,
+        )
+        assert len(sweep) == 3
+        # The default catalog was verified as it was built, by the cliques module.
+        assert checks == ([inst] if supplied else [])
 
     def test_rate_zero_draws_nobody(self):
         from repacker.participation import draw_variates, sample_from_variates
